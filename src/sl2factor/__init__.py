@@ -10,7 +10,6 @@ the winding-number certificate that separates 4-factor continuous from
 from .exact_algebra import (
     ExactComplex,
     MultiPoly,
-    Rational,
     format_exact,
     parse_exact,
     poly_diff,
@@ -103,9 +102,8 @@ from .errors import (
 )
 
 __all__ = [
-    "ExactComplex", "MultiPoly", "Rational", "format_exact", "parse_exact",
-    "poly_diff", "poly_equal", "poly_eval", "poly_from_json", "poly_ring_op",
-    "poly_to_json",
+    "ExactComplex", "MultiPoly", "format_exact", "parse_exact", "poly_diff",
+    "poly_equal", "poly_eval", "poly_from_json", "poly_ring_op", "poly_to_json",
     "ElementaryFactor", "FunctionHandle", "PhiTemplate", "SL2", "Word",
     "eval_word", "expand_phi", "format_point", "in_singular_set", "middle_Q",
     "middle_Q_brute", "sl2_from_json", "sl2_to_json", "word_from_json",

@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import sys
+from itertools import islice
 from time import perf_counter
 
 from .errors import PreconditionError, VerificationError
@@ -255,9 +256,14 @@ def _cmd_bound(args):
         except ValueError as exc:
             raise PreconditionError(
                 f"malformed --k entry {part!r}; expected i=Ki") from exc
-    missing = [i for i in range(2, args.n + 1) if i not in counts]
-    if missing:
-        raise PreconditionError(f"--k misses indices {missing}")
+    # count the gaps first: a huge --n must not build a huge list
+    n_missing = args.n - 1 - sum(1 for i in counts if 2 <= i <= args.n)
+    if n_missing > 0:
+        first = list(islice((i for i in range(2, args.n + 1)
+                             if i not in counts), 10))
+        more = (f" (the first {len(first)} of {n_missing})"
+                if n_missing > len(first) else "")
+        raise PreconditionError(f"--k misses indices {first}{more}")
     value = factor_count_bound(args.n, counts)
     return {
         "n": args.n,

@@ -1,10 +1,15 @@
 """Exact scalars and sparse multivariate polynomials.
 
-Scalars are Gaussian rationals: an ExactComplex holds a Fraction real part
-and a Fraction imaginary part, so sums, products and quotients of matrix
-entries never leave the field and every algebraic identity in the package
-(unimodularity, tangency, graph formulas) can be tested as literal equality
-with no tolerance.
+Scalars are Gaussian rationals.  An ExactComplex stores three Python ints
+(p, q, d) and stands for (p + q i)/d.  The triple is canonical: d > 0 and
+gcd(p, q, d) == 1, so zero is (0, 0, 1) and equality is a comparison of
+triples.  Each operation does its integer arithmetic and then divides out
+one gcd(p, q, d), which is skipped when d == 1 (integer coefficients, the
+common case in polynomial work).  The real and imaginary parts are still
+available as Fractions (.re, .im).  Sums, products and quotients of matrix
+entries never leave the field, so every algebraic identity in the package
+(unimodularity, tangency, graph formulas) can be tested as literal
+equality with no tolerance.
 
 A MultiPoly is a sparse polynomial over that field: a map from exponent
 tuples (one entry per variable) to nonzero ExactComplex coefficients.
@@ -22,16 +27,23 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
-
-Rational = Fraction
 
 _FRAC = r"\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"^[+-]?{_FRAC}$")
 _RE_COMPLEX = re.compile(rf"^(?P<re>[+-]?{_FRAC})?(?P<sign>[+-])(?P<im>(?:{_FRAC})?)i$")
 _RE_PURE_IM = re.compile(rf"^(?P<sign>[+-]?)(?P<im>(?:{_FRAC})?)i$")
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x), refusing a zero denominator as bad input."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise PreconditionError(f"zero denominator in {x!r}") from None
 
 
 def _as_fraction(x) -> Fraction:
@@ -40,18 +52,39 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class ExactComplex:
-    """Gaussian rational p/q + r/s i with exact field arithmetic."""
+def _triple(x):
+    """The canonical (p, q, d) of an exact scalar, or None."""
+    if isinstance(x, ExactComplex):
+        return x._pqd
+    if isinstance(x, int):
+        return (int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator)
+    return None
 
-    __slots__ = ("re", "im")
+
+_ZERO = (0, 0, 1)
+_new = object.__new__
+
+
+class ExactComplex:
+    """Gaussian rational (p + q i)/d with exact field arithmetic.
+
+    The triple (p, q, d) is private and canonical (d > 0, gcd 1).
+    """
+
+    __slots__ = ("_pqd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        a, b = _as_fraction(re), _as_fraction(im)
+        p, q = a.numerator * b.denominator, b.numerator * a.denominator
+        d = a.denominator * b.denominator
+        g = gcd(p, q, d)
+        _set_pqd(self, (p // g, q // g, d // g))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
@@ -60,114 +93,143 @@ class ExactComplex:
     def coerce(x) -> "ExactComplex":
         if isinstance(x, ExactComplex):
             return x
-        if isinstance(x, (int, Fraction)):
-            return ExactComplex(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to ExactComplex")
+        t = _triple(x)
+        if t is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to ExactComplex")
+        return _ec(*t)
+
+    @property
+    def re(self) -> Fraction:
+        p, _, d = self._pqd
+        return Fraction(p, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, q, d = self._pqd
+        return Fraction(q, d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._pqd == _ZERO
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._pqd[1] == 0
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        p, q, d = self._pqd
+        return _ec(p, -q, d)
 
     def norm2(self) -> Fraction:
         # |x|^2, stays rational
-        return self.re * self.re + self.im * self.im
+        p, q, d = self._pqd
+        return Fraction(p * p + q * q, d * d)
 
     def __add__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = other._pqd if type(other) is ExactComplex else _triple(other)
+        if o is None:
             return NotImplemented
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        p1, q1, d1 = self._pqd
+        p2, q2, d2 = o
+        if d1 == d2:
+            return _reduced(p1 + p2, q1 + q2, d1)
+        return _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = other._pqd if type(other) is ExactComplex else _triple(other)
+        if o is None:
             return NotImplemented
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        p1, q1, d1 = self._pqd
+        p2, q2, d2 = o
+        if d1 == d2:
+            return _reduced(p1 - p2, q1 - q2, d1)
+        return _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return ExactComplex(o.re - self.re, o.im - self.im)
+        return _ec(*o) - self
 
     def __mul__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = other._pqd if type(other) is ExactComplex else _triple(other)
+        if o is None:
             return NotImplemented
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
+        p1, q1, d1 = self._pqd
+        p2, q2, d2 = o
+        return _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = other._pqd if type(other) is ExactComplex else _triple(other)
+        if o is None:
             return NotImplemented
-        n = o.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by exact zero")
-        num = self * o.conjugate()
-        return ExactComplex(num.re / n, num.im / n)
+        p1, q1, d1 = self._pqd
+        p2, q2, d2 = o
+        if q2 == 0:
+            # real divisor p2/d2: no conjugate, and no squared norm
+            if p2 == 0:
+                raise ZeroDivisionError("division by exact zero")
+            if p2 < 0:
+                p1, q1, p2 = -p1, -q1, -p2
+            return _reduced(p1 * d2, q1 * d2, d1 * p2)
+        # (p1 + q1 i)(p2 - q2 i) d2 / (d1 (p2^2 + q2^2))
+        return _reduced((p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2,
+                        d1 * (p2 * p2 + q2 * q2))
 
     def __rtruediv__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return _ec(*o) / self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        p, q, d = self._pqd
+        return _ec(-p, -q, d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (ExactComplex(1) / self) ** (-n)
-        out = ExactComplex(1)
-        base = self
+            return (EC_ONE / self) ** (-n)
+        # square-and-multiply on the Gaussian integer p + q i, one gcd at
+        # the end against d^n
+        p, q, d = self._pqd
+        rp, rq = 1, 0
         k = n
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                rp, rq = rp * p - rq * q, rp * q + rq * p
             k >>= 1
-        return out
+            if k:
+                p, q = p * p - q * q, 2 * p * q
+        return _reduced(rp, rq, d ** n)
 
     def __eq__(self, other):
-        try:
-            o = ExactComplex.coerce(other)
-        except TypeError:
+        o = other._pqd if type(other) is ExactComplex else _triple(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._pqd == o
 
     def __hash__(self):
-        if self.im == 0:
+        if self._pqd[1] == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, so this equals complex(re) + 1j *
+        # complex(im) of the Fraction parts bit for bit
+        p, q, d = self._pqd
+        return complex(p / d, q / d)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self._pqd != _ZERO
 
     def __str__(self) -> str:
         return format_exact(self)
@@ -176,41 +238,69 @@ class ExactComplex:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
 
+_set_pqd = ExactComplex._pqd.__set__
+
+
+def _ec(p: int, q: int, d: int) -> ExactComplex:
+    """ExactComplex from a triple already in canonical form; skips __init__."""
+    x = _new(ExactComplex)
+    _set_pqd(x, (p, q, d))
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> ExactComplex:
+    """ExactComplex (p + q i)/d for d > 0, after one gcd (none when d == 1)."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    # _ec inlined: this runs once per arithmetic operation
+    x = _new(ExactComplex)
+    _set_pqd(x, (p, q, d))
+    return x
+
+
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _fmt_ratio(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_exact(x: ExactComplex) -> str:
     """Canonical string form: "p/q" when real, else "p/q+r/s i"."""
-    x = ExactComplex.coerce(x)
-    if x.im == 0:
-        return _fmt_frac(x.re)
-    sign = "+" if x.im > 0 else "-"
-    return f"{_fmt_frac(x.re)}{sign}{_fmt_frac(abs(x.im))} i"
+    p, q, d = ExactComplex.coerce(x)._pqd
+    if q == 0:
+        return _fmt_ratio(p, d)
+    sign = "+" if q > 0 else "-"
+    return f"{_fmt_ratio(p, d)}{sign}{_fmt_ratio(abs(q), d)} i"
+
+
+def _imag_text(m: re.Match) -> str:
+    im = m.group("im") or "1"
+    return "-" + im if m.group("sign") == "-" else im
 
 
 def parse_exact(s: str) -> ExactComplex:
-    """Parse "p/q" or "p/q+r/s i" (whitespace tolerated) into an ExactComplex."""
+    """Parse "p/q" or "p/q+r/s i" (whitespace tolerated) into an ExactComplex.
+
+    A zero denominator is refused with PreconditionError, like any other
+    string that is not an exact scalar.
+    """
     t = "".join(s.split())
     if _RE_REAL.match(t):
-        return ExactComplex(Fraction(t))
+        return ExactComplex(t)
     m = _RE_COMPLEX.match(t)
     if m and m.group("re") is not None:
-        im = Fraction(m.group("im")) if m.group("im") else Fraction(1)
-        if m.group("sign") == "-":
-            im = -im
-        return ExactComplex(Fraction(m.group("re")), im)
+        return ExactComplex(m.group("re"), _imag_text(m))
     m = _RE_PURE_IM.match(t)
     if m:
-        im = Fraction(m.group("im")) if m.group("im") else Fraction(1)
-        if m.group("sign") == "-":
-            im = -im
-        return ExactComplex(0, im)
+        return ExactComplex(0, _imag_text(m))
     raise PreconditionError(f"not an exact scalar: {s!r}")
 
 
@@ -488,23 +578,26 @@ def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:
     return MultiPoly(nvars, out)
 
 
+def _term_to_json(exp: tuple, c: ExactComplex) -> dict:
+    re_num, im_num, den = c._pqd
+    return {"exp": list(exp), "re": _fmt_ratio(re_num, den),
+            "im": _fmt_ratio(im_num, den)}
+
+
 def poly_to_json(p: MultiPoly) -> dict:
     return {
         "nvars": p.nvars,
-        "terms": [
-            {"exp": list(exp), "re": _fmt_frac(c.re), "im": _fmt_frac(c.im)}
-            for exp, c in p.sorted_terms()
-        ],
+        "terms": [_term_to_json(exp, c) for exp, c in p.sorted_terms()],
     }
 
 
 def poly_from_json(data: Mapping) -> MultiPoly:
     try:
         nvars = int(data["nvars"])
-        terms = {tuple(t["exp"]): ExactComplex(Fraction(t["re"]),
-                                               Fraction(t["im"]))
+        terms = {tuple(t["exp"]): ExactComplex(_fraction(t["re"]),
+                                               _fraction(t["im"]))
                  for t in data["terms"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed polynomial JSON: {exc}") from exc
     return MultiPoly(nvars, terms)
 

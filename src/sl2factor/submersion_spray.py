@@ -146,6 +146,8 @@ def check_lemma_submersive(n: int, samples: int, seed: int = 0) -> dict:
     """
     if n < 4:
         raise PreconditionError("submersivity testing needs N >= 4")
+    if samples < 0:
+        raise PreconditionError(f"sample count must be nonnegative, got {samples}")
     from ._random import random_exact, random_exact_nonzero, rng_from_seed
     rng = rng_from_seed(seed)
     t = PhiTemplate(n)

@@ -4,6 +4,7 @@
 ##
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -176,6 +177,62 @@ def test_bound(capsys):
     assert code == 2
     code, rep = run(capsys, "bound", "--n", "2", "--k", "oops")
     assert code == 2
+
+
+def test_bound_huge_n_refused_at_once(capsys):
+    t0 = perf_counter()
+    code = main(["bound", "--n", "100000000", "--k", "2=1"])
+    elapsed = perf_counter() - t0
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in message
+    assert "99999998" in message and len(message) < 200
+    assert elapsed < 2.0
+    code, rep = run(capsys, "bound", "--n", "4", "--k", "2=1,9=1")
+    assert code == 2
+    assert rep["error"]["message"] == "--k misses indices [3, 4]"
+
+
+def test_lemma_check_negative_samples(capsys):
+    code, rep = run(capsys, "lemma-check", "--n", "5", "--samples", "-5")
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+def _one_line(capsys, argv):
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohn", "--z", "1/0", "--w", "1"],
+    ["cohn", "--z", "1", "--w", "2", "--factors", "4", "--h3", "3/0"],
+    ["jacobian", "--n", "4", "--point", "1/0,1,1,1"],
+])
+def test_zero_denominator_argument_is_exit_2(capsys, argv):
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("factor-const", {"a": "1/0", "b": "0", "c": "0", "d": "1"}),
+    ("fiber-solve", {"target": {"a": "2", "b": "3", "c": "1", "d": "2+1/0 i"}}),
+    ("pad", {"word": [{"side": "U", "entry": {
+        "nvars": 1, "terms": [{"exp": [0], "re": "1/0", "im": "0"}]}}]}),
+])
+def test_zero_denominator_input_is_exit_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--input", str(path)]
+    if command == "fiber-solve":
+        argv += ["--n", "4"]
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
 
 
 def test_io_errors(tmp_path, capsys):

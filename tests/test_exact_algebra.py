@@ -68,6 +68,26 @@ def test_parse_forms():
         parse_exact("0.5")
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0+2 i", "3+2/0 i",
+                                  "-5/0 i"])
+def test_parse_zero_denominator_is_a_precondition(text):
+    with pytest.raises(PreconditionError):
+        parse_exact(text)
+
+
+def test_zero_denominator_strings_refused():
+    with pytest.raises(PreconditionError):
+        ExactComplex("1/0")
+    with pytest.raises(PreconditionError):
+        ExactComplex(0, "2/0")
+    with pytest.raises(PreconditionError):
+        scalar_from_json("1/0")
+    for re in ("1/0", float("inf")):
+        with pytest.raises(PreconditionError):
+            poly_from_json({"nvars": 1,
+                            "terms": [{"exp": [1], "re": re, "im": "0"}]})
+
+
 def test_powers():
     a = ExactComplex(Fraction(2, 3), Fraction(-1, 5))
     assert a ** 0 == EC_ONE

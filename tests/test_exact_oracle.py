@@ -1,0 +1,244 @@
+##
+## ExactComplex against a Fraction-pair reference: every operation, the
+## canonical form of every result, and the public surface (==, hash, .re,
+## .im, string forms, complex())
+##
+
+import struct
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, strategies as st
+
+from sl2factor.exact_algebra import ExactComplex, format_exact, parse_exact
+
+
+class PairComplex:
+    """Reference Gaussian rational: a Fraction real part and a Fraction
+    imaginary part, each operation done with Fraction arithmetic."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairComplex is immutable")
+
+    @staticmethod
+    def coerce(x):
+        return x if isinstance(x, PairComplex) else PairComplex(x)
+
+    def conjugate(self):
+        return PairComplex(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        o = PairComplex.coerce(other)
+        return PairComplex(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = PairComplex.coerce(other)
+        return PairComplex(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return PairComplex.coerce(other) - self
+
+    def __mul__(self, other):
+        o = PairComplex.coerce(other)
+        return PairComplex(self.re * o.re - self.im * o.im,
+                           self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = PairComplex.coerce(other)
+        n = o.norm2()
+        if n == 0:
+            raise ZeroDivisionError("division by exact zero")
+        num = self * o.conjugate()
+        return PairComplex(num.re / n, num.im / n)
+
+    def __rtruediv__(self, other):
+        return PairComplex.coerce(other) / self
+
+    def __neg__(self):
+        return PairComplex(-self.re, -self.im)
+
+    def __pow__(self, n):
+        if n < 0:
+            return (PairComplex(1) / self) ** (-n)
+        out, base, k = PairComplex(1), self, n
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+
+def _fmt_frac(x):
+    return str(x.numerator) if x.denominator == 1 else \
+        f"{x.numerator}/{x.denominator}"
+
+
+def ref_format(x):
+    if x.im == 0:
+        return _fmt_frac(x.re)
+    sign = "+" if x.im > 0 else "-"
+    return f"{_fmt_frac(x.re)}{sign}{_fmt_frac(abs(x.im))} i"
+
+
+def bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def assert_canonical(x):
+    p, q, d = x._pqd
+    assert type(p) is int and type(q) is int and type(d) is int
+    assert d > 0 and gcd(p, q, d) == 1
+
+
+def assert_same(x, ref):
+    assert isinstance(x, ExactComplex)
+    assert_canonical(x)
+    assert x.re == ref.re and x.im == ref.im
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+small = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+big = st.builds(Fraction, st.integers(-10 ** 10, 10 ** 10),
+                st.integers(1, 10 ** 10))
+rationals = st.one_of(small, big, st.just(Fraction(0)))
+# (re, im): general, real, pure imaginary and zero values
+parts = st.one_of(
+    st.tuples(rationals, rationals),
+    st.tuples(rationals, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), rationals),
+    st.just((Fraction(0), Fraction(0))),
+)
+plain = st.one_of(st.integers(-10 ** 10, 10 ** 10), rationals)
+
+
+def pair(re_im):
+    return ExactComplex(*re_im), PairComplex(*re_im)
+
+
+@given(parts)
+def test_construction_matches_reference(re_im):
+    x, ref = pair(re_im)
+    assert_same(x, ref)
+    assert x.norm2() == ref.norm2() and type(x.norm2()) is Fraction
+    assert x.is_zero == (ref.re == 0 and ref.im == 0) == (not x)
+    assert x.is_real == (ref.im == 0)
+    assert repr(x) == f"ExactComplex({ref.re!r}, {ref.im!r})"
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        x._pqd = (1, 0, 1)
+
+
+@given(parts, parts)
+def test_binary_ops_match_reference(u, v):
+    (x, xr), (y, yr) = pair(u), pair(v)
+    assert_same(x + y, xr + yr)
+    assert_same(x - y, xr - yr)
+    assert_same(x * y, xr * yr)
+    if yr.re == 0 and yr.im == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert_same(x / y, xr / yr)
+    assert (x == y) == (xr.re == yr.re and xr.im == yr.im)
+    assert (x != y) == (not x == y)
+
+
+@given(parts, plain)
+def test_mixed_ops_with_int_and_fraction(u, k):
+    x, xr = pair(u)
+    assert_same(x + k, xr + k)
+    assert_same(k + x, k + xr)
+    assert_same(x - k, xr - k)
+    assert_same(k - x, k - xr)
+    assert_same(x * k, xr * k)
+    assert_same(k * x, k * xr)
+    if k == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / k
+    else:
+        assert_same(x / k, xr / k)
+    if xr.re == 0 and xr.im == 0:
+        with pytest.raises(ZeroDivisionError):
+            k / x
+    else:
+        assert_same(k / x, k / xr)
+    assert (x == k) == (k == x) == (xr.im == 0 and xr.re == k)
+    assert_same(ExactComplex.coerce(k), PairComplex(k))
+
+
+@given(parts, st.integers(-4, 6))
+def test_unary_ops_and_powers(u, n):
+    x, xr = pair(u)
+    assert_same(-x, -xr)
+    assert_same(x.conjugate(), xr.conjugate())
+    if n < 0 and xr.re == 0 and xr.im == 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+    else:
+        assert_same(x ** n, xr ** n)
+
+
+@given(parts)
+def test_hash_matches_reference(u):
+    x, xr = pair(u)
+    assert hash(x) == hash(xr)
+    if xr.im == 0:
+        assert hash(x) == hash(xr.re)
+        if xr.re.denominator == 1:
+            assert hash(x) == hash(int(xr.re))
+    assert len({x, ExactComplex(*u), ExactComplex.coerce(x)}) == 1
+
+
+@given(parts, parts)
+def test_complex_is_bit_identical(u, v):
+    # products carry numerators and denominators past 2**53
+    (x, xr), (y, yr) = pair(u), pair(v)
+    for a, b in ((x, xr), (x * y, xr * yr), (x * y * y, xr * yr * yr)):
+        assert bits(complex(a)) == bits(complex(b))
+        assert abs(a) == abs(complex(b))
+
+
+@given(parts)
+def test_string_forms_match_reference(u):
+    x, xr = pair(u)
+    s = format_exact(x)
+    assert s == ref_format(xr) == str(x)
+    back = parse_exact(s)
+    assert_canonical(back)
+    assert back == x
+
+
+def test_not_an_exact_operand():
+    x = ExactComplex(1, 2)
+    assert (x == 1.0) is False
+    assert x != "1+2 i"
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        ExactComplex.coerce(1j)
+    with pytest.raises(TypeError):
+        ExactComplex(0.5)

@@ -56,6 +56,12 @@ def test_lemma_check_clean():
     assert rep6["violations"] == []
 
 
+def test_lemma_check_refuses_negative_samples():
+    with pytest.raises(PreconditionError):
+        check_lemma_submersive(5, -5)
+    assert check_lemma_submersive(5, 0)["violations"] == []
+
+
 def test_field_spec_bounds():
     v_field_spec(5, 2, 4)
     with pytest.raises(PreconditionError):
