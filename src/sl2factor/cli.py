@@ -17,7 +17,7 @@ from itertools import islice
 from time import perf_counter
 
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import parse_exact, scalar_to_json
+from .exact_algebra import is_exact_text, parse_exact, scalar_to_json
 from .factorizer import (can_factor_three, cohn_family_4,
                          cohn_family_relations, cohn_holo_5, factor_constant,
                          factor_count_bound, pad_avoid_singular)
@@ -38,10 +38,9 @@ from .exact_algebra import ExactComplex, MultiPoly, poly_to_json
 
 def _parse_scalar(text: str, approx: bool = False):
     text = text.strip()
-    try:
+    if is_exact_text(text):
+        # a zero denominator is refused here; --approx would not help
         return parse_exact(text)
-    except (PreconditionError, ValueError):
-        pass
     if not approx:
         raise PreconditionError(
             f"scalar {text!r} is not exact; pass --approx to allow floats")

@@ -131,8 +131,6 @@ class ExactComplex:
             return NotImplemented
         p1, q1, d1 = self._pqd
         p2, q2, d2 = o
-        if d1 == d2:
-            return _reduced(p1 + p2, q1 + q2, d1)
         return _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
@@ -143,8 +141,6 @@ class ExactComplex:
             return NotImplemented
         p1, q1, d1 = self._pqd
         p2, q2, d2 = o
-        if d1 == d2:
-            return _reduced(p1 - p2, q1 - q2, d1)
         return _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other):
@@ -169,16 +165,12 @@ class ExactComplex:
             return NotImplemented
         p1, q1, d1 = self._pqd
         p2, q2, d2 = o
-        if q2 == 0:
-            # real divisor p2/d2: no conjugate, and no squared norm
-            if p2 == 0:
-                raise ZeroDivisionError("division by exact zero")
-            if p2 < 0:
-                p1, q1, p2 = -p1, -q1, -p2
-            return _reduced(p1 * d2, q1 * d2, d1 * p2)
+        n2 = p2 * p2 + q2 * q2
+        if not n2:
+            raise ZeroDivisionError("division by exact zero")
         # (p1 + q1 i)(p2 - q2 i) d2 / (d1 (p2^2 + q2^2))
         return _reduced((p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2,
-                        d1 * (p2 * p2 + q2 * q2))
+                        d1 * n2)
 
     def __rtruediv__(self, other):
         o = _triple(other)
@@ -256,10 +248,7 @@ def _reduced(p: int, q: int, d: int) -> ExactComplex:
             p //= g
             q //= g
             d //= g
-    # _ec inlined: this runs once per arithmetic operation
-    x = _new(ExactComplex)
-    _set_pqd(x, (p, q, d))
-    return x
+    return _ec(p, q, d)
 
 
 EC_ZERO = ExactComplex(0)
@@ -286,22 +275,35 @@ def _imag_text(m: re.Match) -> str:
     return "-" + im if m.group("sign") == "-" else im
 
 
+def _exact_parts(s: str):
+    """The (re, im) texts of an exact scalar string, or None if not one."""
+    t = "".join(s.split())
+    if _RE_REAL.match(t):
+        return t, "0"
+    m = _RE_COMPLEX.match(t)
+    if m and m.group("re") is not None:
+        return m.group("re"), _imag_text(m)
+    m = _RE_PURE_IM.match(t)
+    if m:
+        return "0", _imag_text(m)
+    return None
+
+
+def is_exact_text(s: str) -> bool:
+    """True if s has the shape of an exact scalar; denominators may be 0."""
+    return _exact_parts(s) is not None
+
+
 def parse_exact(s: str) -> ExactComplex:
     """Parse "p/q" or "p/q+r/s i" (whitespace tolerated) into an ExactComplex.
 
     A zero denominator is refused with PreconditionError, like any other
     string that is not an exact scalar.
     """
-    t = "".join(s.split())
-    if _RE_REAL.match(t):
-        return ExactComplex(t)
-    m = _RE_COMPLEX.match(t)
-    if m and m.group("re") is not None:
-        return ExactComplex(m.group("re"), _imag_text(m))
-    m = _RE_PURE_IM.match(t)
-    if m:
-        return ExactComplex(0, _imag_text(m))
-    raise PreconditionError(f"not an exact scalar: {s!r}")
+    parts = _exact_parts(s)
+    if parts is None:
+        raise PreconditionError(f"not an exact scalar: {s!r}")
+    return ExactComplex(*parts)
 
 
 def is_exact_scalar(x) -> bool:
@@ -578,16 +580,12 @@ def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:
     return MultiPoly(nvars, out)
 
 
-def _term_to_json(exp: tuple, c: ExactComplex) -> dict:
-    re_num, im_num, den = c._pqd
-    return {"exp": list(exp), "re": _fmt_ratio(re_num, den),
-            "im": _fmt_ratio(im_num, den)}
-
-
 def poly_to_json(p: MultiPoly) -> dict:
     return {
         "nvars": p.nvars,
-        "terms": [_term_to_json(exp, c) for exp, c in p.sorted_terms()],
+        "terms": [{"exp": list(exp), "re": _fmt_ratio(c._pqd[0], c._pqd[2]),
+                   "im": _fmt_ratio(c._pqd[1], c._pqd[2])}
+                  for exp, c in p.sorted_terms()],
     }
 
 

@@ -209,6 +209,7 @@ def _one_line(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["cohn", "--z", "1/0", "--w", "1"],
+    ["cohn", "--z", "1/0", "--w", "1", "--approx"],
     ["cohn", "--z", "1", "--w", "2", "--factors", "4", "--h3", "3/0"],
     ["jacobian", "--n", "4", "--point", "1/0,1,1,1"],
 ])
@@ -216,6 +217,8 @@ def test_zero_denominator_argument_is_exit_2(capsys, argv):
     code, rep = _one_line(capsys, argv)
     assert code == 2
     assert rep["error"]["code"] == "precondition"
+    assert "zero denominator" in rep["error"]["message"]
+    assert "--approx" not in rep["error"]["message"]
 
 
 @pytest.mark.parametrize("command,payload", [

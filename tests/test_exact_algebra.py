@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from sl2factor.exact_algebra import (
     EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiPoly, compile_approx,
-    format_exact, is_exact_scalar, parse_exact, poly_diff, poly_embed,
-    poly_equal, poly_eval, poly_from_json, poly_ring_op, poly_to_json,
-    scalar_from_json, scalar_to_json)
+    format_exact, is_exact_scalar, is_exact_text, parse_exact, poly_diff,
+    poly_embed, poly_equal, poly_eval, poly_from_json, poly_ring_op,
+    poly_to_json, scalar_from_json, scalar_to_json)
 from sl2factor.errors import PreconditionError
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -73,6 +73,12 @@ def test_parse_forms():
 def test_parse_zero_denominator_is_a_precondition(text):
     with pytest.raises(PreconditionError):
         parse_exact(text)
+    assert is_exact_text(text)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "2j", "1/2/3", "", "i i"])
+def test_other_shapes_are_not_exact_text(text):
+    assert not is_exact_text(text)
 
 
 def test_zero_denominator_strings_refused():
