@@ -12,11 +12,7 @@ from .exact_algebra import (
     MultiPoly,
     format_exact,
     parse_exact,
-    poly_diff,
-    poly_equal,
-    poly_eval,
     poly_from_json,
-    poly_ring_op,
     poly_to_json,
 )
 from .word_core import (
@@ -102,8 +98,8 @@ from .errors import (
 )
 
 __all__ = [
-    "ExactComplex", "MultiPoly", "format_exact", "parse_exact", "poly_diff",
-    "poly_equal", "poly_eval", "poly_from_json", "poly_ring_op", "poly_to_json",
+    "ExactComplex", "MultiPoly", "format_exact", "parse_exact",
+    "poly_from_json", "poly_to_json",
     "ElementaryFactor", "FunctionHandle", "PhiTemplate", "SL2", "Word",
     "eval_word", "expand_phi", "format_point", "in_singular_set", "middle_Q",
     "middle_Q_brute", "sl2_from_json", "sl2_to_json", "word_from_json",

@@ -36,10 +36,6 @@ def random_exact_nonzero(rng: random.Random, num: int = 6, den: int = 4
             return x
 
 
-def random_point(rng: random.Random, n: int) -> list[ExactComplex]:
-    return [random_exact(rng) for _ in range(n)]
-
-
 def random_alternating_word(rng: random.Random, length: int,
                             num: int = 4, den: int = 3) -> Word:
     first = rng.choice((LOWER, UPPER))

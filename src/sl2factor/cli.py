@@ -31,9 +31,10 @@ from .submersion_spray import (check_lemma_submersive, frame_rank,
                                sl2_jacobian)
 from ._verify import verify_suite
 from .word_core import (PhiTemplate, SL2, eval_word, format_point,
-                        in_singular_set, middle_Q, sl2_from_json, sl2_to_json,
-                        word_from_json, word_to_json)
-from .exact_algebra import ExactComplex, MultiPoly, poly_to_json
+                        in_singular_set, matrices_match, middle_Q,
+                        sl2_from_json, sl2_to_json, word_from_json,
+                        word_to_json)
+from .exact_algebra import MultiPoly, is_zero_scalar, poly_to_json
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -122,18 +123,14 @@ def _cmd_fiber_solve(args):
     z1 = _parse_scalar(args.z1, args.approx) if args.z1 is not None else 0
     a, b = target.a, target.b
     if n % 2 == 0:
-        a_zero = ExactComplex.coerce(a).is_zero if target.is_exact \
-            else complex(a) == 0
-        if not a_zero:
+        if not is_zero_scalar(a):
             ip = interior_sample(n, a, "Q1", seed=args.seed)
             fc = complete_generic_even(target, ip)
         else:
             ip = interior_sample(n, b, "Q2", seed=args.seed)
             fc = complete_nongeneric_even(target, z1, ip.values[:-1])
     else:
-        b_zero = ExactComplex.coerce(b).is_zero if target.is_exact \
-            else complex(b) == 0
-        if not b_zero:
+        if not is_zero_scalar(b):
             ip = interior_sample(n, b, "Q2", seed=args.seed)
             fc = complete_odd(target, ip, "generic")
         else:
@@ -169,12 +166,8 @@ def _cmd_pad(args):
         data = data["word"]
     word = word_from_json(data)
     padded = pad_avoid_singular(word)
-    before, after = eval_word(word), eval_word(padded)
-    if before.is_exact and after.is_exact:
-        match = before == after
-    else:
-        match = max(abs(complex(x) - complex(y)) for x, y in
-                    zip(before.entries, after.entries)) < 1e-10
+    before = eval_word(word)
+    match, _ = matrices_match(before, eval_word(padded))
     if not match:
         raise VerificationError("padded word changed the product")
     return {

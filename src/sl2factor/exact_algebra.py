@@ -310,6 +310,16 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (ExactComplex, int, Fraction))
 
 
+def exactify(x):
+    """Exact scalars as ExactComplex; approximate ones unchanged."""
+    return ExactComplex.coerce(x) if is_exact_scalar(x) else x
+
+
+def is_zero_scalar(x) -> bool:
+    """Exact zero test for exact scalars, plain == 0 for approximate ones."""
+    return ExactComplex.coerce(x).is_zero if is_exact_scalar(x) else x == 0
+
+
 def require_finite(x: complex) -> complex:
     """Reject NaN/Inf before they leak into results."""
     z = complex(x)
@@ -539,34 +549,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()})"
-
-
-def poly_ring_op(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Canonical-form add/sub/mul of two polynomials on the same variables."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise PreconditionError(f"unknown ring op {op!r}")
-
-
-def poly_diff(p: MultiPoly, var: int) -> MultiPoly:
-    """Formal partial derivative with respect to variable `var`."""
-    return p.diff(var)
-
-
-def poly_eval(p: MultiPoly, point: Sequence):
-    """Substitute a point; exact in, exact out, approximate in, complex out."""
-    return p.eval(point)
-
-
-def poly_equal(p: MultiPoly, q: MultiPoly) -> bool:
-    if p.nvars != q.nvars:
-        raise PreconditionError(
-            f"variable-count mismatch: {p.nvars} vs {q.nvars}")
-    return p.terms == q.terms
 
 
 def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:

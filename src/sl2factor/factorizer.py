@@ -20,27 +20,18 @@ a four-factor pointwise family on {zw != 1} parametrized by a free h3.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import ExactComplex, is_exact_scalar, scalar_to_json
-from .word_core import (ElementaryFactor, FunctionHandle, LOWER, SL2, UPPER,
-                        Word, eval_word, sl2_to_json, word_to_json)
+from .exact_algebra import ExactComplex, exactify, is_zero_scalar
+from .word_core import (APPROX_TOL, ElementaryFactor, FunctionHandle, LOWER,
+                        SL2, UPPER, Word, eval_word, matrices_match,
+                        sl2_to_json, word_partials, word_to_json)
 
-APPROX_TOL = 1e-10
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
-
-
-def _exactify(x):
-    return ExactComplex.coerce(x) if is_exact_scalar(x) else x
-
-
-def _is_zero(x) -> bool:
-    if is_exact_scalar(x):
-        return ExactComplex.coerce(x).is_zero
-    return x == 0
 
 
 @dataclass(frozen=True)
@@ -68,13 +59,10 @@ class Factorization:
 
 def _finish(word: Word, target: SL2) -> Factorization:
     prod = eval_word(word)
-    if prod.is_exact and target.is_exact:
-        if prod != target:
+    match, residual = matrices_match(prod, target)
+    if not match:
+        if prod.is_exact and target.is_exact:
             raise VerificationError("factor word does not reproduce target")
-        return Factorization(word, target, True, 0)
-    residual = max(abs(complex(x) - complex(y))
-                   for x, y in zip(prod.entries, target.entries))
-    if residual >= APPROX_TOL:
         raise VerificationError(
             f"factor word residual {residual:.3e} exceeds tolerance")
     return Factorization(word, target, True, residual)
@@ -82,16 +70,16 @@ def _finish(word: Word, target: SL2) -> Factorization:
 
 def factor_constant(m: SL2) -> Factorization:
     """At most four triangular factors for any single SL2 matrix."""
-    a, b, c, d = (_exactify(x) for x in m.entries)
+    a, b, c, d = (exactify(x) for x in m.entries)
     one = 1
-    if _is_zero(b) and _is_zero(c):
+    if is_zero_scalar(b) and is_zero_scalar(c):
         if a == ExactComplex.coerce(1) or (not m.is_exact and
                                            abs(complex(a) - 1) < APPROX_TOL):
             word = Word(())  # identity
         else:
             word = Word.of((UPPER, a - one), (LOWER, one),
                            (UPPER, one / a - one), (LOWER, -a))
-    elif not _is_zero(c):
+    elif not is_zero_scalar(c):
         word = Word.of((UPPER, (a - one) / c), (LOWER, c),
                        (UPPER, (d - one) / c))
     else:
@@ -110,16 +98,16 @@ def can_factor_three(m: SL2, pattern: str) -> bool:
     a, b, c, d = m.entries
     one = ExactComplex.coerce(1) if m.is_exact else 1
     if pattern == "ULU":
-        return (not _is_zero(c)) or (a == one and d == one)
+        return (not is_zero_scalar(c)) or (a == one and d == one)
     if pattern == "LUL":
-        return (not _is_zero(b)) or (a == one and d == one)
+        return (not is_zero_scalar(b)) or (a == one and d == one)
     raise PreconditionError("pattern must be 'ULU' or 'LUL'")
 
 
 def factor_unit_corner(b, c, d) -> Factorization:
     """Length-4 lower-first word for [[1, b], [c, d]] with d = 1 + bc."""
-    b, c, d = _exactify(b), _exactify(c), _exactify(d)
-    if not _is_zero(d - (1 + b * c)):
+    b, c, d = exactify(b), exactify(c), exactify(d)
+    if not is_zero_scalar(d - (1 + b * c)):
         raise PreconditionError("unit corner needs d = 1 + bc")
     target = SL2(1, b, c, d)
     word = Word.of((LOWER, c - 1), (UPPER, 0), (LOWER, 1), (UPPER, b))
@@ -128,8 +116,8 @@ def factor_unit_corner(b, c, d) -> Factorization:
 
 def factor_offdiag_zero(a, c) -> Factorization:
     """Length-4 lower-first word for [[a, 0], [c, 1/a]], a != 0."""
-    a, c = _exactify(a), _exactify(c)
-    if _is_zero(a):
+    a, c = exactify(a), exactify(c)
+    if is_zero_scalar(a):
         raise PreconditionError("needs a != 0")
     target = SL2(a, 0, c, 1 / a)
     word = Word.of((LOWER, (c - 1) / a), (UPPER, a - 1), (LOWER, 1),
@@ -188,7 +176,7 @@ def factor_count_bound(n: int, counts) -> int:
 
 def cohn_eval(z, w) -> SL2:
     """C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]]; det is 1 identically."""
-    z, w = _exactify(z), _exactify(w)
+    z, w = exactify(z), exactify(w)
     zw = z * w
     return SL2(1 + zw, z * z, -(w * w), 1 - zw)
 
@@ -201,19 +189,6 @@ class CohnTarget:
     @property
     def matrix(self) -> SL2:
         return cohn_eval(self.z, self.w)
-
-
-def _raw_mul(p, q):
-    (a, b, c, d), (e, f, g, h) = p, q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _raw_lower(g):
-    return (1 + 0 * g, 0 * g, g, 1 + 0 * g)
-
-
-def _raw_upper(g):
-    return (1 + 0 * g, g, 0 * g, 1 + 0 * g)
 
 
 def _h1_series(z, w):
@@ -242,24 +217,20 @@ def _cohn5_h_values(z, w, exp: Callable):
 
 
 def _cohn5_full(z, w, exp: Callable):
-    """h values, closing entry, raw product, residual, conditioning."""
+    """h values with the closing entry, target, residual, conditioning.
+
+    The conditioning is the largest entry of any partial product, of the
+    prefix inverse and of the word alike.
+    """
     h1, h2, h3, h4 = _cohn5_h_values(z, w, exp)
     target = cohn_eval(z, w)
     traw = target.entries  # callers pass complex or mpc, never exact
-    # prefix inverse: L(-h4) U(-h3) L(-h2) U(-h1) applied to the target
-    pre = _raw_lower(-h4)
-    cond = max(abs(x) for x in pre)
-    for m in (_raw_upper(-h3), _raw_lower(-h2), _raw_upper(-h1)):
-        pre = _raw_mul(pre, m)
-        cond = max(cond, max(abs(x) for x in pre))
-    closed = _raw_mul(pre, traw)
-    big_h2 = closed[1]
-    prod = _raw_upper(h1)
-    for m in (_raw_lower(h2), _raw_upper(h3), _raw_lower(h4),
-              _raw_upper(big_h2)):
-        prod = _raw_mul(prod, m)
-        cond = max(cond, max(abs(x) for x in prod))
-    residual = max(abs(x - y) for x, y in zip(prod, traw))
+    # prefix inverse: L(-h4) U(-h3) L(-h2) U(-h1), applied to the target
+    pre = list(word_partials("LULU", (-h4, -h3, -h2, -h1)))
+    big_h2 = pre[-1][0] * traw[1] + pre[-1][1] * traw[3]
+    partials = list(word_partials("ULULU", (h1, h2, h3, h4, big_h2)))
+    cond = max(abs(x) for m in pre + partials for x in m)
+    residual = max(abs(x - y) for x, y in zip(partials[-1], traw))
     return (h1, h2, h3, h4, big_h2), target, float(residual), float(cond)
 
 
@@ -292,8 +263,8 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
 
 def cohn_family_relations(z, w, h: Sequence) -> tuple:
     """Residuals of the four relations equivalent to the product being C."""
-    z, w = _exactify(z), _exactify(w)
-    h1, h2, h3, h4 = (_exactify(x) for x in h)
+    z, w = exactify(z), exactify(w)
+    h1, h2, h3, h4 = (exactify(x) for x in h)
     zw = z * w
     u = 1 - zw
     return (h2 * h3 + zw,
@@ -307,11 +278,11 @@ def cohn_family_4(z, w, h3) -> Factorization:
 
     h2 = -zw/h3, h1 = (z^2 - h3)/(1 - zw), h4 = (-w^2 - h2)/(1 - zw).
     """
-    z, w, h3 = _exactify(z), _exactify(w), _exactify(h3)
+    z, w, h3 = exactify(z), exactify(w), exactify(h3)
     zw = z * w
-    if _is_zero(1 - zw):
+    if is_zero_scalar(1 - zw):
         raise PreconditionError("family needs zw != 1")
-    if _is_zero(h3):
+    if is_zero_scalar(h3):
         raise PreconditionError("family needs h3 != 0")
     h2 = -zw / h3
     h1 = (z * z - h3) / (1 - zw)
@@ -320,19 +291,20 @@ def cohn_family_4(z, w, h3) -> Factorization:
     return _finish(word, cohn_eval(z, w))
 
 
-def _builtin(name: str, fn: Callable) -> FunctionHandle:
-    return FunctionHandle(name, fn)
+@lru_cache(maxsize=1)
+def _cohn5_h_at(z: complex, w: complex) -> tuple:
+    # the five handles of one evaluation share a single computation
+    return _cohn5_full(z, w, cmath.exp)[0]
 
 
 def _cohn5_entry(index: int) -> Callable:
     def entry(z, w):
-        hs, _, _, _ = _cohn5_full(complex(z), complex(w), cmath.exp)
-        return hs[index]
+        return _cohn5_h_at(complex(z), complex(w))[index]
     return entry
 
 
 BUILTIN_ENTRIES: Mapping[str, FunctionHandle] = {
-    name: _builtin(name, _cohn5_entry(i))
+    name: FunctionHandle(name, _cohn5_entry(i))
     for i, name in enumerate(
         ["cohn5_h1", "cohn5_h2", "cohn5_h3", "cohn5_h4", "cohn5_H2"])
 }

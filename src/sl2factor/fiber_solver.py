@@ -29,41 +29,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError, SamplingBudgetError, VerificationError
-from .exact_algebra import ExactComplex, is_exact_scalar
+from .exact_algebra import EC_ONE, EC_ZERO, exactify, is_zero_scalar
 from ._random import random_exact, rng_from_seed
-from .word_core import PhiTemplate, SL2, eval_word
+from .word_core import (SL2, PhiTemplate, eval_word, matrices_match,
+                        unify_scalars, word_product)
 
 MAX_SAMPLE_TRIES = 64
-APPROX_TOL = 1e-10
 
 
-def _exactify(x):
-    return ExactComplex.coerce(x) if is_exact_scalar(x) else x
-
-
-def _is_zero(x) -> bool:
-    if is_exact_scalar(x):
-        return ExactComplex.coerce(x).is_zero
-    return x == 0
-
-
-def _middle_factor(j: int, value) -> SL2:
-    # position j of the full word: lower for odd j, upper for even j
-    return SL2.lower(value) if j % 2 == 1 else SL2.upper(value)
-
-
-def _middle_product(values: Sequence, first_j: int = 2) -> SL2:
-    prod = SL2.identity()
-    for offset, v in enumerate(values):
-        prod = prod @ _middle_factor(first_j + offset, _exactify(v))
-    return prod
-
-
-def _matrices_match(m1: SL2, m2: SL2) -> bool:
-    if m1.is_exact and m2.is_exact:
-        return m1 == m2
-    return max(abs(complex(x) - complex(y))
-               for x, y in zip(m1.entries, m2.entries)) < APPROX_TOL
+def _middle_product(values: Sequence) -> tuple:
+    """Entries of M_2(v_1) M_3(v_2) ..., upper factor first; the identity
+    for no values."""
+    if not values:
+        return EC_ONE, EC_ZERO, EC_ZERO, EC_ONE
+    return word_product("UL" * len(values), unify_scalars(list(values)))
 
 
 @dataclass(frozen=True)
@@ -76,8 +55,7 @@ class InteriorPoint:
     values: tuple
 
     def q_entries(self):
-        q = _middle_product(self.values)
-        return q.a, q.b, q.c, q.d
+        return _middle_product(self.values)
 
 
 @dataclass(frozen=True)
@@ -100,7 +78,7 @@ class FiberCompletion:
 def _verify_completion(n, branch, point, target, eq4=None, z1_free=None
                        ) -> FiberCompletion:
     prod = eval_word(PhiTemplate(n).word_at(point))
-    if not _matrices_match(prod, target):
+    if not matrices_match(prod, target)[0]:
         raise VerificationError(
             f"completion failed to reproduce the target (branch {branch})")
     return FiberCompletion(n, branch, tuple(point), target, True, eq4, z1_free)
@@ -124,43 +102,43 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         raise PreconditionError("fibers need N >= 4")
     if stratum not in ("Q1", "Q2"):
         raise PreconditionError("stratum must be 'Q1' or 'Q2'")
-    level = _exactify(level)
+    level = exactify(level)
     rng = rng_from_seed(seed) if rng is None else rng
     even = n % 2 == 0
     generic = (stratum == "Q1") if even else (stratum == "Q2")
-    if not generic and _is_zero(level):
+    if not generic and is_zero_scalar(level):
         raise PreconditionError(
             "non-generic stratum needs a nonzero level (unimodularity)")
     for _ in range(MAX_SAMPLE_TRIES):
         if generic:
             draws = [random_exact(rng) for _ in range(n - 3)]
-            r = _middle_product(draws)
+            r1, r2, _, _ = _middle_product(draws)
             if even:
                 # append L(t): Q1 = R1 + t R2
-                if _is_zero(r.b):
+                if is_zero_scalar(r2):
                     continue
-                t = (level - r.a) / r.b
+                t = (level - r1) / r2
             else:
                 # append U(t): Q2 = R1 t + R2
-                if _is_zero(r.a):
+                if is_zero_scalar(r1):
                     continue
-                t = (level - r.b) / r.a
+                t = (level - r2) / r1
             values = tuple(draws) + (t,)
         else:
             draws = [random_exact(rng) for _ in range(n - 4)]
-            rp = _middle_product(draws)
+            rp1, rp2, _, _ = _middle_product(draws)
             if even:
                 # solve z_{N-2} (upper): R2 = R'1 s + R'2 = level
-                if _is_zero(rp.a):
+                if is_zero_scalar(rp1):
                     continue
-                s = (level - rp.b) / rp.a
-                t = -rp.a / level  # then Q1 = R1 + t level = 0
+                s = (level - rp2) / rp1
+                t = -rp1 / level  # then Q1 = R1 + t level = 0
             else:
                 # solve z_{N-2} (lower): R1 = R'1 + s R'2 = level
-                if _is_zero(rp.b):
+                if is_zero_scalar(rp2):
                     continue
-                s = (level - rp.a) / rp.b
-                t = -rp.b / level  # then Q2 = level t + R2 = 0
+                s = (level - rp1) / rp2
+                t = -rp2 / level  # then Q2 = level t + R2 = 0
             values = tuple(draws) + (s, t)
         pt = InteriorPoint(n, stratum, level, values)
         q1, q2, _, _ = pt.q_entries()
@@ -182,8 +160,8 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     n = interior.n
     if n % 2 != 0:
         raise PreconditionError("even-length branch")
-    a, b, c, d = (_exactify(x) for x in target.entries)
-    if _is_zero(a):
+    a, b, c, d = (exactify(x) for x in target.entries)
+    if is_zero_scalar(a):
         raise PreconditionError("generic branch needs a != 0")
     q1, q2, q3, q4 = interior.q_entries()
     if q1 != a:
@@ -203,19 +181,19 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     n = len(prefix) + 3
     if n % 2 != 0 or n < 4:
         raise PreconditionError("prefix must cover z_2..z_{N-2}, N even")
-    a, b, c, d = (_exactify(x) for x in target.entries)
-    if not _is_zero(a):
+    a, b, c, d = (exactify(x) for x in target.entries)
+    if not is_zero_scalar(a):
         raise PreconditionError("non-generic branch needs a = 0")
-    if _is_zero(b):
+    if is_zero_scalar(b):
         raise PreconditionError("a = 0 forces b != 0")
-    z1 = _exactify(z1)
-    r = _middle_product([_exactify(x) for x in prefix])
-    if r.b != b:
+    z1 = exactify(z1)
+    r1, r2, _, _ = _middle_product(prefix)
+    if r2 != b:
         raise PreconditionError("prefix is off the level set R2 = b")
-    zn1 = -r.a / b
-    interior = tuple(_exactify(x) for x in prefix) + (zn1,)
-    q = _middle_product(interior)
-    zn = (d - q.d - b * z1) / c
+    zn1 = -r1 / b
+    interior = tuple(exactify(x) for x in prefix) + (zn1,)
+    q4 = _middle_product(interior)[3]
+    zn = (d - q4 - b * z1) / c
     return _verify_completion(n, "nongeneric", (z1, *interior, zn),
                               target, z1_free=z1)
 
@@ -227,10 +205,10 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     n = interior.n
     if n % 2 == 0 or n < 5:
         raise PreconditionError("odd-length branch needs N odd >= 5")
-    a, b, c, d = (_exactify(x) for x in target.entries)
+    a, b, c, d = (exactify(x) for x in target.entries)
     q1, q2, q3, q4 = interior.q_entries()
     if branch == "generic":
-        if _is_zero(b):
+        if is_zero_scalar(b):
             raise PreconditionError("generic branch needs b != 0")
         if q2 != b:
             raise PreconditionError("interior is off the level set Q2 = b")
@@ -239,12 +217,12 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
         return _verify_completion(n, "generic", (z1s, *interior.values, zn),
                                   target)
     if branch == "nongeneric":
-        if not _is_zero(b):
+        if not is_zero_scalar(b):
             raise PreconditionError("non-generic branch needs b = 0")
-        if q1 != a or not _is_zero(q2):
+        if q1 != a or not is_zero_scalar(q2):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
-        z1 = _exactify(z1)
+        z1 = exactify(z1)
         zn = a * (c - q3 - a * z1)
         return _verify_completion(n, "nongeneric", (z1, *interior.values, zn),
                                   target, z1_free=z1)
@@ -254,31 +232,31 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
 def fiber_transport_dim1(p: Sequence, alpha, beta) -> tuple:
     """(z1, z2) -> (z1, beta/alpha * z2), carrying {z1 z2 = alpha} levels
     onto {z1 z2 = beta} levels."""
-    if _is_zero(alpha) or _is_zero(beta):
+    if is_zero_scalar(alpha) or is_zero_scalar(beta):
         raise PreconditionError("transport scalars must be nonzero")
     if len(p) != 2:
         raise PreconditionError("dimension-1 transport takes a pair")
-    z1, z2 = (_exactify(x) for x in p)
-    return (z1, (_exactify(beta) / _exactify(alpha)) * z2)
+    z1, z2 = (exactify(x) for x in p)
+    return (z1, (exactify(beta) / exactify(alpha)) * z2)
 
 
 def fiber_transport_dim2(p: Sequence, alpha) -> tuple:
     """(z1, z2, z3) -> (alpha z1, z2/alpha, alpha z3); scales the level of
     P2 = z1 + z3 + z1 z2 z3 by alpha."""
-    if _is_zero(alpha):
+    if is_zero_scalar(alpha):
         raise PreconditionError("transport scalar must be nonzero")
     if len(p) != 3:
         raise PreconditionError("dimension-2 transport takes a triple")
-    al = _exactify(alpha)
-    z1, z2, z3 = (_exactify(x) for x in p)
+    al = exactify(alpha)
+    z1, z2, z3 = (exactify(x) for x in p)
     return (al * z1, z2 / al, al * z3)
 
 
 def f5_param(z1, c) -> tuple:
     """Graph chart (z1, c) -> (z1, c, (c-1)/z1, (1-z1)/c) whose last-two
     coordinates put (z1, *, *) on the level set z1 + z3 + z1 z2 z3 = 1."""
-    z1 = _exactify(z1)
-    c = _exactify(c)
-    if _is_zero(z1) or _is_zero(c):
+    z1 = exactify(z1)
+    c = exactify(c)
+    if is_zero_scalar(z1) or is_zero_scalar(c):
         raise PreconditionError("chart needs z1 != 0 and c != 0")
     return (z1, c, (c - 1) / z1, (1 - z1) / c)

@@ -20,6 +20,7 @@ fourth-order scheme and reports the drift in P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -30,19 +31,22 @@ from .exact_algebra import (
     MultiPoly,
     compile_approx,
     is_exact_scalar,
-    poly_diff,
     poly_embed,
     require_finite,
 )
 from .word_core import (
     LOWER,
     PhiTemplate,
-    SL2,
     expand_phi,
     in_singular_set,
     middle_Q,
+    unify_scalars,
+    word_partials,
 )
 
+# Numerical rank counts sigma_k > APPROX_RANK_TOL * sigma_1.  This is a
+# ratio of singular values, not a residual like word_core.APPROX_TOL, and
+# needs more headroom above the SVD's rounding noise, so it stays separate.
 APPROX_RANK_TOL = 1e-8
 
 
@@ -67,23 +71,18 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     symbolic = any(isinstance(x, MultiPoly) for x in vals)
     if not exact and not symbolic:
         vals = [require_finite(x) for x in vals]
-    prefix = None  # A_j as SL2; None means identity
+    sides = [t.side_of(j) for j in range(1, t.n + 1)]
+    # A_1 is the identity, A_{j+1} the j-th partial product; the last
+    # partial (the whole word) is never needed, so zip stops before it
+    prefixes = chain([(1, 0, 0, 1)], word_partials(sides, unify_scalars(vals)))
     cols = []
-    for j in range(1, t.n + 1):
-        if prefix is None:
-            al, be, ga, de = 1, 0, 0, 1
-        else:
-            al, be, ga, de = prefix.a, prefix.b, prefix.c, prefix.d
-        if t.side_of(j) == LOWER:
+    for side, (al, be, ga, de) in zip(sides, prefixes):
+        if side == LOWER:
             # A e21 A^{-1} = [[bd, -b^2], [d^2, -bd]]
-            col = (de * de, -(be * be), be * de)
+            cols.append((de * de, -(be * be), be * de))
         else:
             # A e12 A^{-1} = [[-ac, a^2], [-c^2, ac]]
-            col = (-(ga * ga), al * al, -(al * ga))
-        cols.append(col)
-        factor = SL2.lower(vals[j - 1]) if t.side_of(j) == LOWER \
-            else SL2.upper(vals[j - 1])
-        prefix = factor if prefix is None else prefix @ factor
+            cols.append((-(ga * ga), al * al, -(al * ga)))
     return TangentFrame(tuple(cols), exact and not symbolic)
 
 
@@ -201,11 +200,11 @@ class VectorFieldSpec:
 
     @property
     def pk(self) -> MultiPoly:
-        return poly_diff(self.p, self.k)
+        return self.p.diff(self.k)
 
     @property
     def pl(self) -> MultiPoly:
-        return poly_diff(self.p, self.l)
+        return self.p.diff(self.l)
 
 
 def v_field_spec(n: int, k: int, l: int, level_var: bool = False
@@ -241,7 +240,7 @@ def vfield_apply(spec: VectorFieldSpec, q: MultiPoly) -> MultiPoly:
     """Apply the derivation: P_l * dq/dz_k - P_k * dq/dz_l."""
     if q.nvars != spec.p.nvars:
         raise PreconditionError("variable-count mismatch")
-    return spec.pl * poly_diff(q, spec.k) - spec.pk * poly_diff(q, spec.l)
+    return spec.pl * q.diff(spec.k) - spec.pk * q.diff(spec.l)
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,22 @@ drive the fiber solvers.  middle_Q builds them by the two-step recursion
 Q = Q~ * U(s) * L(t) (even length) or Q = Q~ * L(s) * U(t) (odd length);
 middle_Q_brute multiplies the factors one by one and is kept as an
 independent cross-check.
+
+Every internal product runs through one kernel (word_partials) of
+elementary updates on raw entries.  Validation stays at the boundary: a
+user-built SL2 checks its determinant, eval_word checks its result once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import (
     EC_ONE,
+    EC_ZERO,
     ExactComplex,
     MultiPoly,
     format_exact,
@@ -37,7 +42,10 @@ from .exact_algebra import (
 LOWER = "L"
 UPPER = "U"
 
-APPROX_DET_TOL = 1e-10
+# The one tolerance for approximate (float or mpmath) results: the bound on
+# |det - 1| relative to |ad| + |bc|, and on the largest entrywise distance
+# when a replayed product is compared with its target.
+APPROX_TOL = 1e-10
 
 
 def _other_side(side: str) -> str:
@@ -81,9 +89,6 @@ class Word:
     def __iter__(self):
         return iter(self.factors)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.factors + other.factors)
-
     @property
     def is_alternating(self) -> bool:
         return all(a.side != b.side
@@ -99,26 +104,38 @@ def _is_mp_number(x) -> bool:
     return type(x).__module__.startswith("mpmath")
 
 
-def _det_is_unit(a, b, c, d) -> bool:
-    det = a * d - b * c
-    if isinstance(det, MultiPoly):
-        return det == MultiPoly.one(det.nvars)
-    if is_exact_scalar(det):
-        return ExactComplex.coerce(det) == EC_ONE
-    return abs(det - 1) < APPROX_DET_TOL
+def _check_det(vals, exact_error) -> None:
+    """Raise unless det = 1: exact_error for exact or polynomial entries,
+    VerificationError (rounding drift) for approximate ones."""
+    a, b, c, d = vals
+    ad, bc = a * d, b * c
+    if isinstance(ad, MultiPoly):
+        unit = ad - bc == MultiPoly.one(ad.nvars)
+    elif type(ad) is ExactComplex:
+        unit = ad - bc == EC_ONE
+    # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
+    elif abs(ad - bc - 1) < APPROX_TOL * max(1, abs(ad) + abs(bc)):
+        return
+    else:
+        raise VerificationError("determinant is not 1 "
+                                "(approx mode: numeric instability)")
+    if not unit:
+        raise exact_error("determinant is not 1")
 
 
 class SL2:
-    """2x2 unimodular matrix over one scalar kind (exact, approx, or poly)."""
+    """2x2 unimodular matrix over one scalar kind (exact, approx, or poly).
+
+    SL2(a, b, c, d) unifies the entries and checks the determinant; an
+    exact matrix with det != 1 is bad input (PreconditionError).
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        vals = _unify_scalars([a, b, c, d])
-        if not _det_is_unit(*vals):
-            raise VerificationError("determinant is not 1 "
-                                    "(approx mode: numeric instability)")
-        for name, v in zip(("a", "b", "c", "d"), vals):
+        vals = unify_scalars([a, b, c, d])
+        _check_det(vals, PreconditionError)
+        for name, v in zip("abcd", vals):
             object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
@@ -153,7 +170,7 @@ class SL2:
                    self.c * other.b + self.d * other.d)
 
     def inverse(self) -> "SL2":
-        return SL2(self.d, -self.b, -self.c, self.a)
+        return _sl2(self.d, -self.b, -self.c, self.a)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -169,13 +186,52 @@ class SL2:
         return f"SL2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
+def _sl2(*entries) -> SL2:
+    """Trusted constructor: entries already of one kind, det known to be 1."""
+    m = object.__new__(SL2)
+    for name, v in zip("abcd", entries):
+        object.__setattr__(m, name, v)
+    return m
+
+
 def _one_zero_like(g):
     if isinstance(g, MultiPoly):
         return MultiPoly.one(g.nvars), MultiPoly.zero(g.nvars)
-    return 1, 0
+    if type(g) is ExactComplex:
+        return EC_ONE, EC_ZERO
+    return type(g)(1), type(g)(0)
 
 
-def _unify_scalars(vals: list):
+def word_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
+    """Entries (a, b, c, d) of each partial product of a non-empty word.
+
+    `vals` must already share one scalar kind (see unify_scalars).  The
+    first partial is the first factor itself; each next factor is applied
+    as an elementary update, L(x): a += b x, c += d x and U(x): b += a x,
+    d += c x.  Nothing is validated here.
+    """
+    one, zero = _one_zero_like(vals[0])
+    a, b, c, d = (one, zero, vals[0], one) if sides[0] == LOWER \
+        else (one, vals[0], zero, one)
+    yield a, b, c, d
+    for side, x in zip(sides[1:], vals[1:]):
+        if side == LOWER:
+            a += b * x
+            c += d * x
+        else:
+            b += a * x
+            d += c * x
+        yield a, b, c, d
+
+
+def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
+    """Entries (a, b, c, d) of the whole product; see word_partials."""
+    for entries in word_partials(sides, vals):
+        pass
+    return entries
+
+
+def unify_scalars(vals: list):
     """Coerce a mixed list of entries to one scalar kind.
 
     Priority: any MultiPoly -> polynomials; any mpmath number -> mpmath;
@@ -218,15 +274,30 @@ def _eval_entry(entry, point: Sequence):
 
 
 def eval_word(w: Word, point: Sequence = ()) -> SL2:
-    """Multiply out a word; symbolic and function entries get `point`."""
+    """Multiply out a word; symbolic and function entries get `point`.
+
+    The determinant of the product is checked once: an approximate word
+    whose rounding has drifted raises VerificationError.
+    """
     if not len(w):
         return SL2.identity()
-    vals = _unify_scalars([_eval_entry(f.entry, point) for f in w])
-    out = None
-    for f, g in zip(w.factors, vals):
-        m = SL2.lower(g) if f.side == LOWER else SL2.upper(g)
-        out = m if out is None else out @ m
-    return out
+    vals = unify_scalars([_eval_entry(f.entry, point) for f in w])
+    entries = word_product([f.side for f in w.factors], vals)
+    _check_det(entries, VerificationError)
+    return _sl2(*entries)
+
+
+def matrices_match(m1: SL2, m2: SL2) -> tuple[bool, object]:
+    """(match, residual) of a replayed product against its target.
+
+    Two exact matrices match only when literally equal (residual 0);
+    otherwise the largest entrywise distance must stay below APPROX_TOL.
+    """
+    if m1.is_exact and m2.is_exact:
+        return m1 == m2, 0
+    residual = max(abs(complex(x) - complex(y))
+                   for x, y in zip(m1.entries, m2.entries))
+    return residual < APPROX_TOL, residual
 
 
 def word_inverse(w: Word) -> Word:

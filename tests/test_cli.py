@@ -267,3 +267,14 @@ def test_verify_suite_quick(capsys):
     assert code == 0
     assert rep["all_pass"] is True
     assert len(rep["checks"]) == 10
+
+
+def test_exact_matrix_with_wrong_determinant_is_exit_2(tmp_path, capsys):
+    # det = ad - bc = 0 - (3+2i)(-7/3+1/5i) != 1: bad input, no rounding
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": "1234567891/987654321", "b": "3+2 i",
+                                "c": "-7/3+1/5 i", "d": "0"}))
+    code, rep = _one_line(capsys, ["factor-const", "--input", str(path)])
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    assert rep["error"]["message"] == "determinant is not 1"

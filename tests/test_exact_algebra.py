@@ -2,6 +2,7 @@
 ## scalar field and polynomial ring tests
 ##
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,8 @@ from hypothesis import given, strategies as st
 
 from sl2factor.exact_algebra import (
     EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiPoly, compile_approx,
-    format_exact, is_exact_scalar, is_exact_text, parse_exact, poly_diff,
-    poly_embed, poly_equal, poly_eval, poly_from_json, poly_ring_op,
-    poly_to_json, scalar_from_json, scalar_to_json)
+    format_exact, is_exact_scalar, is_exact_text, parse_exact, poly_embed,
+    poly_from_json, poly_to_json, scalar_from_json, scalar_to_json)
 from sl2factor.errors import PreconditionError
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -146,7 +146,8 @@ def test_poly_diff():
     p = X ** 3 * Y + 2 * Y
     assert p.diff(0) == 3 * X * X * Y
     assert p.diff(1) == X ** 3 + MultiPoly.constant(2, 2)
-    assert poly_diff(p, 1) == p.diff(1)
+    with pytest.raises(PreconditionError):
+        p.diff(2)
 
 
 def test_poly_eval_exact_and_approx():
@@ -184,11 +185,18 @@ def test_poly_embed():
     assert q == v[1] + 2 * v[2]
 
 
-def test_poly_ring_op_and_equal():
-    assert poly_ring_op("add", X, Y) == X + Y
-    assert poly_ring_op("mul", X, Y) == X * Y
-    assert poly_equal(X - X, MultiPoly.zero(2))
-    assert poly_eval(X * Y, (2.0, 3.0)) == pytest.approx(6.0)
+def test_poly_ring_ops_and_equal():
+    assert (X + Y).terms == {(1, 0): EC_ONE, (0, 1): EC_ONE}
+    assert (X * Y).terms == {(1, 1): EC_ONE}
+    assert X - X == MultiPoly.zero(2)
+    assert (X * Y).eval((2.0, 3.0)) == pytest.approx(6.0)
+    # operands and points on another variable count are refused
+    z = MultiPoly.variable(3, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(PreconditionError):
+            op(X, z)
+    with pytest.raises(PreconditionError):
+        (X * Y).eval((2.0,))
 
 
 def test_poly_var_count_mismatch_rejected():

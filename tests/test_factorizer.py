@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2factor import factorizer
 from sl2factor._random import random_exact, rng_from_seed
 from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex
@@ -253,6 +254,34 @@ def test_builtin_entries_and_symbolic_word():
     direct = cohn_holo_5(z, w)
     for v, fac in zip(values, direct.word.factors):
         assert abs(complex(v) - complex(fac.entry)) < 1e-12
+
+
+def test_cohn_holo_5_word_computes_once_per_point(monkeypatch):
+    calls = []
+    full = factorizer._cohn5_full
+
+    def counting(*args):
+        calls.append(args[:2])
+        return full(*args)
+
+    monkeypatch.setattr(factorizer, "_cohn5_full", counting)
+    factorizer._cohn5_h_at.cache_clear()
+    word = cohn_holo_5_word()
+    for z, w in ((0.3 - 0.2j, 1.1 + 0.4j), (-0.7 + 0.1j, 0.25 - 0.6j)):
+        calls.clear()
+        prod = eval_word(word, (z, w))
+        assert calls == [(z, w)]
+        target = cohn_eval(z, w)
+        assert max(abs(x - y) for x, y in
+                   zip(prod.entries, target.entries)) < 1e-10
+
+
+def test_cohn_eval_large_entries_pass_the_relative_det_check():
+    # det is 1 identically, but ad and bc are about 1e16 in floats
+    m = cohn_eval(1e4, 1e4)
+    assert m.b == 1e8 and m.c == -1e8
+    m = cohn_eval(-3e5 + 2e5j, 1e5 - 4e5j)
+    assert not m.is_exact
 
 
 def test_factorization_to_json():
