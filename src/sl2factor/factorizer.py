@@ -7,6 +7,9 @@ branch chosen by which entries vanish:
     c = 0, b != 0: L((d-1)/b) U(b) L((a-1)/b)
     b = c = 0:     U(a-1) L(1) U(1/a - 1) L(-a)
 
+When b and c are both nonzero in approximate input, the branch divides by
+the larger of them in modulus.
+
 The holomorphic-family content is the Cohn matrix
 
     C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]],
@@ -79,7 +82,8 @@ def factor_constant(m: SL2) -> Factorization:
         else:
             word = Word.of((UPPER, a - one), (LOWER, one),
                            (UPPER, one / a - one), (LOWER, -a))
-    elif not is_zero_scalar(c):
+    # exact input needs only a nonzero pivot; rounding needs the larger
+    elif (not is_zero_scalar(c)) if m.is_exact else abs(c) >= abs(b):
         word = Word.of((UPPER, (a - one) / c), (LOWER, c),
                        (UPPER, (d - one) / c))
     else:

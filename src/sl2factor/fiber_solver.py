@@ -29,20 +29,29 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError, SamplingBudgetError, VerificationError
-from .exact_algebra import EC_ONE, EC_ZERO, exactify, is_zero_scalar
+from .exact_algebra import (ExactComplex, exactify, is_exact_scalar,
+                             is_zero_scalar)
 from ._random import random_exact, rng_from_seed
-from .word_core import (SL2, PhiTemplate, eval_word, matrices_match,
-                        unify_scalars, word_product)
+from .word_core import (APPROX_TOL, SL2, PhiTemplate, eval_word,
+                        matrices_match, unify_scalars, word_product)
 
 MAX_SAMPLE_TRIES = 64
 
 
 def _middle_product(values: Sequence) -> tuple:
-    """Entries of M_2(v_1) M_3(v_2) ..., upper factor first; the identity
-    for no values."""
+    """Entries of M_2(v_1) M_3(v_2) ..., upper factor first; the identity,
+    in ints that combine with any scalar kind, for no values."""
     if not values:
-        return EC_ONE, EC_ZERO, EC_ZERO, EC_ONE
+        return 1, 0, 0, 1
     return word_product("UL" * len(values), unify_scalars(list(values)))
+
+
+def _on_level(q, level) -> bool:
+    """Whether a middle-product entry sits on its level: literally for
+    exact scalars, within APPROX_TOL (as in the final replay) otherwise."""
+    if is_exact_scalar(q) and is_exact_scalar(level):
+        return q == level
+    return abs(complex(q) - complex(level)) < APPROX_TOL
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,8 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
     if stratum not in ("Q1", "Q2"):
         raise PreconditionError("stratum must be 'Q1' or 'Q2'")
     level = exactify(level)
+    # the random draws are exact; an approximate level makes them floats
+    kind = ExactComplex.coerce if is_exact_scalar(level) else complex
     rng = rng_from_seed(seed) if rng is None else rng
     even = n % 2 == 0
     generic = (stratum == "Q1") if even else (stratum == "Q2")
@@ -111,7 +122,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
             "non-generic stratum needs a nonzero level (unimodularity)")
     for _ in range(MAX_SAMPLE_TRIES):
         if generic:
-            draws = [random_exact(rng) for _ in range(n - 3)]
+            draws = [kind(random_exact(rng)) for _ in range(n - 3)]
             r1, r2, _, _ = _middle_product(draws)
             if even:
                 # append L(t): Q1 = R1 + t R2
@@ -125,7 +136,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
                 t = (level - r2) / r1
             values = tuple(draws) + (t,)
         else:
-            draws = [random_exact(rng) for _ in range(n - 4)]
+            draws = [kind(random_exact(rng)) for _ in range(n - 4)]
             rp1, rp2, _, _ = _middle_product(draws)
             if even:
                 # solve z_{N-2} (upper): R2 = R'1 s + R'2 = level
@@ -143,10 +154,10 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         pt = InteriorPoint(n, stratum, level, values)
         q1, q2, _, _ = pt.q_entries()
         if generic:
-            target_ok = (q1 == level) if even else (q2 == level)
+            target_ok = _on_level(q1 if even else q2, level)
         else:
-            target_ok = (q1 == 0 and q2 == level) if even \
-                else (q1 == level and q2 == 0)
+            target_ok = (_on_level(q1, 0) and _on_level(q2, level)) if even \
+                else (_on_level(q1, level) and _on_level(q2, 0))
         if not target_ok:
             raise VerificationError("interior solve produced wrong level")
         return pt
@@ -164,7 +175,7 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     if is_zero_scalar(a):
         raise PreconditionError("generic branch needs a != 0")
     q1, q2, q3, q4 = interior.q_entries()
-    if q1 != a:
+    if not _on_level(q1, a):
         raise PreconditionError("interior is off the level set Q1 = a")
     z1 = (c - q3) / a
     zn = (b - q2) / a
@@ -181,17 +192,17 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     n = len(prefix) + 3
     if n % 2 != 0 or n < 4:
         raise PreconditionError("prefix must cover z_2..z_{N-2}, N even")
-    a, b, c, d = (exactify(x) for x in target.entries)
+    # one scalar kind for all: a float free z1 makes an exact target float
+    a, b, c, d, z1, *prefix = unify_scalars([*target.entries, z1, *prefix])
     if not is_zero_scalar(a):
         raise PreconditionError("non-generic branch needs a = 0")
     if is_zero_scalar(b):
         raise PreconditionError("a = 0 forces b != 0")
-    z1 = exactify(z1)
     r1, r2, _, _ = _middle_product(prefix)
-    if r2 != b:
+    if not _on_level(r2, b):
         raise PreconditionError("prefix is off the level set R2 = b")
     zn1 = -r1 / b
-    interior = tuple(exactify(x) for x in prefix) + (zn1,)
+    interior = (*prefix, zn1)
     q4 = _middle_product(interior)[3]
     zn = (d - q4 - b * z1) / c
     return _verify_completion(n, "nongeneric", (z1, *interior, zn),
@@ -210,7 +221,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     if branch == "generic":
         if is_zero_scalar(b):
             raise PreconditionError("generic branch needs b != 0")
-        if q2 != b:
+        if not _on_level(q2, b):
             raise PreconditionError("interior is off the level set Q2 = b")
         z1s = (d - q4) / b
         zn = (a - q1) / b
@@ -219,10 +230,10 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     if branch == "nongeneric":
         if not is_zero_scalar(b):
             raise PreconditionError("non-generic branch needs b = 0")
-        if q1 != a or not is_zero_scalar(q2):
+        if not (_on_level(q1, a) and _on_level(q2, 0)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
-        z1 = exactify(z1)
+        a, c, q3, z1 = unify_scalars([a, c, q3, z1])
         zn = a * (c - q3 - a * z1)
         return _verify_completion(n, "nongeneric", (z1, *interior.values, zn),
                                   target, z1_free=z1)

@@ -9,7 +9,8 @@ the element [[p, q], [r, -p]] has coordinates (r, q, p).
 
 Phi_N is submersive exactly where some interior coordinate is nonzero; the
 rank computations here make that a checkable statement, exactly over the
-Gaussian rationals or numerically via SVD.
+Gaussian rationals, or numerically from singular values computed by a
+one-sided Jacobi sweep in pure Python.
 
 Vector fields V = P_l d/dz_k - P_k d/dz_l (P_j the partial of P) are
 tangent to every level set of P, which makes P a conserved quantity of
@@ -19,11 +20,11 @@ fourth-order scheme and reports the drift in P.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from .errors import PreconditionError
 from .exact_algebra import (
@@ -46,8 +47,14 @@ from .word_core import (
 
 # Numerical rank counts sigma_k > APPROX_RANK_TOL * sigma_1.  This is a
 # ratio of singular values, not a residual like word_core.APPROX_TOL, and
-# needs more headroom above the SVD's rounding noise, so it stays separate.
+# needs more headroom above the Jacobi sweep's rounding noise (about 1e-15
+# of sigma_1), so it stays separate.
 APPROX_RANK_TOL = 1e-8
+# A Jacobi rotation is skipped once its row pair is orthogonal to this
+# relative accuracy, or one of its rows is negligible; three rows converge
+# within a few sweeps, and the cap only bounds the loop.
+JACOBI_TOL = 1e-15
+JACOBI_MAX_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,8 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     vals = list(point)
     exact = all(is_exact_scalar(x) for x in vals)
     symbolic = any(isinstance(x, MultiPoly) for x in vals)
-    if not exact and not symbolic:
+    approx = not exact and not symbolic
+    if approx:
         vals = [require_finite(x) for x in vals]
     sides = [t.side_of(j) for j in range(1, t.n + 1)]
     # A_1 is the identity, A_{j+1} the j-th partial product; the last
@@ -83,6 +91,11 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
         else:
             # A e12 A^{-1} = [[-ac, a^2], [-c^2, ac]]
             cols.append((-(ga * ga), al * al, -(al * ga)))
+    # finite coordinates can still overflow in the squares; the rank must
+    # never see inf or nan
+    if approx and not all(cmath.isfinite(x) for col in cols for x in col):
+        raise PreconditionError(
+            "approximate Jacobian entries overflow double precision")
     return TangentFrame(tuple(cols), exact and not symbolic)
 
 
@@ -121,18 +134,72 @@ def _exact_rank(rows: list[list[ExactComplex]]) -> int:
     return rank
 
 
+def _norm(row: list[complex]) -> float:
+    return math.hypot(*map(abs, row))
+
+
+def _singular_values(rows: list[list[complex]]) -> list[float]:
+    """Singular values of a small complex matrix, largest first, divided
+    by the largest real or imaginary part of an entry (all zero for the
+    zero matrix).
+
+    One-sided (Hestenes) Jacobi: complex rotations of row pairs until
+    every pair is orthogonal to JACOBI_TOL relative, or one row of it is
+    negligible; the singular values are then the row norms.  Scaling
+    first, as LAPACK does, keeps every entry near or below 1 and sigma_1
+    at least 1, so squared norms cannot overflow, and the rows that take
+    part in a rotation are too large for their inner products to
+    underflow.  Entries must be finite.
+    """
+    # the largest real or imaginary part: a modulus can overflow
+    scale = max((max(abs(x.real), abs(x.imag)) for row in rows for x in row),
+                default=0.0)
+    if scale == 0.0:
+        return [0.0] * len(rows)
+    rows = [[x / scale for x in row] for row in rows]
+    pairs = [(p, q) for p in range(len(rows)) for q in range(p + 1, len(rows))]
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in pairs:
+            x, y = rows[p], rows[q]
+            nx, ny = _norm(x), _norm(y)
+            # a row below JACOBI_TOL of the other, or of sigma_1 >= 1,
+            # moves no singular value beyond JACOBI_TOL sigma_1; rotating
+            # it would chase the rounding noise that a rank-deficient
+            # frame leaves, sweep after sweep
+            if min(nx, ny) <= JACOBI_TOL * max(nx, ny, 1.0):
+                continue
+            cos = sum(u * v.conjugate() for u, v in zip(x, y)) / (nx * ny)
+            g = abs(cos)
+            if g <= JACOBI_TOL:
+                continue
+            rotated = True
+            # x and e y, e = cos/|cos|, have the real inner product
+            # nx ny |cos|; rotating them by tan(theta) = t zeroes it
+            zeta = (ny / nx - nx / ny) / (2.0 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            se = (c * t / g) * cos
+            sec = se.conjugate()
+            rows[p] = [c * u - se * v for u, v in zip(x, y)]
+            rows[q] = [sec * u + c * v for u, v in zip(x, y)]
+        if not rotated:
+            break
+    return sorted(map(_norm, rows), reverse=True)
+
+
 def frame_rank(f: TangentFrame) -> int:
-    """Rank of the frame: exact elimination, or SVD at threshold 1e-8."""
+    """Rank of the frame: exact elimination, or the number of singular
+    values above APPROX_RANK_TOL times the largest."""
     if f.exact:
         rows = [[ExactComplex.coerce(col[i]) for col in f.columns]
                 for i in range(3)]
         return _exact_rank(rows)
-    mat = np.array([[complex(col[i]) for col in f.columns]
-                    for i in range(3)], dtype=complex)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    sv = _singular_values([[require_finite(col[i]) for col in f.columns]
+                          for i in range(3)])
+    if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > APPROX_RANK_TOL * sv[0]))
+    return sum(1 for s in sv if s > APPROX_RANK_TOL * sv[0])
 
 
 def check_lemma_submersive(n: int, samples: int, seed: int = 0) -> dict:

@@ -238,6 +238,52 @@ def test_zero_denominator_input_is_exit_2(tmp_path, capsys, command, payload):
     assert rep["error"]["code"] == "precondition"
 
 
+def test_jacobian_overflow_is_exit_2(capsys):
+    # the squares of 1e150 overflow: refused before any rank is taken
+    code, rep = _one_line(capsys, ["jacobian", "--approx", "--n", "4",
+                                   "--point=1e150,1e150,2,3"])
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+APPROX_TARGETS = {
+    "generic": {"a": [2, 0.5], "b": [3, 0], "c": [1, -1],
+                "d": [1.5294117647058822, -1.8823529411764706]},
+    "a_zero": {"a": [0, 0], "b": [3, 0.5],
+               "c": [-0.32432432432432434, 0.05405405405405406],
+               "d": [1.5, -2]},
+    "b_zero": {"a": [2, 0.5], "b": [0, 0], "c": [1.5, -1],
+               "d": [0.47058823529411764, -0.11764705882352941]},
+}
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+@pytest.mark.parametrize("target", sorted(APPROX_TARGETS))
+def test_approx_fiber_solve(tmp_path, capsys, n, target):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(APPROX_TARGETS[target]))
+    code, rep = _one_line(capsys, ["fiber-solve", "--approx", "--n", str(n),
+                                   "--input", str(path)])
+    assert code == 0
+    assert rep["verified"] is True
+    assert rep["exact"] is False
+
+
+@pytest.mark.parametrize("n,target", [
+    (4, {"a": "0", "b": "3", "c": "-1/3", "d": "5"}),
+    (5, {"a": "2", "b": "0", "c": "3/2", "d": "1/2"}),
+])
+def test_float_free_z1_on_exact_target(tmp_path, capsys, n, target):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(target))
+    code, rep = _one_line(capsys, ["fiber-solve", "--approx", "--n", str(n),
+                                   "--z1=0.5+0.25i", "--input", str(path)])
+    assert code == 0
+    assert rep["branch"] == "nongeneric"
+    assert rep["verified"] is True
+    assert rep["z1_free"] == [0.5, 0.25]
+
+
 def test_io_errors(tmp_path, capsys):
     code, rep = run(capsys, "factor-const", "--input",
                     str(tmp_path / "missing.json"))

@@ -52,6 +52,17 @@ def test_constant_three_factor_branches():
     assert [fac.side for fac in g.word.factors] == [LOWER, UPPER, LOWER]
 
 
+def test_float_constant_pivots_on_the_larger_off_diagonal():
+    # c = 1e-17 is nonzero but tiny: dividing by it leaves a residual of
+    # about 8e-2, dividing by b = 1e6 replays to rounding
+    m = SL2(1, 1e6, 1e-17, 1 + 1e-11)
+    f = factor_constant(m)
+    assert [fac.side for fac in f.word.factors] == [LOWER, UPPER, LOWER]
+    assert f.verified and f.residual < 1e-20
+    g = factor_constant(SL2(1, 1e-17, 1e6, 1 + 1e-11))
+    assert [fac.side for fac in g.word.factors] == [UPPER, LOWER, UPPER]
+
+
 def test_constant_random_exact_roundtrip():
     rng = rng_from_seed(3)
     for _ in range(100):

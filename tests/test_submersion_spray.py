@@ -4,14 +4,22 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import sl2factor
+from sl2factor import submersion_spray
 from sl2factor.errors import PreconditionError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly
 from sl2factor.submersion_spray import (
-    check_lemma_submersive, flow_rk4, frame_minor_det, frame_rank,
-    sl2_jacobian, v_field_spec, vfield_apply, w_field_spec)
+    APPROX_RANK_TOL, TangentFrame, _singular_values, check_lemma_submersive,
+    flow_rk4, frame_minor_det, frame_rank, sl2_jacobian, v_field_spec,
+    vfield_apply, w_field_spec)
 from sl2factor.word_core import PhiTemplate, middle_Q
 
 
@@ -46,6 +54,131 @@ def test_approx_rank():
     assert frame_rank(frame) == 3
     singular = sl2_jacobian(PhiTemplate(5), [2.0, 0.0, 0.0, 0.0, 3.0])
     assert frame_rank(singular) < 3
+
+
+def _oracle_rank(frame) -> tuple[int, bool]:
+    """Rank by LAPACK's SVD, the reference for the pure-Python Jacobi, and
+    whether a singular value lies within a relative 1e-6 of the threshold,
+    where rounding decides the rank in either implementation."""
+    np = pytest.importorskip("numpy")
+    mat = np.array([[complex(col[i]) for col in frame.columns]
+                    for i in range(3)])
+    sv = np.linalg.svd(mat, compute_uv=False)
+    near = any(abs(s / sv[0] / APPROX_RANK_TOL - 1) <= 1e-6 for s in sv)
+    return int(np.sum(sv > APPROX_RANK_TOL * sv[0])), near
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
+       log_s2=st.floats(-10, 0), log_s3=st.floats(-10, -6),
+       log_scale=st.floats(-100, 100))
+def test_rank_matches_svd_near_threshold(n, seed, log_s2, log_s3, log_scale):
+    # U diag(sigma) V^H with random unitary U (3x3) and orthonormal V
+    # (N x 3); sigma_3/sigma_1 spans the threshold 1e-8
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(rows):
+        z = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+        return np.linalg.qr(z)[0]
+
+    sigma = np.array(sorted([1.0, 10 ** log_s2, 10 ** log_s3], reverse=True))
+    mat = orthonormal(3) @ np.diag(sigma * 10 ** log_scale) \
+        @ orthonormal(n).conj().T
+    frame = TangentFrame(tuple(tuple(complex(x) for x in mat[:, j])
+                               for j in range(n)), False)
+    oracle, near = _oracle_rank(frame)
+    assume(not near)
+    assert frame_rank(frame) == oracle == int(np.sum(sigma > APPROX_RANK_TOL))
+    ref = np.linalg.svd(mat, compute_uv=False)
+    got = _singular_values([list(row) for row in mat.tolist()])
+    assert max(abs(g / got[0] - r / ref[0]) for g, r in zip(got, ref)) < 1e-13
+
+
+coords = st.one_of(st.floats(-4, 4), st.complex_numbers(max_magnitude=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 9), data=st.data())
+def test_jacobian_rank_matches_svd(n, data):
+    ends = data.draw(st.lists(coords, min_size=2, max_size=2))
+    if data.draw(st.booleans()):
+        interior = [0.0] * (n - 2)  # on S_N
+    else:
+        interior = data.draw(st.lists(coords, min_size=n - 2,
+                                      max_size=n - 2))
+    frame = sl2_jacobian(PhiTemplate(n), [ends[0], *interior, ends[1]])
+    oracle, near = _oracle_rank(frame)
+    assume(not near)
+    assert frame_rank(frame) == oracle
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_rank_at_extreme_scales(scale):
+    # squared norms of these entries overflow or underflow unless the
+    # rows are scaled first
+    for point in ([0.3, 1.1, -0.7, 0.2, 0.9], [2.0, 0.0, 0.0, 0.0, 3.0],
+                  [5.0, 1e-5, 0.0, 7.0], [5.0, 1e-9, 0.0, 7.0]):
+        base = sl2_jacobian(PhiTemplate(len(point)), point)
+        frame = TangentFrame(tuple(tuple(scale * x for x in col)
+                                   for col in base.columns), False)
+        assert frame_rank(frame) == frame_rank(base) \
+            == _oracle_rank(frame)[0]
+    assert frame_rank(TangentFrame(((0j, 0j, 0j),) * 4, False)) == 0
+    # two rows far below the first: their inner product underflows
+    cols = ((1, 2, 1j), (2j, -1, 3), (3, 1j, 1), (-1, 5, 2))
+    tiny = TangentFrame(tuple((x, 1e-170 * y, 1e-170 * z)
+                              for x, y, z in cols), False)
+    assert frame_rank(tiny) == _oracle_rank(tiny)[0] == 1
+
+
+def test_singular_frame_converges_in_a_few_sweeps(monkeypatch):
+    # on S_N the third row becomes rounding noise that stays nearly
+    # parallel to the others; chasing it would run to the sweep cap
+    norms = []
+    norm = submersion_spray._norm
+
+    def counted(row):
+        norms.append(row)
+        return norm(row)
+
+    monkeypatch.setattr(submersion_spray, "_norm", counted)
+    for n in (4, 6, 9):
+        for ends in ((2.0, 3.0), (0.5 - 1.5j, 1.2 + 0.3j), (7j, -1.0)):
+            norms.clear()
+            point = [ends[0]] + [0.0] * (n - 2) + [ends[1]]
+            assert frame_rank(sl2_jacobian(PhiTemplate(n), point)) == 2
+            # two norms per pair and sweep, three for the singular values
+            assert len(norms) <= 6 * 6 + 3
+
+
+def test_rank_near_overflow():
+    # these moduli exceed the largest double, so only a frame scaled by
+    # its largest real or imaginary part can be measured at all; LAPACK
+    # reports an infinite sigma_1 here
+    big = 1.2e308 + 1.2e308j
+    full = TangentFrame(((big, 1e308, 0j), (0j, big, 1e308),
+                         (1e308, 0j, big), (big, big, 0j)), False)
+    assert frame_rank(full) == 3
+    line = TangentFrame(tuple((x * big, x * big / 2, 0j)
+                              for x in (1, 0.5, -1, 1j)), False)
+    assert frame_rank(line) == 1
+
+
+def test_nonfinite_approx_jacobian_is_refused():
+    with pytest.raises(PreconditionError):
+        sl2_jacobian(PhiTemplate(4), [1e150, 1e150, 2.0, 3.0])
+    with pytest.raises(PreconditionError):
+        frame_rank(TangentFrame(((math.nan, 1.0, 0.0),) * 4, False))
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(sl2factor.__file__))
+    code = "import sys, sl2factor.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 def test_lemma_check_clean():
