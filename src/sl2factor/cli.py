@@ -10,31 +10,14 @@ accepted only behind --approx.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
-from itertools import islice
 from time import perf_counter
 
+# only what every subcommand needs is imported here; each _cmd_* function
+# imports the rest, so a cold call loads just the modules it runs
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import is_exact_text, parse_exact, scalar_to_json
-from .factorizer import (can_factor_three, cohn_family_4,
-                         cohn_family_relations, cohn_holo_5, factor_constant,
-                         factor_count_bound, pad_avoid_singular)
-from .fiber_solver import (complete_generic_even, complete_nongeneric_even,
-                           complete_odd, interior_sample)
-from .obstruction import (LoopSamples, axis_continuation_degrees,
-                          continuous_section_h3, holo_obstruction_certificate,
-                          sample_loop, shrinking_circle_degrees,
-                          winding_number)
-from .submersion_spray import (check_lemma_submersive, frame_rank,
-                               sl2_jacobian)
-from ._verify import verify_suite
-from .word_core import (PhiTemplate, SL2, eval_word, format_point,
-                        in_singular_set, matrices_match, middle_Q,
-                        sl2_from_json, sl2_to_json, word_from_json,
-                        word_to_json)
-from .exact_algebra import MultiPoly, is_zero_scalar, poly_to_json
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -64,6 +47,8 @@ def _load_input(args) -> object:
 
 
 def _cmd_expand(args):
+    from .exact_algebra import MultiPoly, poly_to_json
+    from .word_core import middle_Q
     if args.n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
     q = middle_Q(args.n)
@@ -81,11 +66,13 @@ def _cmd_expand(args):
 
 
 def _cmd_jacobian(args):
+    from .submersion_spray import frame_rank, sl2_jacobian
+    from .word_core import (PhiTemplate, format_point, in_singular_set,
+                            parse_point)
     if args.point is not None:
         point = _parse_point(args.point, args.approx)
     else:
         data = _load_input(args)
-        from .word_core import parse_point
         point = parse_point(data["point"] if isinstance(data, dict) else data)
     if len(point) != args.n:
         raise PreconditionError(
@@ -103,6 +90,7 @@ def _cmd_jacobian(args):
 
 
 def _cmd_lemma_check(args):
+    from .submersion_spray import check_lemma_submersive
     rep = check_lemma_submersive(args.n, args.samples, seed=args.seed)
     ok = not rep["violations"] and all(r < 3 for r in rep["singular_ranks"])
     rep["verified"] = ok
@@ -110,7 +98,8 @@ def _cmd_lemma_check(args):
     return rep, 0 if ok else 3
 
 
-def _target_from_input(args) -> SL2:
+def _target_from_input(args):
+    from .word_core import sl2_from_json
     data = _load_input(args)
     if isinstance(data, dict) and "target" in data:
         data = data["target"]
@@ -118,19 +107,24 @@ def _target_from_input(args) -> SL2:
 
 
 def _cmd_fiber_solve(args):
+    from .exact_algebra import is_exact_scalar
+    from .fiber_solver import (complete_generic_even,
+                               complete_nongeneric_even, complete_odd,
+                               interior_sample, pivot_is_zero)
+    from .word_core import format_point, sl2_to_json
     target = _target_from_input(args)
     n = args.n
     z1 = _parse_scalar(args.z1, args.approx) if args.z1 is not None else 0
     a, b = target.a, target.b
     if n % 2 == 0:
-        if not is_zero_scalar(a):
+        if not pivot_is_zero(target, n):
             ip = interior_sample(n, a, "Q1", seed=args.seed)
             fc = complete_generic_even(target, ip)
         else:
             ip = interior_sample(n, b, "Q2", seed=args.seed)
             fc = complete_nongeneric_even(target, z1, ip.values[:-1])
     else:
-        if not is_zero_scalar(b):
+        if not pivot_is_zero(target, n):
             ip = interior_sample(n, b, "Q2", seed=args.seed)
             fc = complete_odd(target, ip, "generic")
         else:
@@ -143,7 +137,7 @@ def _cmd_fiber_solve(args):
         "interior": format_point(fc.interior),
         "point": format_point(fc.point),
         "verified": fc.verified,
-        "exact": target.is_exact,
+        "exact": all(is_exact_scalar(x) for x in fc.point),
         "eq4_residual": None if fc.eq4_residual is None
         else scalar_to_json(fc.eq4_residual),
         "z1_free": None if fc.z1_free is None else scalar_to_json(fc.z1_free),
@@ -151,6 +145,7 @@ def _cmd_fiber_solve(args):
 
 
 def _cmd_factor_const(args):
+    from .factorizer import can_factor_three, factor_constant
     target = _target_from_input(args)
     f = factor_constant(target)
     payload = f.to_json()
@@ -161,6 +156,9 @@ def _cmd_factor_const(args):
 
 
 def _cmd_pad(args):
+    from .factorizer import pad_avoid_singular
+    from .word_core import (eval_word, matrices_match, word_from_json,
+                            word_to_json)
     data = _load_input(args)
     if isinstance(data, dict) and "word" in data:
         data = data["word"]
@@ -180,10 +178,16 @@ def _cmd_pad(args):
 
 
 def _cmd_cohn(args):
+    from .factorizer import cohn_family_4, cohn_family_relations, cohn_holo_5
     z = _parse_scalar(args.z, args.approx)
     w = _parse_scalar(args.w, args.approx)
     if args.factors == 5:
         f = cohn_holo_5(complex(z), complex(w), dps=args.dps)
+        if not f.verified:
+            hint = ("rerun with --dps 40" if args.dps is None
+                    else f"rerun with --dps above {args.dps}")
+            raise VerificationError(f"five-factor word unverified (residual "
+                                    f"{f.residual:.3e}); {hint}")
         payload = f.to_json()
         payload["mode"] = "holo5"
         payload["dps"] = args.dps
@@ -204,6 +208,9 @@ def _cmd_cohn(args):
 
 
 def _cmd_winding(args):
+    import cmath
+    from .obstruction import (LoopSamples, continuous_section_h3,
+                              sample_loop, winding_number)
     if args.input:
         data = _load_input(args)
         if isinstance(data, dict) and "values" in data:
@@ -227,6 +234,10 @@ def _cmd_winding(args):
 
 
 def _cmd_certificate(args):
+    import cmath
+    from .obstruction import (axis_continuation_degrees,
+                              holo_obstruction_certificate,
+                              shrinking_circle_degrees)
     d_probe = complex(_parse_scalar(args.d, approx=True))
     cert = holo_obstruction_certificate(d_probe, args.radius, args.samples,
                                         required_degree=args.required)
@@ -240,6 +251,8 @@ def _cmd_certificate(args):
 
 
 def _cmd_bound(args):
+    from itertools import islice
+    from .factorizer import factor_count_bound
     counts = {}
     for part in args.k.split(","):
         try:
@@ -265,6 +278,7 @@ def _cmd_bound(args):
 
 
 def _cmd_verify_suite(args):
+    from ._verify import verify_suite
     rep = verify_suite(seed=args.seed, scale=args.scale)
     return rep, 0 if rep["all_pass"] else 3
 

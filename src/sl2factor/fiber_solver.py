@@ -54,6 +54,19 @@ def _on_level(q, level) -> bool:
     return abs(complex(q) - complex(level)) < APPROX_TOL
 
 
+def pivot_is_zero(target: SL2, n: int) -> bool:
+    """Whether Phi_N^{-1}(target) takes the non-generic branch: whether its
+    pivot, a for even N and b for odd N, is zero.  Exact targets test it
+    literally; approximate ones count |pivot| <= APPROX_TOL max(1, largest
+    |entry|) as zero, since dividing by a pivot that small swamps the
+    completion."""
+    pivot = target.a if n % 2 == 0 else target.b
+    if target.is_exact:
+        return is_zero_scalar(pivot)
+    scale = max(1.0, *(abs(complex(x)) for x in target.entries))
+    return abs(complex(pivot)) <= APPROX_TOL * scale
+
+
 @dataclass(frozen=True)
 class InteriorPoint:
     """Values of z_2..z_{N-1} lying exactly on a Q-level set."""
@@ -172,7 +185,7 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     if n % 2 != 0:
         raise PreconditionError("even-length branch")
     a, b, c, d = (exactify(x) for x in target.entries)
-    if is_zero_scalar(a):
+    if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
     q1, q2, q3, q4 = interior.q_entries()
     if not _on_level(q1, a):
@@ -194,7 +207,7 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
         raise PreconditionError("prefix must cover z_2..z_{N-2}, N even")
     # one scalar kind for all: a float free z1 makes an exact target float
     a, b, c, d, z1, *prefix = unify_scalars([*target.entries, z1, *prefix])
-    if not is_zero_scalar(a):
+    if not pivot_is_zero(target, n):
         raise PreconditionError("non-generic branch needs a = 0")
     if is_zero_scalar(b):
         raise PreconditionError("a = 0 forces b != 0")
@@ -219,7 +232,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     a, b, c, d = (exactify(x) for x in target.entries)
     q1, q2, q3, q4 = interior.q_entries()
     if branch == "generic":
-        if is_zero_scalar(b):
+        if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
         if not _on_level(q2, b):
             raise PreconditionError("interior is off the level set Q2 = b")
@@ -228,7 +241,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
         return _verify_completion(n, "generic", (z1s, *interior.values, zn),
                                   target)
     if branch == "nongeneric":
-        if not is_zero_scalar(b):
+        if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
         if not (_on_level(q1, a) and _on_level(q2, 0)):
             raise PreconditionError(

@@ -131,6 +131,23 @@ def test_cohn_holo5(capsys):
     assert rep["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("z", ["5", "-5"])
+def test_cohn_holo5_unverified_is_exit_3(capsys, z):
+    # double precision cannot resolve zw = +-50; dps 40 can
+    code, rep = _one_line(capsys, ["cohn", "--z", z, "--w", "10"])
+    assert code == 3
+    assert rep["error"]["code"] == "verification"
+    assert "rerun with --dps 40" in rep["error"]["message"]
+    code, rep = _one_line(capsys, ["cohn", "--z", z, "--w", "10", "--dps",
+                                   "20"])
+    assert code == 3
+    assert "--dps above 20" in rep["error"]["message"]
+    code, rep = _one_line(capsys, ["cohn", "--z", z, "--w", "10", "--dps",
+                                   "40"])
+    assert code == 0
+    assert rep["verified"] is True
+
+
 def test_winding_builtin_section(capsys):
     code, rep = run(capsys, "winding", "--radius", "4")
     assert code == 0
@@ -254,6 +271,10 @@ APPROX_TARGETS = {
                "d": [1.5, -2]},
     "b_zero": {"a": [2, 0.5], "b": [0, 0], "c": [1.5, -1],
                "d": [0.47058823529411764, -0.11764705882352941]},
+    # pivots far below APPROX_TOL of the largest entry take the
+    # non-generic branch; dividing by them would swamp the completion
+    "a_tiny": {"a": [1e-17, 0], "b": [3, 0], "c": [-1 / 3, 0], "d": [0, 0]},
+    "b_tiny": {"a": [3, 0], "b": [1e-17, 0], "c": [0.5, 0], "d": [1 / 3, 0]},
 }
 
 
@@ -267,6 +288,9 @@ def test_approx_fiber_solve(tmp_path, capsys, n, target):
     assert code == 0
     assert rep["verified"] is True
     assert rep["exact"] is False
+    pivot = APPROX_TARGETS[target]["a" if n % 2 == 0 else "b"]
+    assert rep["branch"] == ("nongeneric" if abs(complex(*pivot)) < 1e-10
+                             else "generic")
 
 
 @pytest.mark.parametrize("n,target", [
@@ -282,6 +306,7 @@ def test_float_free_z1_on_exact_target(tmp_path, capsys, n, target):
     assert rep["branch"] == "nongeneric"
     assert rep["verified"] is True
     assert rep["z1_free"] == [0.5, 0.25]
+    assert rep["exact"] is False  # a float z1 makes the whole point float
 
 
 def test_io_errors(tmp_path, capsys):

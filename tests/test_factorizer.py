@@ -218,6 +218,15 @@ def test_cohn5_conditioning_gate():
     assert g.verified
 
 
+@pytest.mark.parametrize("z", [5.0, -5.0])
+def test_cohn5_unverified_double_is_returned(z):
+    # zw = +-50 is beyond double precision: one policy for both signs
+    f = cohn_holo_5(z, 10.0)
+    assert not f.verified
+    assert f.residual > 1
+    assert cohn_holo_5(z, 10.0, dps=40).verified
+
+
 def test_cohn_family_exact_example():
     f = cohn_family_4(EC(1), EC(2), EC(1))
     h = [fac.entry for fac in f.word.factors]
