@@ -87,7 +87,7 @@ def _crit_fiber(rng, full: bool):
     for _ in range(n_gen):
         n = rng.choice((4, 6, 8))
         target = random_sl2(rng)
-        while ExactComplex.coerce(target.a).is_zero:
+        while not target.a:
             target = random_sl2(rng)
         fc = complete_generic_even(
             target, interior_sample(n, target.a, "Q1", rng=rng))
@@ -110,7 +110,7 @@ def _crit_fiber(rng, full: bool):
     for _ in range(n_gen):
         n = rng.choice((5, 7))
         target = random_sl2(rng)
-        while ExactComplex.coerce(target.b).is_zero:
+        while not target.b:
             target = random_sl2(rng)
         fc = complete_odd(target, interior_sample(n, target.b, "Q2", rng=rng),
                           "generic")
@@ -152,7 +152,7 @@ def _crit_padding(rng, full: bool):
         point = [f.entry for f in p.factors]
         if not (len(p) == len(w) + 2
                 and eval_word(p) == eval_word(w)
-                and p.factors[2].entry == ExactComplex.coerce(-1)
+                and p.factors[2].entry == -1
                 and not in_singular_set(point, len(p))):
             return False, {"reason": "padding contract"}
     return True, {"count": count}

@@ -17,7 +17,8 @@ from time import perf_counter
 # only what every subcommand needs is imported here; each _cmd_* function
 # imports the rest, so a cold call loads just the modules it runs
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import is_exact_text, parse_exact, scalar_to_json
+from .exact_algebra import (is_exact_scalar, is_exact_text, parse_exact,
+                            require_finite, scalar_from_json, scalar_to_json)
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -29,9 +30,10 @@ def _parse_scalar(text: str, approx: bool = False):
         raise PreconditionError(
             f"scalar {text!r} is not exact; pass --approx to allow floats")
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise PreconditionError(f"unreadable scalar {text!r}") from exc
+    return require_finite(value)
 
 
 def _parse_point(text: str, approx: bool = False) -> list:
@@ -107,7 +109,6 @@ def _target_from_input(args):
 
 
 def _cmd_fiber_solve(args):
-    from .exact_algebra import is_exact_scalar
     from .fiber_solver import (complete_generic_even,
                                complete_nongeneric_even, complete_odd,
                                interior_sample, pivot_is_zero)
@@ -137,7 +138,7 @@ def _cmd_fiber_solve(args):
         "interior": format_point(fc.interior),
         "point": format_point(fc.point),
         "verified": fc.verified,
-        "exact": all(is_exact_scalar(x) for x in fc.point),
+        "exact": is_exact_scalar(fc.point[0]),  # one kind per point
         "eq4_residual": None if fc.eq4_residual is None
         else scalar_to_json(fc.eq4_residual),
         "z1_free": None if fc.z1_free is None else scalar_to_json(fc.z1_free),
@@ -211,13 +212,12 @@ def _cmd_winding(args):
     import cmath
     from .obstruction import (LoopSamples, continuous_section_h3,
                               sample_loop, winding_number)
+    require_finite(args.radius)
     if args.input:
         data = _load_input(args)
         if isinstance(data, dict) and "values" in data:
             data = data["values"]
-        values = tuple(complex(v[0], v[1]) if isinstance(v, list) else
-                       complex(v) for v in data)
-        loop = LoopSamples(values)
+        loop = LoopSamples(tuple(scalar_from_json(v) for v in data))
         source = "input"
     else:
         loop = sample_loop(
@@ -238,6 +238,7 @@ def _cmd_certificate(args):
     from .obstruction import (axis_continuation_degrees,
                               holo_obstruction_certificate,
                               shrinking_circle_degrees)
+    require_finite(args.radius)
     d_probe = complex(_parse_scalar(args.d, approx=True))
     cert = holo_obstruction_certificate(d_probe, args.radius, args.samples,
                                         required_degree=args.required)

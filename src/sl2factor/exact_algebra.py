@@ -18,8 +18,8 @@ checked), so structural equality is mathematical equality.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
 output byte-stable.
 
-Approximate scalars are plain Python complex; mpmath numbers also work
-wherever a point is substituted, since evaluation only needs +, * and **.
+Approximate scalars are Python complex or mpmath numbers; unify_scalars
+brings the scalar arguments of each public call to one kind, once.
 """
 
 from __future__ import annotations
@@ -310,16 +310,6 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (ExactComplex, int, Fraction))
 
 
-def exactify(x):
-    """Exact scalars as ExactComplex; approximate ones unchanged."""
-    return ExactComplex.coerce(x) if is_exact_scalar(x) else x
-
-
-def is_zero_scalar(x) -> bool:
-    """Exact zero test for exact scalars, plain == 0 for approximate ones."""
-    return ExactComplex.coerce(x).is_zero if is_exact_scalar(x) else x == 0
-
-
 def require_finite(x: complex) -> complex:
     """Reject NaN/Inf before they leak into results."""
     z = complex(x)
@@ -340,9 +330,13 @@ def scalar_from_json(v):
     if isinstance(v, str):
         return parse_exact(v)
     if isinstance(v, (int, float)):
-        return ExactComplex(v) if isinstance(v, int) else complex(v)
+        return ExactComplex(v) if isinstance(v, int) else require_finite(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            z = complex(float(v[0]), float(v[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError(f"not a scalar encoding: {v!r}") from None
+        return require_finite(z)
     raise PreconditionError(f"not a scalar encoding: {v!r}")
 
 
@@ -486,6 +480,9 @@ class MultiPoly:
 
     __hash__ = None
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     # calculus / evaluation --------------------------------------------------
 
     def diff(self, var: int) -> "MultiPoly":
@@ -504,21 +501,12 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise PreconditionError(
                 f"point length {len(point)} != nvars {self.nvars}")
-        exact = all(is_exact_scalar(x) for x in point)
-        if exact:
-            pt = [ExactComplex.coerce(x) for x in point]
-            acc = EC_ZERO
-            for exp, c in self.terms.items():
-                term = c
-                for x, e in zip(pt, exp):
-                    if e:
-                        term = term * x ** e
-                acc = acc + term
-            return acc
-        acc = 0
+        pt = unify_scalars(point)
+        exact = not pt or type(pt[0]) is ExactComplex
+        acc = EC_ZERO if exact else 0
         for exp, c in self.terms.items():
-            term = complex(c)
-            for x, e in zip(point, exp):
+            term = c if exact else complex(c)
+            for x, e in zip(pt, exp):
                 if e:
                     term = term * x ** e
             acc = acc + term
@@ -549,6 +537,62 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()})"
+
+
+# ---------------------------------------------------------------------------
+# one scalar kind per call
+
+
+def _is_mp_number(x) -> bool:
+    return type(x).__module__.startswith("mpmath")
+
+
+# kind ranks by priority; subclasses and mpmath numbers go to _kind_rank
+_RANK = {ExactComplex: 1, int: 1, Fraction: 1, float: 2, complex: 2,
+         MultiPoly: 4}
+
+
+def _kind_rank(v) -> int:
+    if isinstance(v, MultiPoly):
+        return 4
+    if _is_mp_number(v):
+        return 3
+    if isinstance(v, (float, complex)):
+        return 2
+    if is_exact_scalar(v):
+        return 1
+    raise PreconditionError(f"not a scalar: {v!r}")
+
+
+def unify_scalars(vals: Sequence) -> list:
+    """The scalar arguments of one call, brought to one kind.
+
+    Priority: any MultiPoly -> polynomials; any mpmath number -> mpmath;
+    any float/complex -> complex; otherwise ExactComplex.  Anything else,
+    or an approximate scalar next to a polynomial, is refused with
+    PreconditionError.
+    """
+    rank = 1
+    for v in vals:
+        r = _RANK.get(type(v)) or _kind_rank(v)
+        if r > rank:
+            rank = r
+    if rank == 1:
+        return [v if type(v) is ExactComplex else ExactComplex.coerce(v)
+                for v in vals]
+    if rank == 2:
+        return [complex(v) for v in vals]
+    if rank == 3:
+        import mpmath as mp
+        return [v if _is_mp_number(v) else mp.mpc(complex(v)) for v in vals]
+    nvars = {v.nvars for v in vals if isinstance(v, MultiPoly)}
+    if len(nvars) != 1:
+        raise PreconditionError("mixed variable counts in one call")
+    if not all(isinstance(v, MultiPoly) or is_exact_scalar(v) for v in vals):
+        raise PreconditionError(
+            "cannot mix approximate scalars with polynomials")
+    return [v if isinstance(v, MultiPoly) else MultiPoly.constant(*nvars, v)
+            for v in vals]
 
 
 def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import ExactComplex, exactify, is_zero_scalar
+from .exact_algebra import unify_scalars
 from .word_core import (APPROX_TOL, ElementaryFactor, FunctionHandle, LOWER,
                         SL2, UPPER, Word, eval_word, matrices_match,
                         sl2_to_json, word_product, word_to_json)
@@ -73,17 +73,15 @@ def _finish(word: Word, target: SL2) -> Factorization:
 
 def factor_constant(m: SL2) -> Factorization:
     """At most four triangular factors for any single SL2 matrix."""
-    a, b, c, d = (exactify(x) for x in m.entries)
-    one = 1
-    if is_zero_scalar(b) and is_zero_scalar(c):
-        if a == ExactComplex.coerce(1) or (not m.is_exact and
-                                           abs(complex(a) - 1) < APPROX_TOL):
+    one, a, b, c, d = unify_scalars([1, *m.entries])
+    if not b and not c:
+        if a == one or (not m.is_exact and abs(complex(a) - 1) < APPROX_TOL):
             word = Word(())  # identity
         else:
             word = Word.of((UPPER, a - one), (LOWER, one),
                            (UPPER, one / a - one), (LOWER, -a))
     # exact input needs only a nonzero pivot; rounding needs the larger
-    elif (not is_zero_scalar(c)) if m.is_exact else abs(c) >= abs(b):
+    elif bool(c) if m.is_exact else abs(c) >= abs(b):
         word = Word.of((UPPER, (a - one) / c), (LOWER, c),
                        (UPPER, (d - one) / c))
     else:
@@ -100,32 +98,31 @@ def can_factor_three(m: SL2, pattern: str) -> bool:
     matrices fail both.
     """
     a, b, c, d = m.entries
-    one = ExactComplex.coerce(1) if m.is_exact else 1
     if pattern == "ULU":
-        return (not is_zero_scalar(c)) or (a == one and d == one)
+        return bool(c) or (a == 1 and d == 1)
     if pattern == "LUL":
-        return (not is_zero_scalar(b)) or (a == one and d == one)
+        return bool(b) or (a == 1 and d == 1)
     raise PreconditionError("pattern must be 'ULU' or 'LUL'")
 
 
 def factor_unit_corner(b, c, d) -> Factorization:
     """Length-4 lower-first word for [[1, b], [c, d]] with d = 1 + bc."""
-    b, c, d = exactify(b), exactify(c), exactify(d)
-    if not is_zero_scalar(d - (1 + b * c)):
+    zero, one, b, c, d = unify_scalars([0, 1, b, c, d])
+    if d - (one + b * c):
         raise PreconditionError("unit corner needs d = 1 + bc")
-    target = SL2(1, b, c, d)
-    word = Word.of((LOWER, c - 1), (UPPER, 0), (LOWER, 1), (UPPER, b))
+    target = SL2(one, b, c, d)
+    word = Word.of((LOWER, c - one), (UPPER, zero), (LOWER, one), (UPPER, b))
     return _finish(word, target)
 
 
 def factor_offdiag_zero(a, c) -> Factorization:
     """Length-4 lower-first word for [[a, 0], [c, 1/a]], a != 0."""
-    a, c = exactify(a), exactify(c)
-    if is_zero_scalar(a):
+    zero, one, a, c = unify_scalars([0, 1, a, c])
+    if not a:
         raise PreconditionError("needs a != 0")
-    target = SL2(a, 0, c, 1 / a)
-    word = Word.of((LOWER, (c - 1) / a), (UPPER, a - 1), (LOWER, 1),
-                   (UPPER, 1 / a - 1))
+    target = SL2(a, zero, c, one / a)
+    word = Word.of((LOWER, (c - one) / a), (UPPER, a - one), (LOWER, one),
+                   (UPPER, one / a - one))
     return _finish(word, target)
 
 
@@ -180,7 +177,7 @@ def factor_count_bound(n: int, counts) -> int:
 
 def cohn_eval(z, w) -> SL2:
     """C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]]; det is 1 identically."""
-    z, w = exactify(z), exactify(w)
+    z, w = unify_scalars([z, w])
     zw = z * w
     return SL2(1 + zw, z * z, -(w * w), 1 - zw)
 
@@ -240,7 +237,9 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     otherwise in double precision, where the intermediate products grow
     like e^{2|Re(zw)|} and swamp the result for large |Re(zw)|.  The
     verified flag is strict (residual < 1e-10).  An unverified word is
-    returned with its residual, never raised, at any precision.
+    returned with its residual, never raised, at any precision; only a
+    double-precision overflow (|Re(zw)| above about 709) is a
+    VerificationError, which points to dps (--dps on the command line).
     """
     if dps is not None:
         import mpmath
@@ -248,7 +247,12 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
             zm, wm = mpmath.mpc(complex(z)), mpmath.mpc(complex(w))
             hs, target, residual = _cohn5_full(zm, wm, mpmath.exp)
     else:
-        hs, target, residual = _cohn5_full(complex(z), complex(w), cmath.exp)
+        try:
+            hs, target, residual = _cohn5_full(complex(z), complex(w),
+                                               cmath.exp)
+        except OverflowError:
+            raise VerificationError("five-factor word overflows double "
+                                    "precision; rerun with --dps") from None
     h1, h2, h3, h4, big_h2 = hs
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4),
                    (UPPER, big_h2))
@@ -257,8 +261,7 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
 
 def cohn_family_relations(z, w, h: Sequence) -> tuple:
     """Residuals of the four relations equivalent to the product being C."""
-    z, w = exactify(z), exactify(w)
-    h1, h2, h3, h4 = (exactify(x) for x in h)
+    z, w, h1, h2, h3, h4 = unify_scalars([z, w, *h])
     zw = z * w
     u = 1 - zw
     return (h2 * h3 + zw,
@@ -272,11 +275,11 @@ def cohn_family_4(z, w, h3) -> Factorization:
 
     h2 = -zw/h3, h1 = (z^2 - h3)/(1 - zw), h4 = (-w^2 - h2)/(1 - zw).
     """
-    z, w, h3 = exactify(z), exactify(w), exactify(h3)
+    z, w, h3 = unify_scalars([z, w, h3])
     zw = z * w
-    if is_zero_scalar(1 - zw):
+    if not 1 - zw:
         raise PreconditionError("family needs zw != 1")
-    if is_zero_scalar(h3):
+    if not h3:
         raise PreconditionError("family needs h3 != 0")
     h2 = -zw / h3
     h1 = (z * z - h3) / (1 - zw)

@@ -29,21 +29,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError, SamplingBudgetError, VerificationError
-from .exact_algebra import (ExactComplex, exactify, is_exact_scalar,
-                             is_zero_scalar)
+from .exact_algebra import is_exact_scalar, unify_scalars
 from ._random import random_exact, rng_from_seed
 from .word_core import (APPROX_TOL, SL2, PhiTemplate, eval_word,
-                        matrices_match, unify_scalars, word_product)
+                        matrices_match, word_product)
 
 MAX_SAMPLE_TRIES = 64
 
 
 def _middle_product(values: Sequence) -> tuple:
-    """Entries of M_2(v_1) M_3(v_2) ..., upper factor first; the identity,
-    in ints that combine with any scalar kind, for no values."""
+    """Entries of M_2(v_1) M_3(v_2) ... (values of one kind), upper factor
+    first; the identity, in ints that combine with any kind, for none."""
     if not values:
         return 1, 0, 0, 1
-    return word_product("UL" * len(values), unify_scalars(list(values)))
+    return word_product("UL" * len(values), values)
 
 
 def _on_level(q, level) -> bool:
@@ -62,7 +61,7 @@ def pivot_is_zero(target: SL2, n: int) -> bool:
     completion."""
     pivot = target.a if n % 2 == 0 else target.b
     if target.is_exact:
-        return is_zero_scalar(pivot)
+        return not pivot
     scale = max(1.0, *(abs(complex(x)) for x in target.entries))
     return abs(complex(pivot)) <= APPROX_TOL * scale
 
@@ -77,7 +76,7 @@ class InteriorPoint:
     values: tuple
 
     def q_entries(self):
-        return _middle_product(self.values)
+        return _middle_product(unify_scalars(self.values))
 
 
 @dataclass(frozen=True)
@@ -124,48 +123,47 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         raise PreconditionError("fibers need N >= 4")
     if stratum not in ("Q1", "Q2"):
         raise PreconditionError("stratum must be 'Q1' or 'Q2'")
-    level = exactify(level)
-    # the random draws are exact; an approximate level makes them floats
-    kind = ExactComplex.coerce if is_exact_scalar(level) else complex
+    level = unify_scalars([level])[0]
     rng = rng_from_seed(seed) if rng is None else rng
     even = n % 2 == 0
     generic = (stratum == "Q1") if even else (stratum == "Q2")
-    if not generic and is_zero_scalar(level):
+    if not generic and not level:
         raise PreconditionError(
             "non-generic stratum needs a nonzero level (unimodularity)")
+    n_draws = n - 3 if generic else n - 4
     for _ in range(MAX_SAMPLE_TRIES):
+        draws = [random_exact(rng) for _ in range(n_draws)]
+        # exact draws, in the level's kind
+        *draws, _ = unify_scalars([*draws, level])
         if generic:
-            draws = [kind(random_exact(rng)) for _ in range(n - 3)]
             r1, r2, _, _ = _middle_product(draws)
             if even:
                 # append L(t): Q1 = R1 + t R2
-                if is_zero_scalar(r2):
+                if not r2:
                     continue
                 t = (level - r1) / r2
             else:
                 # append U(t): Q2 = R1 t + R2
-                if is_zero_scalar(r1):
+                if not r1:
                     continue
                 t = (level - r2) / r1
             values = tuple(draws) + (t,)
         else:
-            draws = [kind(random_exact(rng)) for _ in range(n - 4)]
             rp1, rp2, _, _ = _middle_product(draws)
             if even:
                 # solve z_{N-2} (upper): R2 = R'1 s + R'2 = level
-                if is_zero_scalar(rp1):
+                if not rp1:
                     continue
                 s = (level - rp2) / rp1
                 t = -rp1 / level  # then Q1 = R1 + t level = 0
             else:
                 # solve z_{N-2} (lower): R1 = R'1 + s R'2 = level
-                if is_zero_scalar(rp2):
+                if not rp2:
                     continue
                 s = (level - rp1) / rp2
                 t = -rp2 / level  # then Q2 = level t + R2 = 0
             values = tuple(draws) + (s, t)
-        pt = InteriorPoint(n, stratum, level, values)
-        q1, q2, _, _ = pt.q_entries()
+        q1, q2, _, _ = _middle_product(values)
         if generic:
             target_ok = _on_level(q1 if even else q2, level)
         else:
@@ -173,7 +171,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
                 else (_on_level(q1, level) and _on_level(q2, 0))
         if not target_ok:
             raise VerificationError("interior solve produced wrong level")
-        return pt
+        return InteriorPoint(n, stratum, level, values)
     raise SamplingBudgetError(
         f"no usable draw in {MAX_SAMPLE_TRIES} tries (N={n}, {stratum})")
 
@@ -184,18 +182,18 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     n = interior.n
     if n % 2 != 0:
         raise PreconditionError("even-length branch")
-    a, b, c, d = (exactify(x) for x in target.entries)
+    a, b, c, d, *values = unify_scalars([*target.entries, *interior.values])
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
-    q1, q2, q3, q4 = interior.q_entries()
+    q1, q2, q3, q4 = _middle_product(values)
     if not _on_level(q1, a):
         raise PreconditionError("interior is off the level set Q1 = a")
     z1 = (c - q3) / a
     zn = (b - q2) / a
     # the d-equation comes for free; its cleared residual must vanish
     eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
-    return _verify_completion(n, "generic", (z1, *interior.values, zn),
-                              target, eq4=eq4)
+    return _verify_completion(n, "generic", (z1, *values, zn), target,
+                              eq4=eq4)
 
 
 def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
@@ -209,7 +207,7 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     a, b, c, d, z1, *prefix = unify_scalars([*target.entries, z1, *prefix])
     if not pivot_is_zero(target, n):
         raise PreconditionError("non-generic branch needs a = 0")
-    if is_zero_scalar(b):
+    if not b:
         raise PreconditionError("a = 0 forces b != 0")
     r1, r2, _, _ = _middle_product(prefix)
     if not _on_level(r2, b):
@@ -229,8 +227,10 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     n = interior.n
     if n % 2 == 0 or n < 5:
         raise PreconditionError("odd-length branch needs N odd >= 5")
-    a, b, c, d = (exactify(x) for x in target.entries)
-    q1, q2, q3, q4 = interior.q_entries()
+    # one scalar kind for all: a float free z1 makes an exact target float
+    a, b, c, d, z1, *values = unify_scalars([*target.entries, z1,
+                                             *interior.values])
+    q1, q2, q3, q4 = _middle_product(values)
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
@@ -238,49 +238,45 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
             raise PreconditionError("interior is off the level set Q2 = b")
         z1s = (d - q4) / b
         zn = (a - q1) / b
-        return _verify_completion(n, "generic", (z1s, *interior.values, zn),
-                                  target)
+        return _verify_completion(n, "generic", (z1s, *values, zn), target)
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
         if not (_on_level(q1, a) and _on_level(q2, 0)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
-        a, c, q3, z1 = unify_scalars([a, c, q3, z1])
         zn = a * (c - q3 - a * z1)
-        return _verify_completion(n, "nongeneric", (z1, *interior.values, zn),
-                                  target, z1_free=z1)
+        return _verify_completion(n, "nongeneric", (z1, *values, zn), target,
+                                  z1_free=z1)
     raise PreconditionError(f"unknown branch {branch!r}")
 
 
 def fiber_transport_dim1(p: Sequence, alpha, beta) -> tuple:
     """(z1, z2) -> (z1, beta/alpha * z2), carrying {z1 z2 = alpha} levels
     onto {z1 z2 = beta} levels."""
-    if is_zero_scalar(alpha) or is_zero_scalar(beta):
-        raise PreconditionError("transport scalars must be nonzero")
     if len(p) != 2:
         raise PreconditionError("dimension-1 transport takes a pair")
-    z1, z2 = (exactify(x) for x in p)
-    return (z1, (exactify(beta) / exactify(alpha)) * z2)
+    z1, z2, alpha, beta = unify_scalars([*p, alpha, beta])
+    if not alpha or not beta:
+        raise PreconditionError("transport scalars must be nonzero")
+    return (z1, (beta / alpha) * z2)
 
 
 def fiber_transport_dim2(p: Sequence, alpha) -> tuple:
     """(z1, z2, z3) -> (alpha z1, z2/alpha, alpha z3); scales the level of
     P2 = z1 + z3 + z1 z2 z3 by alpha."""
-    if is_zero_scalar(alpha):
-        raise PreconditionError("transport scalar must be nonzero")
     if len(p) != 3:
         raise PreconditionError("dimension-2 transport takes a triple")
-    al = exactify(alpha)
-    z1, z2, z3 = (exactify(x) for x in p)
+    z1, z2, z3, al = unify_scalars([*p, alpha])
+    if not al:
+        raise PreconditionError("transport scalar must be nonzero")
     return (al * z1, z2 / al, al * z3)
 
 
 def f5_param(z1, c) -> tuple:
     """Graph chart (z1, c) -> (z1, c, (c-1)/z1, (1-z1)/c) whose last-two
     coordinates put (z1, *, *) on the level set z1 + z3 + z1 z2 z3 = 1."""
-    z1 = exactify(z1)
-    c = exactify(c)
-    if is_zero_scalar(z1) or is_zero_scalar(c):
+    z1, c = unify_scalars([z1, c])
+    if not z1 or not c:
         raise PreconditionError("chart needs z1 != 0 and c != 0")
     return (z1, c, (c - 1) / z1, (1 - z1) / c)

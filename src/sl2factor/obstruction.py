@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError
-from .exact_algebra import ExactComplex, is_exact_scalar
+from .exact_algebra import unify_scalars
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_SAMPLES = 256
@@ -135,15 +135,8 @@ def section_near_D1(z, w) -> tuple:
     The four family relations hold identically in (z, w), so the product
     equals C(z, w) wherever z != 0, not only near zw = 1.
     """
-    if is_exact_scalar(z) and is_exact_scalar(w):
-        z, w = ExactComplex.coerce(z), ExactComplex.coerce(w)
-        zero = ExactComplex.coerce(0)
-        vanishes = z.is_zero
-    else:
-        z, w = complex(z), complex(w)
-        zero = 0j
-        vanishes = z == 0
-    if vanishes:
+    zero, z, w = unify_scalars([0, z, w])
+    if not z:
         raise PreconditionError("section needs z != 0")
     return (zero, -w / z, z * z, w / z)
 

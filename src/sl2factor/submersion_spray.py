@@ -31,9 +31,9 @@ from .exact_algebra import (
     ExactComplex,
     MultiPoly,
     compile_approx,
-    is_exact_scalar,
     poly_embed,
     require_finite,
+    unify_scalars,
 )
 from .word_core import (
     LOWER,
@@ -41,7 +41,6 @@ from .word_core import (
     expand_phi,
     in_singular_set,
     middle_Q,
-    unify_scalars,
     word_partials,
 )
 
@@ -73,16 +72,16 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     """
     if len(point) != t.n:
         raise PreconditionError(f"expected {t.n} coordinates")
-    vals = list(point)
-    exact = all(is_exact_scalar(x) for x in vals)
-    symbolic = any(isinstance(x, MultiPoly) for x in vals)
-    approx = not exact and not symbolic
+    vals = unify_scalars([1, 0, *point])
+    kind = type(vals[0])
+    approx = kind is not ExactComplex and kind is not MultiPoly
     if approx:
         vals = [require_finite(x) for x in vals]
+    one, zero, *vals = vals
     sides = [t.side_of(j) for j in range(1, t.n + 1)]
     # A_1 is the identity, A_{j+1} the j-th partial product; the last
     # partial (the whole word) is never needed, so zip stops before it
-    prefixes = chain([(1, 0, 0, 1)], word_partials(sides, unify_scalars(vals)))
+    prefixes = chain([(one, zero, zero, one)], word_partials(sides, vals))
     cols = []
     for side, (al, be, ga, de) in zip(sides, prefixes):
         if side == LOWER:
@@ -96,7 +95,7 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     if approx and not all(cmath.isfinite(x) for col in cols for x in col):
         raise PreconditionError(
             "approximate Jacobian entries overflow double precision")
-    return TangentFrame(tuple(cols), exact and not symbolic)
+    return TangentFrame(tuple(cols), kind is ExactComplex)
 
 
 def frame_minor_det(f: TangentFrame, js: tuple[int, int, int]):

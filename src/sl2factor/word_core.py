@@ -21,7 +21,6 @@ user-built SL2 checks its determinant, eval_word checks its result once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -37,6 +36,7 @@ from .exact_algebra import (
     poly_to_json,
     scalar_from_json,
     scalar_to_json,
+    unify_scalars,
 )
 
 LOWER = "L"
@@ -98,10 +98,6 @@ class Word:
     def of(*pairs) -> "Word":
         """Word.of(("L", 2), ("U", 3), ...) convenience constructor."""
         return Word(ElementaryFactor(s, e) for s, e in pairs)
-
-
-def _is_mp_number(x) -> bool:
-    return type(x).__module__.startswith("mpmath")
 
 
 def _check_det(vals, exact_error) -> None:
@@ -231,46 +227,13 @@ def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     return entries
 
 
-def unify_scalars(vals: list):
-    """Coerce a mixed list of entries to one scalar kind.
-
-    Priority: any MultiPoly -> polynomials; any mpmath number -> mpmath;
-    any float/complex -> complex; otherwise ExactComplex.
-    """
-    if any(isinstance(v, MultiPoly) for v in vals):
-        nv = {v.nvars for v in vals if isinstance(v, MultiPoly)}
-        if len(nv) != 1:
-            raise PreconditionError("mixed variable counts in one matrix")
-        n = nv.pop()
-        out = []
-        for v in vals:
-            if isinstance(v, MultiPoly):
-                out.append(v)
-            elif is_exact_scalar(v):
-                out.append(MultiPoly.constant(n, v))
-            else:
-                raise PreconditionError(
-                    "cannot mix approximate scalars with polynomials")
-        return out
-    if any(_is_mp_number(v) for v in vals):
-        import mpmath as mp
-        return [v if _is_mp_number(v) else mp.mpc(complex(v)) for v in vals]
-    if any(isinstance(v, (float, complex)) for v in vals):
-        return [complex(v) for v in vals]
-    return [ExactComplex.coerce(v) for v in vals]
-
-
 def _eval_entry(entry, point: Sequence):
     if isinstance(entry, MultiPoly):
         # no point means symbolic expansion: keep the polynomial itself
         return entry if len(point) == 0 else entry.eval(point)
     if isinstance(entry, FunctionHandle):
         return entry(*point)
-    if is_exact_scalar(entry):
-        return ExactComplex.coerce(entry)
-    if isinstance(entry, (float, complex)) or _is_mp_number(entry):
-        return entry
-    raise PreconditionError(f"entry not evaluable: {entry!r}")
+    return entry  # a scalar, or refused by unify_scalars
 
 
 def eval_word(w: Word, point: Sequence = ()) -> SL2:
@@ -399,13 +362,7 @@ def in_singular_set(point: Sequence, n: int) -> bool:
     """True iff all interior coordinates z_2..z_{N-1} are (exactly) zero."""
     if len(point) != n:
         raise PreconditionError(f"expected {n} coordinates, got {len(point)}")
-    for x in point[1:-1]:
-        if is_exact_scalar(x):
-            if not ExactComplex.coerce(x).is_zero:
-                return False
-        elif x != 0:
-            return False
-    return True
+    return not any(unify_scalars(point)[1:-1])
 
 
 # ---------------------------------------------------------------------------

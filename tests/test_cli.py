@@ -349,3 +349,67 @@ def test_exact_matrix_with_wrong_determinant_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert rep["error"]["code"] == "precondition"
     assert rep["error"]["message"] == "determinant is not 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["winding", "--radius", "nan"],
+    ["winding", "--radius", "inf"],
+    ["certificate", "--d", "1e400"],
+    ["certificate", "--d", "nan"],
+    ["certificate", "--radius", "inf"],
+    ["cohn", "--approx", "--z", "nan", "--w", "1"],
+    ["cohn", "--approx", "--z", "1", "--w=-1e999"],
+])
+def test_non_finite_argument_is_exit_2(capsys, argv):
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    assert "non-finite" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command,text", [
+    ("factor-const", '{"a": NaN, "b": 0, "c": 0, "d": 1}'),
+    ("factor-const", '{"a": [1e400, 0], "b": 0, "c": 0, "d": 1}'),
+    ("factor-const", '{"a": [0, -Infinity], "b": 0, "c": 0, "d": 1}'),
+    ("fiber-solve", '{"target": {"a": 2, "b": 3, "c": 1, "d": [NaN, 0]}}'),
+    ("winding", '{"values": [[1, 0], [0, 1], [-1, 0], [NaN, -1]]}'),
+])
+def test_non_finite_json_scalar_is_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = [command, "--approx", "--input", str(path)]
+    if command == "fiber-solve":
+        argv += ["--n", "4"]
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert "non-finite" in rep["error"]["message"]
+
+
+def test_malformed_json_pair_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"a": ["x", 0], "b": 0, "c": 0, "d": 1}')
+    code, rep = _one_line(capsys, ["factor-const", "--input", str(path)])
+    assert code == 2
+    assert "not a scalar encoding" in rep["error"]["message"]
+
+
+def test_cohn_overflow_is_exit_3(capsys):
+    code, rep = _one_line(capsys, ["cohn", "--z", "100", "--w", "100"])
+    assert code == 3
+    assert rep["error"]["code"] == "verification"
+    assert "--dps" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("z,w,h3", [
+    ("0.5", "0.5", "0.25"),   # all float
+    ("0.5", "0.5", "1"),      # float z and w, exact h3
+    ("1/2", "1/2", "0.5"),    # exact z and w, float h3
+])
+def test_cohn_family4_mixed_scalars(capsys, z, w, h3):
+    code, rep = _one_line(capsys, ["cohn", "--factors", "4", "--approx",
+                                   "--z", z, "--w", w, "--h3", h3])
+    assert code == 0
+    assert rep["verified"] is True
+    assert rep["exact"] is False
+    # one kind per report: every word entry is a float pair
+    assert all(isinstance(f["entry"], list) for f in rep["word"])

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from sl2factor.exact_algebra import (
     EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiPoly, compile_approx,
     format_exact, is_exact_scalar, is_exact_text, parse_exact, poly_embed,
-    poly_from_json, poly_to_json, scalar_from_json, scalar_to_json)
+    poly_from_json, poly_to_json, scalar_from_json, scalar_to_json,
+    unify_scalars)
 from sl2factor.errors import PreconditionError
 
 fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
@@ -119,10 +120,71 @@ def test_is_exact_scalar():
     assert not is_exact_scalar(1 + 2j)
 
 
-## polynomials
+@pytest.mark.parametrize("v", [float("nan"), float("inf"), [1e400, 0],
+                               [0, float("-inf")]])
+def test_scalar_json_refuses_non_finite(v):
+    with pytest.raises(PreconditionError, match="non-finite"):
+        scalar_from_json(v)
+
+
+@pytest.mark.parametrize("v", [["x", 0], [None, 1], [10 ** 400, 0], [1],
+                               {"re": 1}])
+def test_scalar_json_refuses_malformed(v):
+    with pytest.raises(PreconditionError, match="not a scalar encoding"):
+        scalar_from_json(v)
+
+
+## one scalar kind per call
 
 X = MultiPoly.variable(2, 0)
 Y = MultiPoly.variable(2, 1)
+
+
+def test_unify_scalars_priority():
+    import mpmath
+    half = Fraction(1, 2)
+    exact = unify_scalars([ExactComplex(1), 2, half, True])
+    assert exact == [ExactComplex(1), ExactComplex(2), ExactComplex(half),
+                     ExactComplex(1)]
+    assert {type(x) for x in exact} == {ExactComplex}
+    approx = unify_scalars([ExactComplex(1, 2), 2, half, 0.25])
+    assert approx == [1 + 2j, 2 + 0j, 0.5 + 0j, 0.25 + 0j]
+    assert {type(x) for x in approx} == {complex}
+    mp = unify_scalars([ExactComplex(1), 0.5, mpmath.mpf(2)])
+    assert [type(x) for x in mp] == [mpmath.mpc, mpmath.mpc, mpmath.mpf]
+    poly = unify_scalars([X, half, ExactComplex(0, 1)])
+    assert poly == [X, MultiPoly.constant(2, half),
+                    MultiPoly.constant(2, ExactComplex(0, 1))]
+    assert unify_scalars([]) == []
+
+
+def test_unify_scalars_keeps_exact_objects():
+    x = ExactComplex(3, 4)
+    assert unify_scalars([x])[0] is x
+
+
+@pytest.mark.parametrize("vals,match", [
+    (["1/2"], "not a scalar"),
+    ([ExactComplex(1), None], "not a scalar"),
+    ([object()], "not a scalar"),
+    ([X, 0.5], "cannot mix approximate scalars with polynomials"),
+    ([X, MultiPoly.variable(3, 0)], "mixed variable counts"),
+])
+def test_unify_scalars_refuses(vals, match):
+    with pytest.raises(PreconditionError, match=match):
+        unify_scalars(vals)
+
+
+def test_poly_truth_and_mixed_eval():
+    assert not MultiPoly.zero(2)
+    assert X and MultiPoly.one(2)
+    p = X * Y + 1
+    # a mixed point evaluates in floats, not with a TypeError
+    assert p.eval((ExactComplex(2), 0.5)) == 2 + 0j
+    assert p.eval((2, Fraction(1, 2))) == ExactComplex(2)
+
+
+## polynomials
 
 
 def test_poly_basics():

@@ -311,3 +311,12 @@ def test_factorization_to_json():
     assert j["verified"] is True
     assert j["residual"] == 0.0
     assert len(j["word"]) == 3
+
+
+@pytest.mark.parametrize("z,w", [(100.0, 100.0), (-30.0, 30.0),
+                                 (30 + 1j, 30.0)])
+def test_cohn5_double_overflow_is_verification_error(z, w):
+    # e^{+-zw} leaves the float range once |Re zw| passes about 709
+    with pytest.raises(VerificationError, match="--dps"):
+        cohn_holo_5(z, w)
+    assert cohn_holo_5(z, w, dps=15).factor_count == 5
