@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from time import perf_counter
 
@@ -30,7 +31,9 @@ def _parse_scalar(text: str, approx: bool = False):
         raise PreconditionError(
             f"scalar {text!r} is not exact; pass --approx to allow floats")
     try:
-        value = complex(text.replace("i", "j").replace(" ", ""))
+        # only the imaginary unit of "1+2i" becomes "j", not the i of "inf"
+        value = complex(re.sub(r"(?<![A-Za-z])i(?![A-Za-z])", "j",
+                               text.replace(" ", "")))
     except ValueError as exc:
         raise PreconditionError(f"unreadable scalar {text!r}") from exc
     return require_finite(value)

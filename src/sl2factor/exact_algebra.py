@@ -13,8 +13,9 @@ equality with no tolerance.
 
 A MultiPoly is a sparse polynomial over that field: a map from exponent
 tuples (one entry per variable) to nonzero ExactComplex coefficients.
-Construction canonicalizes (zero coefficients dropped, exponent lengths
-checked), so structural equality is mathematical equality.  Serialization
+The constructor validates and canonicalizes (zeros dropped), so
+structural equality is mathematical equality; ring operations build
+their results through the trusted _poly.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
 output byte-stable.
 
@@ -28,6 +29,7 @@ import math
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add as _add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -348,24 +350,33 @@ def _grlex_key(exp: tuple) -> tuple:
     return (sum(exp), exp)
 
 
+def _check_nvars(nvars) -> None:
+    if type(nvars) is not int or nvars < 0:
+        raise PreconditionError(f"nvars must be a nonnegative int: {nvars!r}")
+
+
 class MultiPoly:
     """Sparse polynomial over ExactComplex in a fixed number of variables."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | Iterable = ()):
-        if nvars < 0:
-            raise PreconditionError("nvars must be nonnegative")
+        _check_nvars(nvars)
         clean: dict[tuple, ExactComplex] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
             if len(exp) != nvars:
                 raise PreconditionError(
                     f"exponent length {len(exp)} != nvars {nvars}")
-            if any(e < 0 for e in exp):
-                raise PreconditionError("negative exponent")
-            c = ExactComplex.coerce(coeff)
+            if not all(type(e) is int and e >= 0 for e in exp):
+                raise PreconditionError(
+                    f"exponents must be nonnegative ints: {exp!r}")
+            t = _triple(coeff)
+            if t is None:
+                raise PreconditionError(
+                    f"coefficient {coeff!r} is not an exact scalar")
+            c = _ec(*t)
             if exp in clean:
                 c = clean[exp] + c
             if c.is_zero:
@@ -390,14 +401,15 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: ExactComplex.coerce(c)})
+        _check_nvars(nvars)
+        return _poly(nvars, {(0,) * nvars: ExactComplex.coerce(c)})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise PreconditionError(f"variable index {index} out of range")
         exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return MultiPoly(nvars, {exp: EC_ONE})
+        return _poly(nvars, {exp: EC_ONE})
 
     # predicates -------------------------------------------------------------
 
@@ -430,8 +442,9 @@ class MultiPoly:
             return NotImplemented
         merged = dict(self.terms)
         for exp, c in o.terms.items():
-            merged[exp] = merged.get(exp, EC_ZERO) + c
-        return MultiPoly(self.nvars, merged)
+            c0 = merged.get(exp)
+            merged[exp] = c if c0 is None else c0 + c
+        return _poly(self.nvars, merged)
 
     __radd__ = __add__
 
@@ -439,27 +452,40 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        merged = dict(self.terms)
+        for exp, c in o.terms.items():
+            c0 = merged.get(exp)
+            merged[exp] = -c if c0 is None else c0 - c
+        return _poly(self.nvars, merged)
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple, ExactComplex] = {}
+        # raw (p, q, d) sums; one _reduced per output term
+        right = [(e2, c2._pqd) for e2, c2 in o.terms.items()]
+        acc = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, EC_ZERO) + c1 * c2
-        return MultiPoly(self.nvars, out)
+            p1, q1, d1 = c1._pqd
+            for e2, (p2, q2, d2) in right:
+                e = tuple(map(_add, e1, e2))
+                p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+                s = get(e)
+                if s is not None:
+                    sp, sq, sd = s
+                    p, q, d = sp * d + p * sd, sq * d + q * sd, sd * d
+                acc[e] = (p, q, d)
+        return _poly(self.nvars, {e: _reduced(*t) for e, t in acc.items()})
 
     __rmul__ = __mul__
 
@@ -491,11 +517,9 @@ class MultiPoly:
         out: dict[tuple, ExactComplex] = {}
         for exp, c in self.terms.items():
             k = exp[var]
-            if k == 0:
-                continue
-            e = tuple(v - 1 if i == var else v for i, v in enumerate(exp))
-            out[e] = c * k
-        return MultiPoly(self.nvars, out)
+            if k:
+                out[exp[:var] + (k - 1,) + exp[var + 1:]] = c * k
+        return _poly(self.nvars, out)
 
     def eval(self, point: Sequence):
         if len(point) != self.nvars:
@@ -537,6 +561,19 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()})"
+
+
+_set_nvars = MultiPoly.nvars.__set__
+_set_terms = MultiPoly.terms.__set__
+
+
+def _poly(nvars: int, terms: dict) -> MultiPoly:
+    """Trusted MultiPoly from canonical exponents and ExactComplex
+    coefficients: skips __init__, only drops zeros."""
+    x = _new(MultiPoly)
+    _set_nvars(x, nvars)
+    _set_terms(x, {e: c for e, c in terms.items() if c._pqd != _ZERO})
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +640,7 @@ def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:
     out = {}
     for exp, c in p.terms.items():
         out[(0,) * offset + exp + (0,) * pad_hi] = c
-    return MultiPoly(nvars, out)
+    return _poly(nvars, out)
 
 
 def poly_to_json(p: MultiPoly) -> dict:
@@ -617,13 +654,14 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 def poly_from_json(data: Mapping) -> MultiPoly:
     try:
-        nvars = int(data["nvars"])
-        terms = {tuple(t["exp"]): ExactComplex(_fraction(t["re"]),
-                                               _fraction(t["im"]))
-                 for t in data["terms"]}
+        terms = [(t["exp"], ExactComplex(_fraction(t["re"]), _fraction(t["im"])))
+                 for t in data["terms"]]
+        p = MultiPoly(data["nvars"], terms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed polynomial JSON: {exc}") from exc
-    return MultiPoly(nvars, terms)
+    if len({tuple(e) for e, _ in terms}) != len(terms):
+        raise PreconditionError("repeated exponent in polynomial JSON")
+    return p
 
 
 def compile_approx(p: MultiPoly) -> Callable[[Sequence[complex]], complex]:

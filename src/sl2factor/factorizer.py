@@ -230,6 +230,15 @@ def _cohn5_full(z, w, exp: Callable):
     return (h1, h2, h3, h4, big_h2), target, float(residual)
 
 
+def _cohn5_double(z: complex, w: complex):
+    """_cohn5_full in double precision; an overflow is a VerificationError."""
+    try:
+        return _cohn5_full(z, w, cmath.exp)
+    except OverflowError:
+        raise VerificationError("five-factor word overflows double "
+                                "precision; rerun with --dps") from None
+
+
 def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     """Entire five-factor word U(h1) L(h2) U(h3) L(h4) U(H2) for C(z, w).
 
@@ -247,12 +256,7 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
             zm, wm = mpmath.mpc(complex(z)), mpmath.mpc(complex(w))
             hs, target, residual = _cohn5_full(zm, wm, mpmath.exp)
     else:
-        try:
-            hs, target, residual = _cohn5_full(complex(z), complex(w),
-                                               cmath.exp)
-        except OverflowError:
-            raise VerificationError("five-factor word overflows double "
-                                    "precision; rerun with --dps") from None
+        hs, target, residual = _cohn5_double(complex(z), complex(w))
     h1, h2, h3, h4, big_h2 = hs
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4),
                    (UPPER, big_h2))
@@ -291,7 +295,7 @@ def cohn_family_4(z, w, h3) -> Factorization:
 @lru_cache(maxsize=1)
 def _cohn5_h_at(z: complex, w: complex) -> tuple:
     # the five handles of one evaluation share a single computation
-    return _cohn5_full(z, w, cmath.exp)[0]
+    return _cohn5_double(z, w)[0]
 
 
 def _cohn5_entry(index: int) -> Callable:

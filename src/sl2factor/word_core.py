@@ -253,10 +253,12 @@ def eval_word(w: Word, point: Sequence = ()) -> SL2:
 def matrices_match(m1: SL2, m2: SL2) -> tuple[bool, object]:
     """(match, residual) of a replayed product against its target.
 
-    Two exact matrices match only when literally equal (residual 0);
-    otherwise the largest entrywise distance must stay below APPROX_TOL.
+    Two exact or polynomial matrices match only when literally equal
+    (residual 0); otherwise the largest entrywise distance must stay below
+    APPROX_TOL.
     """
-    if m1.is_exact and m2.is_exact:
+    literal = (ExactComplex, MultiPoly)
+    if isinstance(m1.a, literal) and isinstance(m2.a, literal):
         return m1 == m2, 0
     residual = max(abs(complex(x) - complex(y))
                    for x, y in zip(m1.entries, m2.entries))

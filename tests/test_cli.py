@@ -106,6 +106,18 @@ def test_pad(tmp_path, capsys):
     assert [f["entry"] for f in rep["padded"]] == ["4", "0", "-1", "2"]
 
 
+def test_pad_polynomial_entry(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([
+        {"side": "L", "entry": {"nvars": 1, "terms": [
+            {"exp": [1], "re": "1", "im": "0"}]}},
+        {"side": "U", "entry": "2"}]))
+    code, rep = _one_line(capsys, ["pad", "--input", str(path)])
+    assert code == 0
+    assert rep["product_match"] is True
+    assert rep["length"] == 4
+
+
 def test_cohn_family(capsys):
     code, rep = run(capsys, "cohn", "--z", "1", "--w", "2", "--factors", "4",
                     "--h3", "1")
@@ -359,6 +371,9 @@ def test_exact_matrix_with_wrong_determinant_is_exit_2(tmp_path, capsys):
     ["certificate", "--radius", "inf"],
     ["cohn", "--approx", "--z", "nan", "--w", "1"],
     ["cohn", "--approx", "--z", "1", "--w=-1e999"],
+    ["cohn", "--approx", "--z", "inf", "--w", "1"],
+    ["cohn", "--approx", "--z=-inf", "--w", "1"],
+    ["cohn", "--approx", "--z", "1", "--w", "infinity"],
 ])
 def test_non_finite_argument_is_exit_2(capsys, argv):
     code, rep = _one_line(capsys, argv)

@@ -270,3 +270,38 @@ def test_poly_to_str():
     p = X * Y + MultiPoly.one(2)
     s = p.to_str(("z2", "z3"))
     assert "z2" in s and "z3" in s
+
+
+@pytest.mark.parametrize("nvars,terms", [
+    (2, {(1.5, 0): 1}),         # a float exponent is not truncated
+    (2, {(1.0, 0): 1}),
+    (2, {("1", 0): 1}),         # nor is a string one parsed
+    (2, {(True, 0): 1}),
+    (2, {(1, -1): 1}),
+    (2, {(1,): 1}),
+    (2, {(1, 0): 0.5}),         # approximate coefficients are refused
+    (2, {(1, 0): "1"}),
+    (2.7, {}),                  # nvars is an int
+    ("2", {}),
+    (-1, {}),
+])
+def test_poly_constructor_refuses_bad_input(nvars, terms):
+    with pytest.raises(PreconditionError):
+        MultiPoly(nvars, terms)
+
+
+def _term(exp, re="1"):
+    return {"exp": exp, "re": re, "im": "0"}
+
+
+@pytest.mark.parametrize("data", [
+    {"nvars": 2, "terms": [_term([1.5, 0])]},
+    {"nvars": 2, "terms": [_term(["1", 0])]},
+    {"nvars": 2, "terms": [_term("10")]},
+    {"nvars": 2.7, "terms": []},
+    {"nvars": 2, "terms": [_term([1, 0]), _term([1, 0], "2")]},
+    {"nvars": 2, "terms": [_term([1, 0]), _term([0, 1]), _term([1, 0])]},
+])
+def test_poly_from_json_refuses_bad_input(data):
+    with pytest.raises(PreconditionError):
+        poly_from_json(data)

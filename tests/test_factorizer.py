@@ -320,3 +320,6 @@ def test_cohn5_double_overflow_is_verification_error(z, w):
     with pytest.raises(VerificationError, match="--dps"):
         cohn_holo_5(z, w)
     assert cohn_holo_5(z, w, dps=15).factor_count == 5
+    # the function handles of the named word fail the same way
+    with pytest.raises(VerificationError, match="--dps"):
+        eval_word(cohn_holo_5_word(), (z, w))

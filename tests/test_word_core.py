@@ -11,8 +11,9 @@ from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly
 from sl2factor.word_core import (
     LOWER, UPPER, ElementaryFactor, PhiTemplate, SL2, Word, eval_word,
-    expand_phi, factor_to_json, in_singular_set, middle_Q, middle_Q_brute,
-    sl2_from_json, sl2_to_json, word_from_json, word_inverse, word_to_json)
+    expand_phi, factor_to_json, in_singular_set, matrices_match, middle_Q,
+    middle_Q_brute, sl2_from_json, sl2_to_json, word_from_json, word_inverse,
+    word_to_json)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8))
 exacts = st.builds(ExactComplex, fractions, fractions)
@@ -142,6 +143,18 @@ def test_word_json_roundtrip():
     sym = Word.of((LOWER, MultiPoly.variable(2, 0)),
                   (UPPER, MultiPoly.variable(2, 1)))
     assert word_from_json(word_to_json(sym)) == sym
+
+
+def test_matrices_match_polynomial_products():
+    # polynomial matrices are compared literally, as exact ones are
+    x = MultiPoly.variable(1, 0)
+    m = eval_word(Word.of((LOWER, x), (UPPER, ExactComplex(2))))
+    padded = eval_word(Word.of((LOWER, x + 1), (UPPER, ExactComplex(0)),
+                               (LOWER, ExactComplex(-1)),
+                               (UPPER, ExactComplex(2))))
+    assert matrices_match(m, padded) == (True, 0)
+    other = eval_word(Word.of((LOWER, x), (UPPER, ExactComplex(3))))
+    assert matrices_match(m, other) == (False, 0)
 
 
 def test_factor_json_shape():
