@@ -1,10 +1,14 @@
 """Command-line front end: JSON in, one JSON report out, typed exit codes.
 
-Exit codes: 0 success, 2 precondition violation, 3 verification failure
-(adequacy violations included), 4 I/O trouble.  Reports are byte-stable
-for identical inputs and seeds, except the timing_ms field.  Exact
-scalars travel as strings like "3/4" or "1/2+5/3 i"; float syntax is
-accepted only behind --approx.
+Exit codes: 0 success, 2 precondition violation (a malformed command line
+included), 3 verification failure (adequacy violations included), 4 I/O
+trouble.  Every run prints exactly one JSON line; only -h/--help prints
+usage instead.  Reports are byte-stable for identical inputs and seeds,
+except the timing_ms field.  Exact scalars travel as strings like "3/4" or
+"1/2+5/3 i".  Float syntax on the command line needs --approx (jacobian,
+fiber-solve's --z1, cohn).  --input files (jacobian, fiber-solve,
+factor-const, pad, winding) carry their own kind: strings and ints are
+exact, floats and [re, im] pairs approximate.
 """
 
 from __future__ import annotations
@@ -39,16 +43,11 @@ def _parse_scalar(text: str, approx: bool = False):
     return require_finite(value)
 
 
-def _parse_point(text: str, approx: bool = False) -> list:
-    return [_parse_scalar(part, approx) for part in text.split(",")]
-
-
-def _load_input(args) -> object:
-    path = getattr(args, "input", None)
-    if not path:
-        raise PreconditionError("this command needs --input <file.json>")
-    with open(path) as fh:
-        return json.load(fh)
+def _load_input(args, key: str):
+    """The JSON of --input, unwrapped when it is an object holding key."""
+    with open(args.input) as fh:
+        data = json.load(fh)
+    return data[key] if isinstance(data, dict) and key in data else data
 
 
 def _cmd_expand(args):
@@ -75,10 +74,9 @@ def _cmd_jacobian(args):
     from .word_core import (PhiTemplate, format_point, in_singular_set,
                             parse_point)
     if args.point is not None:
-        point = _parse_point(args.point, args.approx)
+        point = [_parse_scalar(t, args.approx) for t in args.point.split(",")]
     else:
-        data = _load_input(args)
-        point = parse_point(data["point"] if isinstance(data, dict) else data)
+        point = parse_point(_load_input(args, "point"))
     if len(point) != args.n:
         raise PreconditionError(
             f"point length {len(point)} does not match --n {args.n}")
@@ -103,20 +101,12 @@ def _cmd_lemma_check(args):
     return rep, 0 if ok else 3
 
 
-def _target_from_input(args):
-    from .word_core import sl2_from_json
-    data = _load_input(args)
-    if isinstance(data, dict) and "target" in data:
-        data = data["target"]
-    return sl2_from_json(data)
-
-
 def _cmd_fiber_solve(args):
     from .fiber_solver import (complete_generic_even,
                                complete_nongeneric_even, complete_odd,
                                interior_sample, pivot_is_zero)
-    from .word_core import format_point, sl2_to_json
-    target = _target_from_input(args)
+    from .word_core import format_point, sl2_from_json, sl2_to_json
+    target = sl2_from_json(_load_input(args, "target"))
     n = args.n
     z1 = _parse_scalar(args.z1, args.approx) if args.z1 is not None else 0
     a, b = target.a, target.b
@@ -150,7 +140,8 @@ def _cmd_fiber_solve(args):
 
 def _cmd_factor_const(args):
     from .factorizer import can_factor_three, factor_constant
-    target = _target_from_input(args)
+    from .word_core import sl2_from_json
+    target = sl2_from_json(_load_input(args, "target"))
     f = factor_constant(target)
     payload = f.to_json()
     payload["exact"] = target.is_exact
@@ -163,10 +154,7 @@ def _cmd_pad(args):
     from .factorizer import pad_avoid_singular
     from .word_core import (eval_word, matrices_match, word_from_json,
                             word_to_json)
-    data = _load_input(args)
-    if isinstance(data, dict) and "word" in data:
-        data = data["word"]
-    word = word_from_json(data)
+    word = word_from_json(_load_input(args, "word"))
     padded = pad_avoid_singular(word)
     before = eval_word(word)
     match, _ = matrices_match(before, eval_word(padded))
@@ -216,10 +204,12 @@ def _cmd_winding(args):
     from .obstruction import (LoopSamples, continuous_section_h3,
                               sample_loop, winding_number)
     require_finite(args.radius)
+    if args.radius <= 0:
+        raise PreconditionError("radius must be positive")
     if args.input:
-        data = _load_input(args)
-        if isinstance(data, dict) and "values" in data:
-            data = data["values"]
+        data = _load_input(args, "values")
+        if not isinstance(data, list):
+            raise PreconditionError("loop values must be a JSON list")
         loop = LoopSamples(tuple(scalar_from_json(v) for v in data))
         source = "input"
     else:
@@ -287,26 +277,34 @@ def _cmd_verify_suite(args):
     return rep, 0 if rep["all_pass"] else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Sends a malformed command line down the one JSON error path."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sl2factor",
-        description="Exact unipotent factorization toolkit for SL2")
+    parser = _Parser(prog="sl2factor", description="Exact unipotent "
+                     "factorization toolkit for SL2")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--input", help="JSON input file")
-        p.add_argument("--approx", action="store_true",
-                       help="allow float scalars")
         return p
 
+    # --input and --approx only where the handler reads them: JSON input
+    # carries its own scalar kind, --approx governs command-line scalars
     p = add("expand", _cmd_expand, help="middle polynomials Q1..Q4")
     p.add_argument("--n", type=int, required=True)
 
     p = add("jacobian", _cmd_jacobian, help="tangent frame and rank")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--point", help="comma-separated scalars z1..zN")
+    p.add_argument("--approx", action="store_true", help="allow floats")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--point", help="comma-separated scalars z1..zN")
+    g.add_argument("--input", help="JSON point file")
 
     p = add("lemma-check", _cmd_lemma_check,
             help="rank 3 off the singular set, lower on it")
@@ -319,22 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--z1", help="free boundary coordinate (non-generic)")
+    p.add_argument("--approx", action="store_true", help="allow a float --z1")
+    p.add_argument("--input", required=True, help="JSON target file")
 
-    add("factor-const", _cmd_factor_const,
-        help="at most four factors for one matrix")
+    p = add("factor-const", _cmd_factor_const,
+            help="at most four factors for one matrix")
+    p.add_argument("--input", required=True, help="JSON matrix file")
 
-    add("pad", _cmd_pad, help="length +2 padding avoiding the singular set")
+    p = add("pad", _cmd_pad, help="length +2 padding off the singular set")
+    p.add_argument("--input", required=True, help="JSON word file")
 
     p = add("cohn", _cmd_cohn, help="Cohn matrix factorizations")
     p.add_argument("--z", required=True)
     p.add_argument("--w", required=True)
     p.add_argument("--factors", type=int, choices=(4, 5), default=5)
     p.add_argument("--h3", help="free parameter of the 4-factor family")
-    p.add_argument("--dps", type=int, help="mpmath working precision")
+    p.add_argument("--dps", type=int, help="mpmath working precision, >= 15")
+    p.add_argument("--approx", action="store_true", help="allow floats")
 
     p = add("winding", _cmd_winding, help="winding number of a loop")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--input", help="JSON file of loop values")
 
     p = add("certificate", _cmd_certificate,
             help="no holomorphic 4-factor Cohn word")
@@ -355,31 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, command: str, t0: float) -> None:
-    payload = dict(payload)
+def _emit(payload: dict, command: str | None, t0: float) -> None:
     payload["command"] = command
     payload["timing_ms"] = round((perf_counter() - t0) * 1000.0, 3)
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    print(json.dumps(payload, sort_keys=True))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     t0 = perf_counter()
+    # argparse sets command on a known subcommand, so parse errors name it
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, args)
         payload, code = args.fn(args)
     except PreconditionError as exc:
-        _emit({"error": {"code": "precondition", "message": str(exc)}},
-              args.command, t0)
-        return 2
+        payload, code = {"error": {"code": "precondition",
+                                   "message": str(exc)}}, 2
     except VerificationError as exc:
-        _emit({"error": {"code": "verification", "message": str(exc)}},
-              args.command, t0)
-        return 3
+        payload, code = {"error": {"code": "verification",
+                                   "message": str(exc)}}, 3
     except (OSError, json.JSONDecodeError) as exc:
-        _emit({"error": {"code": "io", "message": str(exc)}},
-              args.command, t0)
-        return 4
+        payload, code = {"error": {"code": "io", "message": str(exc)}}, 4
     _emit(payload, args.command, t0)
     return code
 

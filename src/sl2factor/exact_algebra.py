@@ -331,9 +331,12 @@ def scalar_to_json(x):
 def scalar_from_json(v):
     if isinstance(v, str):
         return parse_exact(v)
-    if isinstance(v, (int, float)):
-        return ExactComplex(v) if isinstance(v, int) else require_finite(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if type(v) is int:  # a JSON true or false is not a scalar
+        return ExactComplex(v)
+    if type(v) is float:
+        return require_finite(v)
+    if (isinstance(v, (list, tuple)) and len(v) == 2
+            and not any(isinstance(x, bool) for x in v)):
         try:
             z = complex(float(v[0]), float(v[1]))
         except (TypeError, ValueError, OverflowError):
@@ -652,9 +655,17 @@ def poly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def _coefficient_part(x) -> Fraction:
+    if type(x) is not int and not isinstance(x, str):
+        raise PreconditionError("polynomial coefficient part must be an "
+                                f"exact string or int: {x!r}")
+    return _fraction(x)
+
+
 def poly_from_json(data: Mapping) -> MultiPoly:
     try:
-        terms = [(t["exp"], ExactComplex(_fraction(t["re"]), _fraction(t["im"])))
+        terms = [(t["exp"], ExactComplex(_coefficient_part(t["re"]),
+                                         _coefficient_part(t["im"])))
                  for t in data["terms"]]
         p = MultiPoly(data["nvars"], terms)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -249,8 +249,14 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     returned with its residual, never raised, at any precision; only a
     double-precision overflow (|Re(zw)| above about 709) is a
     VerificationError, which points to dps (--dps on the command line).
+    A dps that is not an int of at least 15 (double precision) is refused:
+    the residual is computed at the working precision, so a lower one
+    could call a wrong word verified.
     """
     if dps is not None:
+        if type(dps) is not int or dps < 15:
+            raise PreconditionError(
+                f"dps must be an int of at least 15: {dps!r}")
         import mpmath
         with mpmath.workdps(dps):
             zm, wm = mpmath.mpc(complex(z)), mpmath.mpc(complex(w))

@@ -157,7 +157,8 @@ class SL2:
 
     @property
     def is_exact(self) -> bool:
-        return is_exact_scalar(self.a)
+        """Exact or polynomial entries, which replays compare literally."""
+        return is_exact_scalar(self.a) or isinstance(self.a, MultiPoly)
 
     def __matmul__(self, other: "SL2") -> "SL2":
         return SL2(self.a * other.a + self.b * other.c,

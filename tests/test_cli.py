@@ -3,12 +3,13 @@
 ## byte-stable output
 ##
 
+import argparse
 import json
 from time import perf_counter
 
 import pytest
 
-from sl2factor.cli import main
+from sl2factor.cli import build_parser, main
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.word_core import middle_Q
 
@@ -116,6 +117,7 @@ def test_pad_polynomial_entry(tmp_path, capsys):
     assert code == 0
     assert rep["product_match"] is True
     assert rep["length"] == 4
+    assert rep["exact"] is True  # polynomial products replay literally
 
 
 def test_cohn_family(capsys):
@@ -392,9 +394,9 @@ def test_non_finite_argument_is_exit_2(capsys, argv):
 def test_non_finite_json_scalar_is_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "in.json"
     path.write_text(text)
-    argv = [command, "--approx", "--input", str(path)]
+    argv = [command, "--input", str(path)]
     if command == "fiber-solve":
-        argv += ["--n", "4"]
+        argv += ["--approx", "--n", "4"]
     code, rep = _one_line(capsys, argv)
     assert code == 2
     assert "non-finite" in rep["error"]["message"]
@@ -428,3 +430,111 @@ def test_cohn_family4_mixed_scalars(capsys, z, w, h3):
     assert rep["exact"] is False
     # one kind per report: every word entry is a float pair
     assert all(isinstance(f["entry"], list) for f in rep["word"])
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("pad", [{"side": "U", "entry": {"nvars": 1, "terms": [
+        {"exp": [1], "re": 0.1, "im": "0"}]}}]),
+    ("pad", [{"side": "U", "entry": {"nvars": 1, "terms": [
+        {"exp": [1], "re": "1", "im": True}]}}]),
+    ("factor-const", {"a": True, "b": False, "c": False, "d": True}),
+    ("factor-const", {"a": [True, 0], "b": 0, "c": 0, "d": 1}),
+])
+def test_inexact_or_boolean_json_input_is_exit_2(tmp_path, capsys, command,
+                                                  payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, rep = _one_line(capsys, [command, "--input", str(path)])
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("dps", ["1", "0", "-5", "14"])
+def test_cohn_dps_below_double_is_exit_2(capsys, dps):
+    code, rep = _one_line(capsys, ["cohn", "--z", "1", "--w", "1", "--dps",
+                                   dps])
+    assert code == 2
+    assert "at least 15" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("radius", ["-1", "0"])
+def test_winding_radius_must_be_positive(capsys, radius):
+    code, rep = _one_line(capsys, ["winding", f"--radius={radius}"])
+    assert code == 2
+    assert rep["error"]["message"] == "radius must be positive"
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["expand", "--n", "abc"], "expand"),
+    (["expand", "--n", "4", "--bogus"], "expand"),
+    (["expand", "--n", "4", "--approx"], "expand"),
+    (["certificate", "--input", "x.json"], "certificate"),
+    (["jacobian", "--point", "1,2"], "jacobian"),
+    (["jacobian", "--n", "4"], "jacobian"),
+    (["jacobian", "--n", "4", "--point", "1,2,3,4", "--input", "x.json"],
+     "jacobian"),
+    (["fiber-solve", "--n", "4"], "fiber-solve"),
+    (["pad"], "pad"),
+    (["cohn", "--z", "1", "--w", "1", "--factors", "6"], "cohn"),
+    (["no-such-command"], None),
+    ([], None),
+])
+def test_malformed_command_line_is_one_json_line(capsys, argv, command):
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["command"] == command
+    assert rep["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("jacobian", {"x": 1}),
+    ("jacobian", {"point": 5}),
+    ("winding", {"values": 5}),
+    ("winding", {"x": [[1, 0]]}),
+    ("fiber-solve", [1, 2]),
+    ("pad", {"word": {"side": "U"}}),
+])
+def test_input_of_wrong_shape_is_exit_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--input", str(path)]
+    if command in ("jacobian", "fiber-solve"):
+        argv += ["--n", "4"]
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["expand", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage: sl2factor" in capsys.readouterr().out
+
+
+# every option here is read by its subcommand's handler; a flag that no
+# handler reads must not come back
+OPTIONS = {
+    "expand": {"--n"},
+    "jacobian": {"--n", "--point", "--input", "--approx"},
+    "lemma-check": {"--n", "--samples", "--seed"},
+    "fiber-solve": {"--n", "--seed", "--z1", "--input", "--approx"},
+    "factor-const": {"--input"},
+    "pad": {"--input"},
+    "cohn": {"--z", "--w", "--factors", "--h3", "--dps", "--approx"},
+    "winding": {"--radius", "--samples", "--input"},
+    "certificate": {"--d", "--radius", "--samples", "--required"},
+    "bound": {"--n", "--k"},
+    "verify-suite": {"--seed", "--scale"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in p._actions for o in a.option_strings
+                       if o not in ("-h", "--help")}
+                for name, p in sub.choices.items()}
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 32

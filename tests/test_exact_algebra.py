@@ -305,3 +305,22 @@ def _term(exp, re="1"):
 def test_poly_from_json_refuses_bad_input(data):
     with pytest.raises(PreconditionError):
         poly_from_json(data)
+
+
+@pytest.mark.parametrize("v", [True, False, [True, 0], [0, False]])
+def test_scalar_json_refuses_booleans(v):
+    # a JSON true is not the exact 1, nor false the exact 0
+    with pytest.raises(PreconditionError, match="not a scalar encoding"):
+        scalar_from_json(v)
+
+
+@pytest.mark.parametrize("re,im", [(0.1, "0"), ("1", 0.5), (1.0, 0),
+                                   ("0", True), (False, "1")])
+def test_poly_from_json_refuses_inexact_coefficient_parts(re, im):
+    # a JSON float or boolean must not turn into an exact coefficient
+    data = {"nvars": 1, "terms": [{"exp": [1], "re": re, "im": im}]}
+    with pytest.raises(PreconditionError, match="exact string or int"):
+        poly_from_json(data)
+    data["terms"][0].update(re="1/10", im=3)
+    assert poly_from_json(data) == MultiPoly(1, [((1,), ExactComplex(
+        Fraction(1, 10), 3))])

@@ -323,3 +323,12 @@ def test_cohn5_double_overflow_is_verification_error(z, w):
     # the function handles of the named word fail the same way
     with pytest.raises(VerificationError, match="--dps"):
         eval_word(cohn_holo_5_word(), (z, w))
+
+
+@pytest.mark.parametrize("dps", [1, 0, -5, 14, 40.0, "40", True])
+def test_cohn5_refuses_precision_below_double(dps):
+    # the residual is computed at the working precision, so at dps 1 a
+    # word that misses C(1, 1) by 3e-3 would report residual 0
+    with pytest.raises(PreconditionError, match="at least 15"):
+        cohn_holo_5(1.0, 1.0, dps=dps)
+    assert cohn_holo_5(1.0, 1.0, dps=15).verified

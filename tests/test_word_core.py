@@ -165,3 +165,11 @@ def test_factor_json_shape():
 def test_bad_side_rejected():
     with pytest.raises(PreconditionError):
         ElementaryFactor("X", 1)
+
+
+def test_polynomial_matrix_is_exact():
+    # is_exact means "replays compare literally", which polynomials do
+    x = MultiPoly.variable(1, 0)
+    assert eval_word(Word.of((LOWER, x), (UPPER, ExactComplex(2)))).is_exact
+    assert SL2.lower(ExactComplex(2)).is_exact
+    assert not SL2.lower(0.5).is_exact
