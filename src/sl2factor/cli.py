@@ -23,7 +23,8 @@ from time import perf_counter
 # imports the rest, so a cold call loads just the modules it runs
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import (is_exact_scalar, is_exact_text, parse_exact,
-                            require_finite, scalar_from_json, scalar_to_json)
+                            require_finite, scalar_from_json, scalar_to_json,
+                            unify_scalars)
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -77,6 +78,8 @@ def _cmd_jacobian(args):
         point = [_parse_scalar(t, args.approx) for t in args.point.split(",")]
     else:
         point = parse_point(_load_input(args, "point"))
+    # echo the point in the one kind sl2_jacobian computes in
+    point = unify_scalars(point)
     if len(point) != args.n:
         raise PreconditionError(
             f"point length {len(point)} does not match --n {args.n}")
@@ -152,19 +155,16 @@ def _cmd_factor_const(args):
 
 def _cmd_pad(args):
     from .factorizer import pad_avoid_singular
-    from .word_core import (eval_word, matrices_match, word_from_json,
-                            word_to_json)
+    from .word_core import eval_word, replay, word_from_json, word_to_json
     word = word_from_json(_load_input(args, "word"))
     padded = pad_avoid_singular(word)
     before = eval_word(word)
-    match, _ = matrices_match(before, eval_word(padded))
-    if not match:
-        raise VerificationError("padded word changed the product")
+    replay(padded, before)
     return {
         "original": word_to_json(word),
         "padded": word_to_json(padded),
         "length": len(padded),
-        "product_match": match,
+        "product_match": True,
         "exact": before.is_exact,
     }, 0
 

@@ -335,11 +335,12 @@ def scalar_from_json(v):
         return ExactComplex(v)
     if type(v) is float:
         return require_finite(v)
+    # an [re, im] pair holds two JSON numbers; a JSON true is not one
     if (isinstance(v, (list, tuple)) and len(v) == 2
-            and not any(isinstance(x, bool) for x in v)):
+            and all(type(x) in (int, float) for x in v)):
         try:
             z = complex(float(v[0]), float(v[1]))
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             raise PreconditionError(f"not a scalar encoding: {v!r}") from None
         return require_finite(z)
     raise PreconditionError(f"not a scalar encoding: {v!r}")

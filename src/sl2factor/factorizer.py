@@ -30,8 +30,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import unify_scalars
 from .word_core import (APPROX_TOL, ElementaryFactor, FunctionHandle, LOWER,
-                        SL2, UPPER, Word, eval_word, matrices_match,
-                        sl2_to_json, word_product, word_to_json)
+                        SL2, UPPER, Word, negligible, replay, sl2_to_json,
+                        word_product, word_to_json)
 
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
@@ -60,22 +60,11 @@ class Factorization:
         }
 
 
-def _finish(word: Word, target: SL2) -> Factorization:
-    prod = eval_word(word)
-    match, residual = matrices_match(prod, target)
-    if not match:
-        if prod.is_exact and target.is_exact:
-            raise VerificationError("factor word does not reproduce target")
-        raise VerificationError(
-            f"factor word residual {residual:.3e} exceeds tolerance")
-    return Factorization(word, target, True, residual)
-
-
 def factor_constant(m: SL2) -> Factorization:
     """At most four triangular factors for any single SL2 matrix."""
     one, a, b, c, d = unify_scalars([1, *m.entries])
     if not b and not c:
-        if a == one or (not m.is_exact and abs(complex(a) - 1) < APPROX_TOL):
+        if negligible(a - one):
             word = Word(())  # identity
         else:
             word = Word.of((UPPER, a - one), (LOWER, one),
@@ -87,7 +76,7 @@ def factor_constant(m: SL2) -> Factorization:
     else:
         word = Word.of((LOWER, (d - one) / b), (UPPER, b),
                        (LOWER, (a - one) / b))
-    return _finish(word, m)
+    return Factorization(word, m, True, replay(word, m))
 
 
 def can_factor_three(m: SL2, pattern: str) -> bool:
@@ -112,7 +101,7 @@ def factor_unit_corner(b, c, d) -> Factorization:
         raise PreconditionError("unit corner needs d = 1 + bc")
     target = SL2(one, b, c, d)
     word = Word.of((LOWER, c - one), (UPPER, zero), (LOWER, one), (UPPER, b))
-    return _finish(word, target)
+    return Factorization(word, target, True, replay(word, target))
 
 
 def factor_offdiag_zero(a, c) -> Factorization:
@@ -123,7 +112,7 @@ def factor_offdiag_zero(a, c) -> Factorization:
     target = SL2(a, zero, c, one / a)
     word = Word.of((LOWER, (c - one) / a), (UPPER, a - one), (LOWER, one),
                    (UPPER, one / a - one))
-    return _finish(word, target)
+    return Factorization(word, target, True, replay(word, target))
 
 
 def pad_avoid_singular(word: Word) -> Word:
@@ -266,6 +255,8 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     h1, h2, h3, h4, big_h2 = hs
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4),
                    (UPPER, big_h2))
+    # absolute, unlike word_core.negligible: the flag is documented as
+    # strict, and criterion 7 bounds the residual by 1e-10 absolutely
     return Factorization(word, target, residual < APPROX_TOL, residual)
 
 
@@ -295,7 +286,8 @@ def cohn_family_4(z, w, h3) -> Factorization:
     h1 = (z * z - h3) / (1 - zw)
     h4 = (-(w * w) - h2) / (1 - zw)
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4))
-    return _finish(word, cohn_eval(z, w))
+    target = cohn_eval(z, w)
+    return Factorization(word, target, True, replay(word, target))
 
 
 @lru_cache(maxsize=1)

@@ -19,8 +19,12 @@ graph over {Q2 = b} with z_1 = (d - Q4)/b, z_N = (a - Q1)/b, and in the
 non-generic branch (b = 0, hence ad = 1) the interior satisfies Q1 = a and
 Q2 = 0 with z_1 free and z_N = a (c - Q3 - a z_1).
 
-Every completion is verified by multiplying the word back out; exact
-inputs verify by literal equality.
+Every completion is verified by multiplying the word back out
+(word_core.replay); exact inputs verify by literal equality.  Approximate
+level and pivot tests use the one tolerance rule of word_core.negligible:
+a middle-product entry is on its level when it is within APPROX_TOL
+max(1, |level|), and a pivot counts as zero below APPROX_TOL max(1,
+largest |entry| of the target).
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError, SamplingBudgetError, VerificationError
-from .exact_algebra import is_exact_scalar, unify_scalars
+from .exact_algebra import unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import (APPROX_TOL, SL2, PhiTemplate, eval_word,
-                        matrices_match, word_product)
+from .word_core import SL2, PhiTemplate, negligible, replay, word_product
 
 MAX_SAMPLE_TRIES = 64
 
@@ -45,25 +48,14 @@ def _middle_product(values: Sequence) -> tuple:
     return word_product("UL" * len(values), values)
 
 
-def _on_level(q, level) -> bool:
-    """Whether a middle-product entry sits on its level: literally for
-    exact scalars, within APPROX_TOL (as in the final replay) otherwise."""
-    if is_exact_scalar(q) and is_exact_scalar(level):
-        return q == level
-    return abs(complex(q) - complex(level)) < APPROX_TOL
-
-
 def pivot_is_zero(target: SL2, n: int) -> bool:
     """Whether Phi_N^{-1}(target) takes the non-generic branch: whether its
     pivot, a for even N and b for odd N, is zero.  Exact targets test it
-    literally; approximate ones count |pivot| <= APPROX_TOL max(1, largest
-    |entry|) as zero, since dividing by a pivot that small swamps the
-    completion."""
+    literally; approximate ones count a pivot negligible relative to the
+    largest |entry| as zero, since dividing by a pivot that small swamps
+    the completion."""
     pivot = target.a if n % 2 == 0 else target.b
-    if target.is_exact:
-        return not pivot
-    scale = max(1.0, *(abs(complex(x)) for x in target.entries))
-    return abs(complex(pivot)) <= APPROX_TOL * scale
+    return negligible(pivot, *target.entries)
 
 
 @dataclass(frozen=True)
@@ -94,15 +86,6 @@ class FiberCompletion:
     @property
     def interior(self) -> tuple:
         return self.point[1:-1]
-
-
-def _verify_completion(n, branch, point, target, eq4=None, z1_free=None
-                       ) -> FiberCompletion:
-    prod = eval_word(PhiTemplate(n).word_at(point))
-    if not matrices_match(prod, target)[0]:
-        raise VerificationError(
-            f"completion failed to reproduce the target (branch {branch})")
-    return FiberCompletion(n, branch, tuple(point), target, True, eq4, z1_free)
 
 
 def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
@@ -164,11 +147,14 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
                 t = -rp2 / level  # then Q2 = level t + R2 = 0
             values = tuple(draws) + (s, t)
         q1, q2, _, _ = _middle_product(values)
+        # the zero level of a non-generic stratum is checked at the scale
+        # of its nonzero one
         if generic:
-            target_ok = _on_level(q1 if even else q2, level)
+            target_ok = negligible((q1 if even else q2) - level, level)
+        elif even:
+            target_ok = negligible(q1, level) and negligible(q2 - level, level)
         else:
-            target_ok = (_on_level(q1, 0) and _on_level(q2, level)) if even \
-                else (_on_level(q1, level) and _on_level(q2, 0))
+            target_ok = negligible(q1 - level, level) and negligible(q2, level)
         if not target_ok:
             raise VerificationError("interior solve produced wrong level")
         return InteriorPoint(n, stratum, level, values)
@@ -186,14 +172,15 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
     q1, q2, q3, q4 = _middle_product(values)
-    if not _on_level(q1, a):
+    if not negligible(q1 - a, a):
         raise PreconditionError("interior is off the level set Q1 = a")
     z1 = (c - q3) / a
     zn = (b - q2) / a
     # the d-equation comes for free; its cleared residual must vanish
     eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
-    return _verify_completion(n, "generic", (z1, *values, zn), target,
-                              eq4=eq4)
+    point = (z1, *values, zn)
+    replay(PhiTemplate(n).word_at(point), target)
+    return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
 
 
 def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
@@ -210,14 +197,15 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     if not b:
         raise PreconditionError("a = 0 forces b != 0")
     r1, r2, _, _ = _middle_product(prefix)
-    if not _on_level(r2, b):
+    if not negligible(r2 - b, b):
         raise PreconditionError("prefix is off the level set R2 = b")
     zn1 = -r1 / b
     interior = (*prefix, zn1)
     q4 = _middle_product(interior)[3]
     zn = (d - q4 - b * z1) / c
-    return _verify_completion(n, "nongeneric", (z1, *interior, zn),
-                              target, z1_free=z1)
+    point = (z1, *interior, zn)
+    replay(PhiTemplate(n).word_at(point), target)
+    return FiberCompletion(n, "nongeneric", point, target, True, z1_free=z1)
 
 
 def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
@@ -234,20 +222,24 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
-        if not _on_level(q2, b):
+        if not negligible(q2 - b, b):
             raise PreconditionError("interior is off the level set Q2 = b")
         z1s = (d - q4) / b
         zn = (a - q1) / b
-        return _verify_completion(n, "generic", (z1s, *values, zn), target)
+        point = (z1s, *values, zn)
+        replay(PhiTemplate(n).word_at(point), target)
+        return FiberCompletion(n, "generic", point, target, True)
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
-        if not (_on_level(q1, a) and _on_level(q2, 0)):
+        if not (negligible(q1 - a, a) and negligible(q2, a)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
         zn = a * (c - q3 - a * z1)
-        return _verify_completion(n, "nongeneric", (z1, *values, zn), target,
-                                  z1_free=z1)
+        point = (z1, *values, zn)
+        replay(PhiTemplate(n).word_at(point), target)
+        return FiberCompletion(n, "nongeneric", point, target, True,
+                               z1_free=z1)
     raise PreconditionError(f"unknown branch {branch!r}")
 
 

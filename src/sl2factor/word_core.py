@@ -15,7 +15,14 @@ independent cross-check.
 
 Every internal product runs through one kernel (word_partials) of
 elementary updates on raw entries.  Validation stays at the boundary: a
-user-built SL2 checks its determinant, eval_word checks its result once.
+user-built SL2 checks its determinant, eval_word checks its result once,
+and replay multiplies a returned word back out against its target.
+
+One tolerance rule, negligible, makes every zero test but the five-factor
+Cohn flag: exact and polynomial values must be literally zero, approximate
+ones below APPROX_TOL max(1, size of the values compared), that size being
+|ad| + |bc| for a determinant, |level| for a fiber level, and the largest
+|entry| of the target for a replay or a fiber pivot.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .exact_algebra import (
     MultiPoly,
     format_exact,
     is_exact_scalar,
-    parse_exact,
     poly_from_json,
     poly_to_json,
     scalar_from_json,
@@ -42,14 +48,20 @@ from .exact_algebra import (
 LOWER = "L"
 UPPER = "U"
 
-# The one tolerance for approximate (float or mpmath) results: the bound on
-# |det - 1| relative to |ad| + |bc|, and on the largest entrywise distance
-# when a replayed product is compared with its target.
+# The one tolerance for approximate (float or mpmath) values; read only by
+# negligible and by the five-factor Cohn flag (see factorizer.cohn_holo_5).
 APPROX_TOL = 1e-10
 
 
-def _other_side(side: str) -> str:
-    return UPPER if side == LOWER else LOWER
+def negligible(x, *sizes) -> bool:
+    """Whether x counts as zero: literally for exact and polynomial values;
+    for approximate ones when |x| < APPROX_TOL * max(1, |s| for s in
+    sizes), sizes being the values x is measured against, since rounding
+    grows with them.  Their moduli are taken only on the approximate path.
+    """
+    if is_exact_scalar(x) or isinstance(x, MultiPoly):
+        return not x
+    return abs(x) < APPROX_TOL * max([1, *map(abs, sizes)])
 
 
 @dataclass(frozen=True)
@@ -105,18 +117,13 @@ def _check_det(vals, exact_error) -> None:
     VerificationError (rounding drift) for approximate ones."""
     a, b, c, d = vals
     ad, bc = a * d, b * c
-    if isinstance(ad, MultiPoly):
-        unit = ad - bc == MultiPoly.one(ad.nvars)
-    elif type(ad) is ExactComplex:
-        unit = ad - bc == EC_ONE
+    if isinstance(ad, (ExactComplex, MultiPoly)):
+        if ad - bc != 1:
+            raise exact_error("determinant is not 1")
     # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
-    elif abs(ad - bc - 1) < APPROX_TOL * max(1, abs(ad) + abs(bc)):
-        return
-    else:
+    elif not negligible(ad - bc - 1, abs(ad) + abs(bc)):
         raise VerificationError("determinant is not 1 "
                                 "(approx mode: numeric instability)")
-    if not unit:
-        raise exact_error("determinant is not 1")
 
 
 class SL2:
@@ -237,33 +244,49 @@ def _eval_entry(entry, point: Sequence):
     return entry  # a scalar, or refused by unify_scalars
 
 
+def _product(w: Word, point: Sequence = ()) -> SL2:
+    if not len(w):
+        return SL2.identity()
+    vals = unify_scalars([_eval_entry(f.entry, point) for f in w])
+    return _sl2(*word_product([f.side for f in w.factors], vals))
+
+
 def eval_word(w: Word, point: Sequence = ()) -> SL2:
     """Multiply out a word; symbolic and function entries get `point`.
 
     The determinant of the product is checked once: an approximate word
     whose rounding has drifted raises VerificationError.
     """
-    if not len(w):
-        return SL2.identity()
-    vals = unify_scalars([_eval_entry(f.entry, point) for f in w])
-    entries = word_product([f.side for f in w.factors], vals)
-    _check_det(entries, VerificationError)
-    return _sl2(*entries)
+    prod = _product(w, point)
+    _check_det(prod.entries, VerificationError)
+    return prod
 
 
-def matrices_match(m1: SL2, m2: SL2) -> tuple[bool, object]:
-    """(match, residual) of a replayed product against its target.
+def replay(word: Word, target: SL2):
+    """Multiply a returned word back out and check it against its target.
 
-    Two exact or polynomial matrices match only when literally equal
-    (residual 0); otherwise the largest entrywise distance must stay below
-    APPROX_TOL.
+    Exact and polynomial products must equal the target literally (residual
+    0).  Otherwise the residual, the largest entrywise distance, must be
+    negligible relative to the largest |entry| of the target.  Returns the
+    residual; a miss raises VerificationError.
+
+    Unlike eval_word, the product's own determinant is not checked: the
+    target passed SL2's check, and rounding moves the determinant of a
+    product with large entries further than |ad| + |bc| allows while every
+    entry stays on its target.
     """
-    literal = (ExactComplex, MultiPoly)
-    if isinstance(m1.a, literal) and isinstance(m2.a, literal):
-        return m1 == m2, 0
+    prod = _product(word)
+    if prod.is_exact and target.is_exact:
+        if prod.entries == target.entries:
+            return 0
+        raise VerificationError("replayed word does not reproduce its target")
     residual = max(abs(complex(x) - complex(y))
-                   for x, y in zip(m1.entries, m2.entries))
-    return residual < APPROX_TOL, residual
+                   for x, y in zip(prod.entries, target.entries))
+    if not negligible(residual, *target.entries):
+        raise VerificationError(
+            f"replayed word does not reproduce its target (residual "
+            f"{residual:.3e})")
+    return residual
 
 
 def word_inverse(w: Word) -> Word:
@@ -278,20 +301,17 @@ def word_inverse(w: Word) -> Word:
 
 @dataclass(frozen=True)
 class PhiTemplate:
-    """Alternating-word template of length N with a fixed first side."""
+    """Alternating-word template of length N, lower first (Phi_N)."""
 
     n: int
-    first_side: str = LOWER
 
     def __post_init__(self):
         if self.n < 1:
             raise PreconditionError("template length must be >= 1")
-        if self.first_side not in (LOWER, UPPER):
-            raise PreconditionError("first side must be 'L' or 'U'")
 
     def side_of(self, j: int) -> str:
         # j is 1-based position in the word
-        return self.first_side if j % 2 == 1 else _other_side(self.first_side)
+        return LOWER if j % 2 == 1 else UPPER
 
     def word_symbolic(self) -> Word:
         return Word(
@@ -384,21 +404,13 @@ def word_to_json(w: Word) -> list:
     return [factor_to_json(f) for f in w]
 
 
-def _entry_from_json(v, builtins: Mapping[str, FunctionHandle] | None):
+def _entry_from_json(v):
     if isinstance(v, dict):
         return poly_from_json(v)
-    if isinstance(v, str):
-        try:
-            return parse_exact(v)
-        except PreconditionError:
-            if builtins and v in builtins:
-                return builtins[v]
-            raise PreconditionError(f"unknown entry name {v!r}")
     return scalar_from_json(v)
 
 
-def word_from_json(data, builtins: Mapping[str, FunctionHandle] | None = None
-                   ) -> Word:
+def word_from_json(data) -> Word:
     if not isinstance(data, list):
         raise PreconditionError("word JSON must be a list of factors")
     out = []
@@ -407,7 +419,7 @@ def word_from_json(data, builtins: Mapping[str, FunctionHandle] | None = None
             side, entry = item["side"], item["entry"]
         except (TypeError, KeyError) as exc:
             raise PreconditionError(f"malformed factor: {item!r}") from exc
-        out.append(ElementaryFactor(side, _entry_from_json(entry, builtins)))
+        out.append(ElementaryFactor(side, _entry_from_json(entry)))
     return Word(out)
 
 

@@ -56,6 +56,25 @@ def test_jacobian_float_needs_approx(capsys):
     assert rep["exact"] is False
 
 
+@pytest.mark.parametrize("point,echo", [
+    ("0.5,1,1,1", [[0.5, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+    ([1, "2", 0.5, [1, 2]], [[1.0, 0.0], [2.0, 0.0], [0.5, 0.0], [1.0, 2.0]]),
+])
+def test_jacobian_echoes_the_point_in_one_kind(tmp_path, capsys, point,
+                                               echo):
+    argv = ["jacobian", "--approx", "--n", "4"]
+    if isinstance(point, str):
+        argv += ["--point", point]
+    else:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(point))
+        argv += ["--input", str(path)]
+    code, rep = _one_line(capsys, argv)
+    assert code == 0
+    assert rep["exact"] is False
+    assert rep["point"] == echo
+
+
 def test_lemma_check(capsys):
     code, rep = run(capsys, "lemma-check", "--n", "4", "--samples", "50")
     assert code == 0
@@ -289,6 +308,10 @@ APPROX_TARGETS = {
     # non-generic branch; dividing by them would swamp the completion
     "a_tiny": {"a": [1e-17, 0], "b": [3, 0], "c": [-1 / 3, 0], "d": [0, 0]},
     "b_tiny": {"a": [3, 0], "b": [1e-17, 0], "c": [0.5, 0], "d": [1 / 3, 0]},
+    # rounding of about 1e-9 here is 1e-16 relative to the entries, and
+    # the replay bound is relative to the largest of them
+    "a_large": {"a": [1e7, 0.3], "b": [2, -0.7], "c": [1, 0.25],
+                "d": [3.174999993999997e-07, -2.0000009524999977e-08]},
 }
 
 

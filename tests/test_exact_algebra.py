@@ -128,7 +128,8 @@ def test_scalar_json_refuses_non_finite(v):
 
 
 @pytest.mark.parametrize("v", [["x", 0], [None, 1], [10 ** 400, 0], [1],
-                               {"re": 1}])
+                               {"re": 1}, ["1", "0.5"], [" 2 ", 0],
+                               ["1/2", 0]])
 def test_scalar_json_refuses_malformed(v):
     with pytest.raises(PreconditionError, match="not a scalar encoding"):
         scalar_from_json(v)

@@ -63,6 +63,14 @@ def test_float_constant_pivots_on_the_larger_off_diagonal():
     assert [fac.side for fac in g.word.factors] == [UPPER, LOWER, UPPER]
 
 
+def test_float_constant_large_entry_verifies():
+    # the replay misses by about 2e-9, rounding relative to |a| = 1e7
+    a, b, c = 1e7 + 0.3j, 2 - 0.7j, 1 + 0.25j
+    f = factor_constant(SL2(a, b, c, (1 + b * c) / a))
+    assert f.verified and f.factor_count == 3
+    assert f.residual < 1e-8
+
+
 def test_constant_random_exact_roundtrip():
     rng = rng_from_seed(3)
     for _ in range(100):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from sl2factor.errors import PreconditionError
 from sl2factor.exact_algebra import ExactComplex, is_exact_scalar
+from sl2factor.factorizer import factor_constant
 from sl2factor.fiber_solver import (
     FiberCompletion, InteriorPoint, complete_generic_even,
     complete_nongeneric_even, complete_odd, f5_param, fiber_transport_dim1,
-    fiber_transport_dim2, interior_sample)
+    fiber_transport_dim2, interior_sample, pivot_is_zero)
 from sl2factor.word_core import PhiTemplate, SL2, eval_word
 
 EC = ExactComplex
@@ -147,6 +148,37 @@ def test_generic_even_roundtrip(vals):
     comp = complete_generic_even(target, interior)
     assert comp.point == point
     assert comp.eq4_residual.is_zero
+
+
+def _solve_as_the_cli_does(target, n):
+    even = n % 2 == 0
+    a, b = target.a, target.b
+    if not pivot_is_zero(target, n):
+        ip = interior_sample(n, a if even else b, "Q1" if even else "Q2",
+                             seed=n)
+        return complete_generic_even(target, ip) if even \
+            else complete_odd(target, ip, "generic")
+    ip = interior_sample(n, b if even else a, "Q2" if even else "Q1", seed=n)
+    # the free z_1 at its CLI default, 0
+    return complete_nongeneric_even(target, 0.0, ip.values[:-1]) if even \
+        else complete_odd(target, ip, "nongeneric")
+
+
+moduli = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                            allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), moduli, moduli, moduli)
+def test_float_targets_verify_at_every_scale(k, x, y, v):
+    # rounding in a replay grows with the entries, so a target whose a is
+    # scaled by 10^k (d = (1 + bc)/a keeps det 1) must verify as the
+    # unscaled one does
+    a = x * 10.0 ** k
+    target = SL2(a, y, v, (1 + y * v) / a)
+    assert factor_constant(target).verified
+    for n in range(4, 8):
+        assert _solve_as_the_cli_does(target, n).verified
 
 
 def test_transport_dim1_carries_level():

@@ -11,9 +11,9 @@ from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly
 from sl2factor.word_core import (
     LOWER, UPPER, ElementaryFactor, PhiTemplate, SL2, Word, eval_word,
-    expand_phi, factor_to_json, in_singular_set, matrices_match, middle_Q,
-    middle_Q_brute, sl2_from_json, sl2_to_json, word_from_json, word_inverse,
-    word_to_json)
+    expand_phi, factor_to_json, in_singular_set, middle_Q, middle_Q_brute,
+    negligible, replay, sl2_from_json, sl2_to_json, word_from_json,
+    word_inverse, word_to_json)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8))
 exacts = st.builds(ExactComplex, fractions, fractions)
@@ -145,16 +145,27 @@ def test_word_json_roundtrip():
     assert word_from_json(word_to_json(sym)) == sym
 
 
-def test_matrices_match_polynomial_products():
-    # polynomial matrices are compared literally, as exact ones are
+def test_replay_polynomial_products():
+    # polynomial words are replayed literally, as exact ones are
     x = MultiPoly.variable(1, 0)
     m = eval_word(Word.of((LOWER, x), (UPPER, ExactComplex(2))))
-    padded = eval_word(Word.of((LOWER, x + 1), (UPPER, ExactComplex(0)),
-                               (LOWER, ExactComplex(-1)),
-                               (UPPER, ExactComplex(2))))
-    assert matrices_match(m, padded) == (True, 0)
-    other = eval_word(Word.of((LOWER, x), (UPPER, ExactComplex(3))))
-    assert matrices_match(m, other) == (False, 0)
+    padded = Word.of((LOWER, x + 1), (UPPER, ExactComplex(0)),
+                     (LOWER, ExactComplex(-1)), (UPPER, ExactComplex(2)))
+    assert replay(padded, m) == 0
+    other = Word.of((LOWER, x), (UPPER, ExactComplex(3)))
+    with pytest.raises(VerificationError, match="does not reproduce"):
+        replay(other, m)
+
+
+def test_negligible_is_literal_or_relative():
+    assert negligible(ExactComplex(0))
+    assert not negligible(ExactComplex(Fraction(1, 10 ** 30)))
+    assert negligible(MultiPoly.zero(2)) and not negligible(MultiPoly.one(2))
+    assert negligible(5e-11) and not negligible(5e-10)
+    # the bound grows with the values compared, and never shrinks below 1
+    assert negligible(5e-4 + 1e-4j, 1e7) and not negligible(5e-3, 1e7)
+    assert negligible(5e-4, 2.0, -1e7j) and not negligible(5e-4, 2.0, 1e6)
+    assert not negligible(5e-10, 1e-3)
 
 
 def test_factor_json_shape():
