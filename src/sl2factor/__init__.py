@@ -14,7 +14,7 @@ the modules it uses.
 _EXPORTS = {
     "exact_algebra": (
         "ExactComplex", "MultiPoly", "format_exact", "parse_exact",
-        "poly_from_json", "poly_to_json"),
+        "poly_det_is_one", "poly_from_json", "poly_to_json"),
     "word_core": (
         "ElementaryFactor", "FunctionHandle", "PhiTemplate", "SL2", "Word",
         "eval_word", "expand_phi", "format_point", "in_singular_set",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from time import perf_counter
 
-from .exact_algebra import ExactComplex, MultiPoly
+from .exact_algebra import ExactComplex, MultiPoly, poly_det_is_one
 from .factorizer import (can_factor_three, cohn_family_4,
                          cohn_family_relations, cohn_holo_5, factor_constant,
                          pad_avoid_singular)
@@ -37,8 +37,7 @@ def _crit_q_unimodular(rng, full: bool):
         q = middle_Q(n)
         if list(q) != list(middle_Q_brute(n)):
             return False, {"n": n, "reason": "recursion != brute force"}
-        det = q[0] * q[3] - q[1] * q[2]
-        if det != MultiPoly.one(n - 2):
+        if not poly_det_is_one(*q):
             return False, {"n": n, "reason": "Q1 Q4 - Q2 Q3 != 1"}
     within = perf_counter() - t0 < 10.0
     return within, {"lengths": lengths, "within_budget": within}

@@ -51,13 +51,28 @@ def _load_input(args, key: str):
     return data[key] if isinstance(data, dict) and key in data else data
 
 
+# Ceilings on the size of one call, set from its cost (2 cores, Python
+# 3.11.7).  expand's literal unimodularity check grows like phi^(2N): a cold
+# `expand --n 18` takes 0.9 s and N = 20 would take 6.6 s.  lemma-check
+# ranks one exact Jacobian per sample, about 0.1 ms each at N = 4.
+MAX_EXPAND_N = 18
+MAX_LEMMA_SAMPLES = 10_000
+
+
+def _refuse_above(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise PreconditionError(f"{flag} {value} is above the ceiling "
+                                f"{ceiling} of one call")
+
+
 def _cmd_expand(args):
-    from .exact_algebra import MultiPoly, poly_to_json
+    from .exact_algebra import poly_det_is_one, poly_to_json
     from .word_core import middle_Q
     if args.n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
+    _refuse_above("--n", args.n, MAX_EXPAND_N)
     q = middle_Q(args.n)
-    unimodular = (q[0] * q[3] - q[1] * q[2]) == MultiPoly.one(args.n - 2)
+    unimodular = poly_det_is_one(*q)
     if not unimodular:
         raise VerificationError("middle product lost unimodularity")
     return {
@@ -97,6 +112,7 @@ def _cmd_jacobian(args):
 
 def _cmd_lemma_check(args):
     from .submersion_spray import check_lemma_submersive
+    _refuse_above("--samples", args.samples, MAX_LEMMA_SAMPLES)
     rep = check_lemma_submersive(args.n, args.samples, seed=args.seed)
     ok = not rep["violations"] and all(r < 3 for r in rep["singular_ranks"])
     rep["verified"] = ok
@@ -155,8 +171,12 @@ def _cmd_factor_const(args):
 
 def _cmd_pad(args):
     from .factorizer import pad_avoid_singular
-    from .word_core import eval_word, replay, word_from_json, word_to_json
+    from .word_core import (Word, eval_word, replay, word_from_json,
+                            word_to_json)
     word = word_from_json(_load_input(args, "word"))
+    # echo both words in the one kind their product is computed in
+    word = Word.of(*zip([f.side for f in word],
+                        unify_scalars([f.entry for f in word])))
     padded = pad_avoid_singular(word)
     before = eval_word(word)
     replay(padded, before)
@@ -297,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     # --input and --approx only where the handler reads them: JSON input
     # carries its own scalar kind, --approx governs command-line scalars
     p = add("expand", _cmd_expand, help="middle polynomials Q1..Q4")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"word length, 3 to {MAX_EXPAND_N}")
 
     p = add("jacobian", _cmd_jacobian, help="tangent frame and rank")
     p.add_argument("--n", type=int, required=True)
@@ -309,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lemma-check", _cmd_lemma_check,
             help="rank 3 off the singular set, lower on it")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=1000,
+                   help=f"at most {MAX_LEMMA_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("fiber-solve", _cmd_fiber_solve,

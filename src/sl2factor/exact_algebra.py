@@ -17,7 +17,10 @@ The constructor validates and canonicalizes (zeros dropped), so
 structural equality is mathematical equality; ring operations build
 their results through the trusted _poly.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
-output byte-stable.
+output byte-stable.  Products and the determinant check poly_det_is_one
+share one kernel (_product_table): exponents packed into one int per
+term, coefficients summed as Gaussian-integer numerators, terms in the
+first-seen order of the pair loop.
 
 Approximate scalars are Python complex or mpmath numbers; unify_scalars
 brings the scalar arguments of each public call to one kind, once.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add as _add
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -475,7 +478,19 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        # raw (p, q, d) sums; one _reduced per output term
+        # terms keep the first-seen order of the pair loop, so float
+        # evaluation sums in a fixed order
+        if len(self.terms) >= _PACK_MIN and len(o.terms) >= _PACK_MIN:
+            table, den, unpack = _product_table(((1, self, o),))
+            made = {}  # one ExactComplex per distinct numerator
+            for v in set(table.values()):
+                p, q, _ = _triple(v)
+                made[v] = _reduced(p, q, den)
+            keys = [k for k, v in table.items() if v]
+            return _poly_nonzero(self.nvars, dict(zip(
+                unpack(keys), [made[table[k]] for k in keys])))
+        # a small factor: tuple exponents and raw (p, q, d) sums, one
+        # _reduced per output term
         right = [(e2, c2._pqd) for e2, c2 in o.terms.items()]
         acc = {}
         get = acc.get
@@ -578,6 +593,109 @@ def _poly(nvars: int, terms: dict) -> MultiPoly:
     _set_nvars(x, nvars)
     _set_terms(x, {e: c for e, c in terms.items() if c._pqd != _ZERO})
     return x
+
+
+def _poly_nonzero(nvars: int, terms: dict) -> MultiPoly:
+    """Trusted MultiPoly whose coefficients are already all nonzero."""
+    x = _new(MultiPoly)
+    _set_nvars(x, nvars)
+    _set_terms(x, terms)
+    return x
+
+
+# ---------------------------------------------------------------------------
+# the polynomial product kernel
+
+
+# MultiPoly.__mul__ packs exponents only when both factors have at least
+# this many terms; below that most pairs make a term of their own, and
+# packing each term and unpacking each result costs more than it saves
+_PACK_MIN = 4
+
+
+def _max_exponent(p: MultiPoly) -> int:
+    return max(map(max, p.terms), default=0) if p.nvars else 0
+
+
+def _numerators(p: MultiPoly, pack) -> tuple:
+    """(den, [(key, numerator)]): the lcm den of p's denominators and, per
+    term, its packed exponent and its coefficient times den, an int when p
+    is real and otherwise an ExactComplex with denominator 1."""
+    if not p.terms:
+        return 1, []
+    ps, qs, ds = zip(*[c._pqd for c in p.terms.values()])
+    den = lcm(*ds)
+    if any(qs):
+        vals = [_ec(x * (den // d), q * (den // d), 1)
+                for x, q, d in zip(ps, qs, ds)]
+    else:
+        vals = ps if den == 1 else [x * (den // d) for x, d in zip(ps, ds)]
+    from_bytes = int.from_bytes
+    return den, [(from_bytes(pack(e), "little"), v)
+                 for e, v in zip(p.terms, vals)]
+
+
+def _product_table(products) -> tuple:
+    """The sum of sign * l * r over (sign, l, r) in products, in one table.
+
+    Returns (table, den, unpack).  table maps packed exponents to the
+    numerators of the sum over the one denominator den, in the first-seen
+    order of the pair loop; unpack turns a list of keys back into their
+    exponent tuples, so each tuple is built once per output term.  Every
+    exponent field is w bytes wide, w enough for the largest exponent sum,
+    so adding two keys adds the exponents with no carry.  Each factor
+    enters as Gaussian-integer numerators over its own common denominator,
+    scaled to den once per left term, so the pair loop carries no
+    denominators.
+    """
+    top = max(_max_exponent(l) + _max_exponent(r) for _, l, r in products)
+    width = max(1, (top.bit_length() + 7) // 8)
+    size = width * products[0][1].nvars
+    if width == 1:
+        pack = bytes
+
+        def unpack(keys: list) -> list:
+            return [tuple(k.to_bytes(size, "little")) for k in keys]
+    else:
+        def pack(e):
+            return b"".join(x.to_bytes(width, "little") for x in e)
+
+        def unpack(keys: list) -> list:
+            return [tuple(int.from_bytes(b[i:i + width], "little")
+                          for i in range(0, size, width))
+                    for b in (k.to_bytes(size, "little") for k in keys)]
+
+    factors = [(sign, _numerators(l, pack), _numerators(r, pack))
+               for sign, l, r in products]
+    den = lcm(*(dl * dr for _, (dl, _), (dr, _) in factors))
+    table = {}
+    get = table.get
+    for sign, (dl, left), (dr, right) in factors:
+        scale = sign * (den // (dl * dr))
+        for k1, c1 in left:
+            c1 *= scale
+            for k2, c2 in right:
+                k = k1 + k2
+                table[k] = get(k, 0) + c1 * c2
+    return table, den, unpack
+
+
+def poly_det_is_one(a: MultiPoly, b: MultiPoly, c: MultiPoly,
+                    d: MultiPoly) -> bool:
+    """Whether a d - b c is literally the constant polynomial 1.
+
+    The products a d and -b c are summed into one table of the product
+    kernel, with one packing width; no ad, bc or difference polynomial is
+    built.  The test is exact: every non-constant term must cancel and the
+    constant term must be 1.
+    """
+    if (not all(isinstance(p, MultiPoly) for p in (a, b, c, d))
+            or len({a.nvars, b.nvars, c.nvars, d.nvars}) != 1):
+        raise PreconditionError(
+            "poly_det_is_one needs four polynomials in one variable set")
+    table, den, _ = _product_table(((1, a, d), (-1, b, c)))
+    # the zero exponent packs to key 0
+    return table.pop(0, 0) == den and not any(table.values())
 
 
 # ---------------------------------------------------------------------------

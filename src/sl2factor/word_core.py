@@ -16,7 +16,11 @@ independent cross-check.
 Every internal product runs through one kernel (word_partials) of
 elementary updates on raw entries.  Validation stays at the boundary: a
 user-built SL2 checks its determinant, eval_word checks its result once,
-and replay multiplies a returned word back out against its target.
+and replay multiplies a returned word back out against its target.  On
+polynomial entries the determinant check is exact_algebra.poly_det_is_one,
+the one rule the CLI's expand and criterion 1 use too: a d and -b c are
+summed into one table of the polynomial product kernel, and the check is
+literal, every non-constant term cancelling and the constant term being 1.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
 Cohn flag: exact and polynomial values must be literally zero, approximate
@@ -38,6 +42,7 @@ from .exact_algebra import (
     MultiPoly,
     format_exact,
     is_exact_scalar,
+    poly_det_is_one,
     poly_from_json,
     poly_to_json,
     scalar_from_json,
@@ -116,14 +121,19 @@ def _check_det(vals, exact_error) -> None:
     """Raise unless det = 1: exact_error for exact or polynomial entries,
     VerificationError (rounding drift) for approximate ones."""
     a, b, c, d = vals
-    ad, bc = a * d, b * c
-    if isinstance(ad, (ExactComplex, MultiPoly)):
-        if ad - bc != 1:
-            raise exact_error("determinant is not 1")
-    # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
-    elif not negligible(ad - bc - 1, abs(ad) + abs(bc)):
-        raise VerificationError("determinant is not 1 "
-                                "(approx mode: numeric instability)")
+    if isinstance(a, MultiPoly):
+        unimodular = poly_det_is_one(a, b, c, d)
+    elif isinstance(a, ExactComplex):
+        unimodular = a * d - b * c == 1
+    else:
+        # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
+        ad, bc = a * d, b * c
+        if not negligible(ad - bc - 1, abs(ad) + abs(bc)):
+            raise VerificationError("determinant is not 1 "
+                                    "(approx mode: numeric instability)")
+        return
+    if not unimodular:
+        raise exact_error("determinant is not 1")
 
 
 class SL2:

@@ -126,6 +126,18 @@ def test_pad(tmp_path, capsys):
     assert [f["entry"] for f in rep["padded"]] == ["4", "0", "-1", "2"]
 
 
+def test_pad_echoes_both_words_in_the_product_kind(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([{"side": "U", "entry": "3"},
+                                {"side": "L", "entry": 0.5}]))
+    code, rep = run(capsys, "pad", "--input", str(path))
+    assert code == 0
+    assert rep["exact"] is False
+    assert [f["entry"] for f in rep["original"]] == [[3.0, 0.0], [0.5, 0.0]]
+    assert [f["entry"] for f in rep["padded"]] == [
+        [4.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]
+
+
 def test_pad_polynomial_entry(tmp_path, capsys):
     path = tmp_path / "word.json"
     path.write_text(json.dumps([
@@ -242,6 +254,28 @@ def test_bound_huge_n_refused_at_once(capsys):
     code, rep = run(capsys, "bound", "--n", "4", "--k", "2=1,9=1")
     assert code == 2
     assert rep["error"]["message"] == "--k misses indices [3, 4]"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["expand", "--n", "19"], "--n"),
+    (["expand", "--n", "40"], "--n"),
+    (["lemma-check", "--n", "4", "--samples", "10001"], "--samples"),
+    (["lemma-check", "--n", "4", "--samples", "100000000"], "--samples"),
+])
+def test_size_ceilings_refuse_at_once(capsys, argv, flag):
+    t0 = perf_counter()
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    assert rep["error"]["message"].startswith(f"{flag} {argv[-1]} is above")
+    assert perf_counter() - t0 < 2.0
+
+
+def test_expand_at_its_ceiling_is_unimodular(capsys):
+    code, rep = run(capsys, "expand", "--n", "18")
+    assert code == 0
+    assert rep["unimodular"] is True
+    assert len(rep["Q"][0]["terms"]) == 1597  # Fibonacci F_17
 
 
 def test_lemma_check_negative_samples(capsys):

@@ -6,9 +6,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2factor.exact_algebra import ExactComplex, MultiPoly, poly_embed
+from sl2factor.errors import PreconditionError
+from sl2factor.exact_algebra import (ExactComplex, MultiPoly, poly_det_is_one,
+                                     poly_embed)
+from sl2factor.word_core import SL2, PhiTemplate, expand_phi, middle_Q
 
 # Gaussian rationals with denominators 1-12, plain integers, pure imaginaries
 _frac = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -143,3 +147,132 @@ def test_scalar_operands_match_reference(case, k, c):
     _check(x - a, nvars, _naive_add(const, p, -1))
     _check(k * a, nvars, _naive_mul(p, _naive_norm(
         {(0,) * nvars: (Fraction(k), Fraction(0))})))
+
+
+## The product kernel: packed exponents, Gaussian-integer numerators and
+## the first-seen term order, against _naive_mul.  Exponents reach past
+## one byte, so both packing widths run; small factors skip packing.
+
+_narrow_exps = st.integers(0, 9)
+_wide_exps = st.one_of(_narrow_exps, st.integers(120, 136))
+_gauss_ints = st.tuples(_ints.map(Fraction), _ints.map(Fraction))
+_dens = st.sampled_from([1, 2, 3, 4, 6, 9])
+
+
+@st.composite
+def kernel_polys(draw, nvars, kind, size, exps):
+    """A reference dict whose coefficients are integers, Gaussian
+    integers, or rationals over one drawn denominator."""
+    den = draw(_dens) if kind == "rational" else 1
+    coeff = {"int": st.tuples(_ints.map(Fraction), st.just(Fraction(0))),
+             "gauss": _gauss_ints,
+             "rational": _gauss_ints.map(lambda c: (c[0] / den, c[1] / den)),
+             }[kind]
+    return _naive_norm(draw(st.dictionaries(
+        st.tuples(*[exps] * nvars), coeff, max_size=size)))
+
+
+@st.composite
+def kernel_cases(draw, count, size):
+    nvars = draw(st.integers(0, 4))
+    kinds = st.sampled_from(["int", "gauss", "rational"])
+    exps = draw(st.sampled_from([_narrow_exps, _wide_exps]))
+    return nvars, [draw(kernel_polys(nvars, draw(kinds), size, exps))
+                   for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(2, 9))
+def test_product_kernel_matches_naive_terms_and_order(case):
+    nvars, (p, q) = case
+    result = _to_poly(nvars, p) * _to_poly(nvars, q)
+    expected = _naive_mul(p, q)
+    _check(result, nvars, expected)
+    assert list(result.terms) == list(expected)
+
+
+def test_product_kernel_wide_exponents():
+    # exponent sums far past eight bytes still pack without a carry
+    big = 2 ** 70
+    f = Fraction
+    p = {(big, 1): (f(1), f(0)), (0, 2): (f(2), f(0)), (1, 0): (f(0), f(1)),
+         (3, 3): (f(1, 2), f(0))}
+    q = {(big, 0): (f(5), f(0)), (1, 1): (f(1), f(0)), (0, 0): (f(-1), f(0)),
+         (2, 9): (f(1), f(3))}
+    result = _to_poly(2, p) * _to_poly(2, q)
+    _check(result, 2, _naive_mul(p, q))
+    assert list(result.terms) == list(_naive_mul(p, q))
+
+
+def _naive_det(a, b, c, d):
+    return _naive_add(_naive_mul(a, d), _naive_mul(b, c), -1)
+
+
+def _unimodular(nvars, entries):
+    """Reference entries of L(x1) U(x2) L(x3) ...: det 1 by construction."""
+    one = {(0,) * nvars: (Fraction(1), Fraction(0))}
+    a, b, c, d = one, {}, {}, one
+    for i, x in enumerate(entries):
+        if i % 2 == 0:
+            a = _naive_add(a, _naive_mul(b, x))
+            c = _naive_add(c, _naive_mul(d, x))
+        else:
+            b = _naive_add(b, _naive_mul(a, x))
+            d = _naive_add(d, _naive_mul(c, x))
+    return [a, b, c, d]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(4, 5), st.data())
+def test_poly_det_is_one_matches_the_reference(case, data):
+    # unimodular quadruples from words, then sometimes one entry moved
+    nvars, polys = case
+    entries = _unimodular(nvars, polys[:data.draw(st.integers(0, 4))])
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, 3))
+        entries[i] = _naive_add(entries[i], polys[3])
+    one = {(0,) * nvars: (Fraction(1), Fraction(0))}
+    want = _naive_det(*entries) == one
+    a, b, c, d = (_to_poly(nvars, e) for e in entries)
+    assert poly_det_is_one(a, b, c, d) is want
+    assert (a * d - b * c == 1) is want
+
+
+def test_poly_det_is_one_mixed_denominators():
+    # a d has denominator 10 and b c has 15: one table over 30
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    a = x + y * Fraction(3, 5) + Fraction(1, 2)
+    b = x * Fraction(1, 3) + y * Fraction(1, 5)
+    c, d = MultiPoly.constant(2, 6), MultiPoly.constant(2, 2)
+    assert poly_det_is_one(a, b, c, d)
+    assert not poly_det_is_one(a, b, c, d + x * Fraction(1, 7))
+    assert not poly_det_is_one(a, b, c * 2, d * 2)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_poly_det_is_one_on_middle_polynomials(n):
+    assert poly_det_is_one(*middle_Q(n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_poly_det_is_one_on_full_expansions(n):
+    assert poly_det_is_one(*expand_phi(PhiTemplate(n)).entries)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_poly_det_is_one_fails_on_one_extra_term(n):
+    q = list(middle_Q(n))
+    extra = MultiPoly.variable(n - 2, 0) ** 2
+    for i in range(4):
+        moved = q[:i] + [q[i] + extra] + q[i + 1:]
+        assert not poly_det_is_one(*moved)
+        with pytest.raises(PreconditionError):
+            SL2(*moved)
+
+
+def test_poly_det_is_one_refuses_other_operands():
+    x = MultiPoly.variable(1, 0)
+    with pytest.raises(PreconditionError):
+        poly_det_is_one(x, x, x, MultiPoly.variable(2, 0))
+    with pytest.raises(PreconditionError):
+        poly_det_is_one(x, x, x, 1)
