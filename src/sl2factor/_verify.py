@@ -1,8 +1,10 @@
 """One-shot verification suite aggregating every module's core checks.
 
 Each criterion returns pass/fail plus a deterministic detail record;
-failures carry a machine-readable code.  Scale "quick" trims sample
-counts to finish fast, "full" runs the complete battery.
+failures carry a machine-readable code.  Every check entry also records
+its wall-clock time as timing_ms which, like the CLI report's own
+timing_ms, is not byte-stable.  Scale "quick" trims sample counts to
+finish fast, "full" runs the complete battery.
 """
 
 from __future__ import annotations
@@ -270,6 +272,7 @@ def verify_suite(seed: int = 7, scale: str = "quick") -> dict:
     checks = []
     for number, name, code, fn in CRITERIA:
         rng = rng_from_seed(master.randrange(2 ** 32))
+        t0 = perf_counter()
         try:
             ok, details = fn(rng, full)
         except Exception as exc:  # failures are report content
@@ -280,6 +283,7 @@ def verify_suite(seed: int = 7, scale: str = "quick") -> dict:
             "pass": bool(ok),
             "code": None if ok else code,
             "details": details,
+            "timing_ms": round((perf_counter() - t0) * 1000.0, 3),
         })
     return {
         "scale": scale,

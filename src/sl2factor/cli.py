@@ -4,11 +4,11 @@ Exit codes: 0 success, 2 precondition violation (a malformed command line
 included), 3 verification failure (adequacy violations included), 4 I/O
 trouble.  Every run prints exactly one JSON line; only -h/--help prints
 usage instead.  Reports are byte-stable for identical inputs and seeds,
-except the timing_ms field.  Exact scalars travel as strings like "3/4" or
-"1/2+5/3 i".  Float syntax on the command line needs --approx (jacobian,
-fiber-solve's --z1, cohn).  --input files (jacobian, fiber-solve,
-factor-const, pad, winding) carry their own kind: strings and ints are
-exact, floats and [re, im] pairs approximate.
+except the timing_ms fields (verify-suite adds one per criterion).  Exact
+scalars travel as strings like "3/4" or "1/2+5/3 i".  Float syntax on the
+command line needs --approx (jacobian, fiber-solve's --z1, cohn).  --input
+files (jacobian, fiber-solve, factor-const, pad, winding) carry their own
+kind: strings and ints are exact, floats and [re, im] pairs approximate.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ def _load_input(args, key: str):
 # Ceilings on the size of one call, set from its cost (2 cores, Python
 # 3.11.7).  expand's literal unimodularity check grows like phi^(2N): a cold
 # `expand --n 18` takes 0.9 s and N = 20 would take 6.6 s.  lemma-check
-# ranks one exact Jacobian per sample, about 0.1 ms each at N = 4.
+# ranks one exact Jacobian per sample, about 0.1 ms each at N = 4 and
+# 1.1 ms at N = 32, where the default 1,000 samples take 0.8 s.
 MAX_EXPAND_N = 18
+MAX_LEMMA_N = 32
 MAX_LEMMA_SAMPLES = 10_000
 
 
@@ -112,6 +114,7 @@ def _cmd_jacobian(args):
 
 def _cmd_lemma_check(args):
     from .submersion_spray import check_lemma_submersive
+    _refuse_above("--n", args.n, MAX_LEMMA_N)
     _refuse_above("--samples", args.samples, MAX_LEMMA_SAMPLES)
     rep = check_lemma_submersive(args.n, args.samples, seed=args.seed)
     ok = not rep["violations"] and all(r < 3 for r in rep["singular_ranks"])
@@ -329,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lemma-check", _cmd_lemma_check,
             help="rank 3 off the singular set, lower on it")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"word length, 4 to {MAX_LEMMA_N}")
     p.add_argument("--samples", type=int, default=1000,
                    help=f"at most {MAX_LEMMA_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)

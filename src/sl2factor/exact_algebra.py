@@ -795,7 +795,8 @@ def poly_from_json(data: Mapping) -> MultiPoly:
 
 
 def compile_approx(p: MultiPoly) -> Callable[[Sequence[complex]], complex]:
-    """Bake a polynomial into a fast float evaluator (used by flow loops)."""
+    """Bake a polynomial into a fast float evaluator (flow_rk4 measures
+    its drift with it)."""
     data = [(complex(c), exp) for exp, c in p.terms.items()]
 
     def run(point: Sequence[complex]) -> complex:

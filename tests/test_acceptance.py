@@ -91,3 +91,9 @@ def test_criterion_10_flow_conservation(battery):
     assert rec["pass"], rec["details"]
     assert rec["details"]["starts"] == 50
     assert rec["details"]["worst_drift"] < 1e-8
+
+
+def test_every_criterion_reports_its_time(battery):
+    times = [c["timing_ms"] for c in battery["checks"]]
+    assert len(times) == 10
+    assert all(isinstance(t, float) and t >= 0 for t in times)

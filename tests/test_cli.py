@@ -9,7 +9,8 @@ from time import perf_counter
 
 import pytest
 
-from sl2factor.cli import build_parser, main
+from sl2factor.cli import (MAX_EXPAND_N, MAX_LEMMA_N, MAX_LEMMA_SAMPLES,
+                           build_parser, main)
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.word_core import middle_Q
 
@@ -261,6 +262,8 @@ def test_bound_huge_n_refused_at_once(capsys):
     (["expand", "--n", "40"], "--n"),
     (["lemma-check", "--n", "4", "--samples", "10001"], "--samples"),
     (["lemma-check", "--n", "4", "--samples", "100000000"], "--samples"),
+    (["lemma-check", "--samples", "1", "--n", "33"], "--n"),
+    (["lemma-check", "--samples", "1", "--n", "100000"], "--n"),
 ])
 def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     t0 = perf_counter()
@@ -269,6 +272,25 @@ def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     assert rep["error"]["code"] == "precondition"
     assert rep["error"]["message"].startswith(f"{flag} {argv[-1]} is above")
     assert perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("command,ceilings", [
+    ("expand", [MAX_EXPAND_N]),
+    ("lemma-check", [MAX_LEMMA_N, MAX_LEMMA_SAMPLES]),
+])
+def test_help_names_the_ceilings(capsys, command, ceilings):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    text = " ".join(capsys.readouterr().out.split())
+    for ceiling in ceilings:
+        assert str(ceiling) in text
+
+
+def test_lemma_check_at_its_ceiling(capsys):
+    code, rep = run(capsys, "lemma-check", "--n", str(MAX_LEMMA_N),
+                    "--samples", "3")
+    assert code == 0
+    assert rep["verified"] is True
 
 
 def test_expand_at_its_ceiling_is_unimodular(capsys):

@@ -5,6 +5,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 import sl2factor
 from sl2factor import submersion_spray
 from sl2factor.errors import PreconditionError
-from sl2factor.exact_algebra import ExactComplex, MultiPoly
+from sl2factor.exact_algebra import ExactComplex, MultiPoly, compile_approx
 from sl2factor.submersion_spray import (
-    APPROX_RANK_TOL, TangentFrame, _singular_values, check_lemma_submersive,
-    flow_rk4, frame_minor_det, frame_rank, sl2_jacobian, v_field_spec,
-    vfield_apply, w_field_spec)
+    APPROX_RANK_TOL, TangentFrame, VectorFieldSpec, _singular_values,
+    check_lemma_submersive, flow_rk4, frame_minor_det, frame_rank,
+    sl2_jacobian, v_field_spec, vfield_apply, w_field_spec)
 from sl2factor.word_core import PhiTemplate, middle_Q
 
 
@@ -271,3 +272,111 @@ def test_higher_n_flow():
     start = [0.2, -0.3, 0.15, 0.4]
     res = flow_rk4(spec, start, t=1.0, step=1e-3)
     assert abs(res.drift) < 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t": math.inf, "step": 1e-3, "direction": 1j},
+    {"t": math.nan, "step": 1e-3},
+    {"t": -math.inf, "step": 1e-3}, {"t": 1.0, "step": math.nan},
+    {"t": 1.0, "step": math.inf},
+    {"t": 1.0, "step": 1e-3, "direction": complex(math.nan, 1.0)},
+    {"t": 1.0, "step": 1e-3, "direction": math.inf},
+])
+def test_flow_refuses_nonfinite_time_step_and_direction(kwargs):
+    # refused before the first step: an infinite t on a bounded orbit
+    # never ran out, a nan t returned the start, and a nan or infinite
+    # step took one step of length t
+    with pytest.raises(PreconditionError):
+        flow_rk4(v_field_spec(4, 2, 3), [0.3, 0.4], **kwargs)
+
+
+def _reference_rk4(spec, start, t, step, direction=1.0):
+    """Classical RK4 on every coordinate with the full compiled P_k and
+    P_l, the integrator flow_rk4 must reproduce."""
+    state = [complex(x) for x in start]
+    pk = compile_approx(spec.p.diff(spec.k))
+    pl = compile_approx(spec.p.diff(spec.l))
+    pfun = compile_approx(spec.p)
+    k_idx, l_idx = spec.k, spec.l
+    d = complex(direction)
+
+    def deriv(s):
+        return d * pl(s), -d * pk(s)
+
+    remaining = float(t)
+    while remaining > 1e-15:
+        h = step if remaining >= step else remaining
+        s0 = state
+        a1, b1 = deriv(s0)
+        s1 = list(s0); s1[k_idx] += 0.5 * h * a1; s1[l_idx] += 0.5 * h * b1
+        a2, b2 = deriv(s1)
+        s2 = list(s0); s2[k_idx] += 0.5 * h * a2; s2[l_idx] += 0.5 * h * b2
+        a3, b3 = deriv(s2)
+        s3 = list(s0); s3[k_idx] += h * a3; s3[l_idx] += h * b3
+        a4, b4 = deriv(s3)
+        state = list(s0)
+        state[k_idx] += h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
+        state[l_idx] += h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+        remaining -= h
+    return state, pfun(state)
+
+
+def _assert_matches_reference(spec, start, **kwargs):
+    end, p_end = _reference_rk4(spec, start, **kwargs)
+    res = flow_rk4(spec, start, **kwargs)
+    for got, want in zip(res.end, end):
+        assert abs(got - want) <= 1e-12 * (1 + abs(want))
+    assert abs(res.p_end - p_end) <= 1e-12 * (1 + abs(p_end))
+    assert res.p_start == compile_approx(spec.p)([complex(x) for x in start])
+
+
+def _oracle_specs():
+    for n in range(4, 9):
+        for k in range(2, n):
+            for l in range(k + 1, n):
+                yield f"v{n}-{k}-{l}", (v_field_spec, n, k, l)
+    for n in range(5, 10):
+        for k in range(1, n - 1):
+            for l in range(k + 1, n - 1):
+                yield f"w{n}-{k}-{l}", (w_field_spec, n, k, l)
+
+
+ORACLE_SPECS = dict(_oracle_specs())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_flow_matches_full_polynomial_rk4(name):
+    make, *args = ORACLE_SPECS[name]
+    spec = make(*args)
+    rng = random.Random(name)
+    for _ in range(3):
+        start = [cmath.rect(rng.uniform(0.0, 0.6), rng.uniform(-3.2, 3.2))
+                 for _ in range(spec.p.nvars)]
+        _assert_matches_reference(spec, start, t=1.0, step=1e-2)
+        _assert_matches_reference(spec, start, t=1.0, step=1e-2,
+                                  direction=1j)
+
+
+def test_flow_matches_reference_on_a_field_not_affine_in_its_pair():
+    # P = z0^2 z1^2 + z0^3 + z1 z2: both partials keep powers of the
+    # moving pair, and z2 is folded into P_l
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    p = z[0] ** 2 * z[1] ** 2 + z[0] ** 3 + z[1] * z[2]
+    rng = random.Random(5)
+    for k, l in ((0, 1), (0, 2), (2, 1)):
+        spec = VectorFieldSpec(p, k, l)
+        for _ in range(3):
+            start = [cmath.rect(rng.uniform(0.0, 0.5), rng.uniform(-3.2, 3.2))
+                     for _ in range(3)]
+            for direction in (1.0, 1j):
+                _assert_matches_reference(spec, start, t=0.5, step=1e-2,
+                                          direction=direction)
+                res = flow_rk4(spec, start, t=0.5, step=1e-3,
+                               direction=direction)
+                assert abs(res.drift) < 1e-8
+
+
+def test_field_partials_are_computed_once():
+    spec = v_field_spec(6, 2, 4)
+    assert spec.pk is spec.pk and spec.pl is spec.pl
+    assert spec.pk == spec.p.diff(spec.k) and spec.pl == spec.p.diff(spec.l)
