@@ -33,7 +33,8 @@ print("\nwinding of w^2/|w|^(3/2):",
       [circle_winding(lambda w: continuous_section_h3(0, w), r)
        for r in (0.25, 1.0, 4.0)])
 # ... but a holomorphic h3 would be a unit times one of 1, z, w, zw,
-# whose fiber degrees miss 2
+# whose fiber degrees miss 2; sampled here, while the certificate reads
+# each degree b - a off the exponents of z^a w^b
 print("divisor-option degrees on {zw = 1/2}:", divisor_degrees(0.5))
 
 cert = holo_obstruction_certificate(0.5)

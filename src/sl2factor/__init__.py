@@ -37,7 +37,7 @@ _EXPORTS = {
     "obstruction": (
         "Certificate", "LoopSamples", "axis_continuation_degrees",
         "certificate_from_json", "circle_winding", "cohn_continuous_section",
-        "continuous_section_h3", "divisor_degrees",
+        "continuous_section_h3", "divisor_degrees", "fiber_degree",
         "holo_obstruction_certificate", "sample_loop",
         "section_degree_on_fiber", "section_near_D1",
         "shrinking_circle_degrees", "winding_number"),

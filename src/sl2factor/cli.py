@@ -55,16 +55,19 @@ def _load_input(args, key: str):
 # 3.11.7).  expand's literal unimodularity check grows like phi^(2N): a cold
 # `expand --n 18` takes 0.9 s and N = 20 would take 6.6 s.  lemma-check
 # ranks one exact Jacobian per sample, about 0.1 ms each at N = 4 and
-# 1.1 ms at N = 32, where the default 1,000 samples take 0.8 s.
+# 1.1 ms at N = 32, where the default 1,000 samples take 0.7 s; the
+# product --n x --samples bounds both together, and at its ceiling
+# (--n 4 --samples 10000) one call takes 1.1 s.
 MAX_EXPAND_N = 18
 MAX_LEMMA_N = 32
 MAX_LEMMA_SAMPLES = 10_000
+MAX_LEMMA_WORK = 40_000
 
 
-def _refuse_above(flag: str, value: int, ceiling: int) -> None:
-    if value > ceiling:
-        raise PreconditionError(f"{flag} {value} is above the ceiling "
-                                f"{ceiling} of one call")
+def _refuse_above(what: str, size: int, ceiling: int) -> None:
+    if size > ceiling:
+        raise PreconditionError(f"{what} is above the ceiling {ceiling} of "
+                                f"one call")
 
 
 def _cmd_expand(args):
@@ -72,7 +75,7 @@ def _cmd_expand(args):
     from .word_core import middle_Q
     if args.n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
-    _refuse_above("--n", args.n, MAX_EXPAND_N)
+    _refuse_above(f"--n {args.n}", args.n, MAX_EXPAND_N)
     q = middle_Q(args.n)
     unimodular = poly_det_is_one(*q)
     if not unimodular:
@@ -114,8 +117,11 @@ def _cmd_jacobian(args):
 
 def _cmd_lemma_check(args):
     from .submersion_spray import check_lemma_submersive
-    _refuse_above("--n", args.n, MAX_LEMMA_N)
-    _refuse_above("--samples", args.samples, MAX_LEMMA_SAMPLES)
+    _refuse_above(f"--n {args.n}", args.n, MAX_LEMMA_N)
+    _refuse_above(f"--samples {args.samples}", args.samples,
+                  MAX_LEMMA_SAMPLES)
+    _refuse_above(f"--n {args.n} x --samples {args.samples}",
+                  args.n * args.samples, MAX_LEMMA_WORK)
     rep = check_lemma_submersive(args.n, args.samples, seed=args.seed)
     ok = not rep["violations"] and all(r < 3 for r in rep["singular_ranks"])
     rep["verified"] = ok
@@ -256,12 +262,14 @@ def _cmd_certificate(args):
                               shrinking_circle_degrees)
     require_finite(args.radius)
     d_probe = complex(_parse_scalar(args.d, approx=True))
-    cert = holo_obstruction_certificate(d_probe, args.radius, args.samples,
-                                        required_degree=args.required)
+    cert = holo_obstruction_certificate(d_probe, args.required)
     continuation = axis_continuation_degrees([d_probe, d_probe / 10],
                                              args.radius, args.samples)
     shrink = shrinking_circle_degrees(cmath.exp, samples=args.samples)
     payload = cert.to_json()
+    # the certificate's degrees are exact; these two drive the sampled ones
+    payload["evidence"]["radius"] = float(args.radius)
+    payload["evidence"]["samples"] = int(args.samples)
     payload["evidence"]["continuation_degrees"] = list(continuation)
     payload["evidence"]["shrink_degrees"] = shrink
     return payload, 0
@@ -335,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True,
                    help=f"word length, 4 to {MAX_LEMMA_N}")
     p.add_argument("--samples", type=int, default=1000,
-                   help=f"at most {MAX_LEMMA_SAMPLES}")
+                   help=f"at most {MAX_LEMMA_SAMPLES}, and --n x "
+                   f"--samples at most {MAX_LEMMA_WORK}")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("fiber-solve", _cmd_fiber_solve,

@@ -7,11 +7,11 @@ would extend across the axes, forcing it into the divisor options
 {1, z, w, zw} up to units.  Their fiber degrees are 0, -1, +1, 0, never
 2, so no holomorphic 4-factor factorization exists; five factors do.
 
-Degrees are measured by sampled winding numbers: sum of principal-branch
-angular increments over a closed loop, divided by 2 pi.  Sampling is
-adequate when every increment stays below pi/2; then rounding recovers
-the exact integer.  The fiber orientation convention is the
-w-parametrization (z = D/w) with counterclockwise loops; the
+The certificate is exact: it reads each degree off exponents, with no
+sampling.  Sampled winding numbers cross-check it: the sum of principal-
+branch angular increments over a closed loop, divided by 2 pi, is exact
+once every increment stays below pi/2.  The fiber orientation convention
+is the w-parametrization (z = D/w) with counterclockwise loops; the
 z-parametrization degree is its orientation reverse.
 """
 
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError
-from .exact_algebra import unify_scalars
+from .exact_algebra import require_finite, unify_scalars
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_SAMPLES = 256
@@ -142,15 +142,33 @@ def section_near_D1(z, w) -> tuple:
 
 
 DIVISOR_OPTIONS = ("1", "z", "w", "zw")
+# exponents (a, b) of h3 = c z^a w^b |w|^r u(zw) for each candidate
+DIVISOR_EXPONENTS = {"1": (0, 0), "z": (1, 0), "w": (0, 1), "zw": (1, 1)}
+UNIT_E_ZW_EXPONENTS = (0, 0)
+CONTINUOUS_SECTION_EXPONENTS = (0, 2)  # w^2/|w|^{3/2}
+
+
+def fiber_degree(exponents) -> int:
+    """Degree of h3 = c z^a w^b |w|^r u(zw) on the fiber {zw = D != 0}.
+
+    On the w-loop z = D/w, so h3 = c D^a u(D) |w|^r w^(b - a).  The
+    factor |w|^r is a positive real and u(zw) = u(D) is constant on the
+    fiber, so neither turns the argument: the degree is b - a.
+    """
+    a, b = exponents
+    return b - a
+
+
+def _option_degrees(names) -> tuple:
+    unknown = [n for n in names if n not in DIVISOR_EXPONENTS]
+    if unknown:
+        raise PreconditionError(f"unknown h3 options {unknown}")
+    return tuple(fiber_degree(DIVISOR_EXPONENTS[n]) for n in names)
 
 
 def _divisor_evaluator(name: str) -> Callable[[complex, complex], complex]:
-    return {
-        "1": lambda z, w: 1.0 + 0j,
-        "z": lambda z, w: z,
-        "w": lambda z, w: w,
-        "zw": lambda z, w: z * w,
-    }[name]
+    a, b = DIVISOR_EXPONENTS[name]
+    return lambda z, w: z ** a * w ** b
 
 
 def divisor_degrees(D, radius: float = 1.0,
@@ -202,7 +220,7 @@ def shrinking_circle_degrees(f: Callable[[complex], complex],
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable verdict with the numeric evidence inside."""
+    """Machine-checkable verdict with the evidence its degrees rest on."""
 
     claim: str
     required_degree: int
@@ -226,38 +244,42 @@ class Certificate:
 
 
 def certificate_from_json(data: dict) -> Certificate:
-    return Certificate(data["claim"], data["required_degree"],
-                       tuple(data["achieved"]), data["verdict"],
-                       dict(data.get("evidence", {})))
+    """Rebuild a certificate; degrees of named h3 options are recomputed."""
+    evidence = dict(data.get("evidence", {}))
+    achieved = tuple(data["achieved"])
+    if "h3_options" in evidence:
+        expected = _option_degrees(evidence["h3_options"])
+        if achieved != expected:
+            raise VerificationError(
+                f"achieved degrees {list(achieved)} differ from the "
+                f"exponent table's {list(expected)}")
+    return Certificate(data["claim"], data["required_degree"], achieved,
+                       data["verdict"], evidence)
 
 
-def holo_obstruction_certificate(d_probe, radius: float = 1.0,
-                                 samples: int = DEFAULT_SAMPLES,
+def holo_obstruction_certificate(d_probe,
                                  required_degree: int = 2) -> Certificate:
     """Certificate that no holomorphic 4-factor Cohn factorization exists.
 
     A holomorphic section's h3 restricts on the fiber {zw = D} to a unit
     times one of the divisor options {1, z, w, zw}; units contribute no
-    degree (checked for e^{zw}).  The achieved degrees [0, -1, 1, 0] miss
+    degree (e^{zw} is checked).  The achieved degrees [0, -1, 1, 0] miss
     the degree 2 that the continuous section realizes and that the
-    restriction h3 = z^2 on {zw = 1} forces.
+    restriction h3 = z^2 on {zw = 1} forces.  Every degree is exact, the
+    `fiber_degree` of its exponents.
     """
-    Dc = complex(d_probe)
+    Dc = require_finite(d_probe)
     if Dc == 0:
         raise PreconditionError("probe fiber must be off the axes (D != 0)")
-    achieved = divisor_degrees(Dc, radius, samples)
-    unit_degree = section_degree_on_fiber(
-        lambda z, w: cmath.exp(z * w), Dc, radius, samples)
-    section_degree = section_degree_on_fiber(continuous_section_h3, Dc,
-                                             radius, samples)
+    achieved = _option_degrees(DIVISOR_OPTIONS)
     evidence = {
         "h3_options": list(DIVISOR_OPTIONS),
+        "method": "symbolic",
         "probe": [Dc.real, Dc.imag],
-        "radius": float(radius),
-        "samples": int(samples),
-        "unit_degree_e_zw": unit_degree,
-        "continuous_section_degree": section_degree,
+        "unit_degree_e_zw": fiber_degree(UNIT_E_ZW_EXPONENTS),
+        "continuous_section_degree": fiber_degree(
+            CONTINUOUS_SECTION_EXPONENTS),
     }
     verdict = required_degree not in achieved
-    return Certificate(CLAIM_NO_HOLO_4, required_degree, tuple(achieved),
-                       verdict, evidence)
+    return Certificate(CLAIM_NO_HOLO_4, required_degree, achieved, verdict,
+                       evidence)

@@ -10,7 +10,7 @@ from time import perf_counter
 import pytest
 
 from sl2factor.cli import (MAX_EXPAND_N, MAX_LEMMA_N, MAX_LEMMA_SAMPLES,
-                           build_parser, main)
+                           MAX_LEMMA_WORK, build_parser, main)
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.word_core import middle_Q
 
@@ -224,6 +224,8 @@ def test_certificate(capsys):
     assert ev["shrink_degrees"] == [0, 0, 0, 0]
     assert ev["unit_degree_e_zw"] == 0
     assert ev["continuous_section_degree"] == 2
+    assert ev["method"] == "symbolic"
+    assert (ev["radius"], ev["samples"]) == (1.0, 256)
 
 
 def test_certificate_weaker_requirement(capsys):
@@ -264,6 +266,8 @@ def test_bound_huge_n_refused_at_once(capsys):
     (["lemma-check", "--n", "4", "--samples", "100000000"], "--samples"),
     (["lemma-check", "--samples", "1", "--n", "33"], "--n"),
     (["lemma-check", "--samples", "1", "--n", "100000"], "--n"),
+    (["lemma-check", "--n", "32", "--samples", "10000"],
+     "--n 32 x --samples"),
 ])
 def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     t0 = perf_counter()
@@ -276,7 +280,7 @@ def test_size_ceilings_refuse_at_once(capsys, argv, flag):
 
 @pytest.mark.parametrize("command,ceilings", [
     ("expand", [MAX_EXPAND_N]),
-    ("lemma-check", [MAX_LEMMA_N, MAX_LEMMA_SAMPLES]),
+    ("lemma-check", [MAX_LEMMA_N, MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK]),
 ])
 def test_help_names_the_ceilings(capsys, command, ceilings):
     with pytest.raises(SystemExit):

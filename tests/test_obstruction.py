@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2factor import obstruction
 from sl2factor.errors import (InadequateSamplingError, PreconditionError,
                               VerificationError)
 from sl2factor.exact_algebra import ExactComplex, parse_exact
 from sl2factor.factorizer import cohn_eval, cohn_family_relations
 from sl2factor.obstruction import (
-    CLAIM_NO_HOLO_4, Certificate, DIVISOR_OPTIONS, LoopSamples,
-    axis_continuation_degrees, certificate_from_json, circle_winding,
-    cohn_continuous_section, continuous_section_h3, divisor_degrees,
-    holo_obstruction_certificate, sample_loop, section_degree_on_fiber,
-    section_near_D1, shrinking_circle_degrees, winding_number)
+    CLAIM_NO_HOLO_4, CONTINUOUS_SECTION_EXPONENTS, Certificate,
+    DIVISOR_EXPONENTS, DIVISOR_OPTIONS, LoopSamples, UNIT_E_ZW_EXPONENTS,
+    _fiber_degree_z_param, axis_continuation_degrees, certificate_from_json,
+    circle_winding, cohn_continuous_section, continuous_section_h3,
+    divisor_degrees, fiber_degree, holo_obstruction_certificate, sample_loop,
+    section_degree_on_fiber, section_near_D1, shrinking_circle_degrees,
+    winding_number)
 from sl2factor.word_core import SL2, eval_word, Word, UPPER, LOWER
 
 EC = ExactComplex
@@ -187,7 +190,7 @@ def test_certificate_verdicts():
     assert cert.achieved == (0, -1, 1, 0)
     assert cert.evidence["unit_degree_e_zw"] == 0
     assert cert.evidence["continuous_section_degree"] == 2
-    off_axis = holo_obstruction_certificate(2 + 1j, radius=2.0)
+    off_axis = holo_obstruction_certificate(2 + 1j)
     assert off_axis.verdict is True
     weak = holo_obstruction_certificate(0.5, required_degree=1)
     assert weak.verdict is False  # degree 1 IS achieved, by h3 = w
@@ -207,3 +210,59 @@ def test_certificate_json_roundtrip():
     cert = holo_obstruction_certificate(0.5)
     again = certificate_from_json(cert.to_json())
     assert again == cert
+
+
+# each h3 with its exponents (a, b), evaluated independently of the table
+SYMBOLIC_CASES = [
+    (lambda z, w: 1 + 0j, DIVISOR_EXPONENTS["1"]),
+    (lambda z, w: z, DIVISOR_EXPONENTS["z"]),
+    (lambda z, w: w, DIVISOR_EXPONENTS["w"]),
+    (lambda z, w: z * w, DIVISOR_EXPONENTS["zw"]),
+    (lambda z, w: cmath.exp(z * w), UNIT_E_ZW_EXPONENTS),
+    (continuous_section_h3, CONTINUOUS_SECTION_EXPONENTS),
+]
+
+
+@pytest.mark.parametrize("D", [0.5, 2 + 1j, -0.3j, 1e-3])
+@pytest.mark.parametrize("radius", [0.25, 1.0, 2.0, 4.0])
+def test_fiber_degree_matches_sampled(D, radius):
+    for h3, (a, b) in SYMBOLIC_CASES:
+        assert section_degree_on_fiber(h3, D, radius) \
+            == fiber_degree((a, b)) == b - a
+        assert _fiber_degree_z_param(h3, D, radius, 256) == a - b
+    assert divisor_degrees(D, radius) == list(
+        holo_obstruction_certificate(D).achieved)
+
+
+@pytest.mark.parametrize("probe", [float("nan"), complex("inf"), 0])
+def test_certificate_refuses_bad_probe(probe):
+    with pytest.raises(PreconditionError):
+        holo_obstruction_certificate(probe)
+
+
+def test_certificate_takes_no_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate path sampled a loop")
+    monkeypatch.setattr(obstruction, "sample_loop", refuse)
+    cert = holo_obstruction_certificate(2 + 1j)
+    assert cert.verdict is True
+    assert cert.achieved == (0, -1, 1, 0)
+    assert cert.evidence["method"] == "symbolic"
+
+
+def test_certificate_replay_recomputes_degrees():
+    data = holo_obstruction_certificate(0.5).to_json()
+    data["achieved"] = [0, -1, 2, 0]
+    data["verdict"] = False
+    with pytest.raises(VerificationError):
+        certificate_from_json(data)
+    data = holo_obstruction_certificate(0.5).to_json()
+    data["evidence"]["h3_options"] = ["1", "z", "w", "z^2"]
+    with pytest.raises(PreconditionError):
+        certificate_from_json(data)
+    # without evidence only the verdict is checked against the degrees
+    bare = {"claim": "c", "required_degree": 2, "achieved": [0, 2],
+            "verdict": False}
+    assert certificate_from_json(bare).evidence == {}
+    with pytest.raises(VerificationError):
+        certificate_from_json(dict(bare, verdict=True))

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,8 @@ from sl2factor import submersion_spray
 from sl2factor.errors import PreconditionError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly, compile_approx
 from sl2factor.submersion_spray import (
-    APPROX_RANK_TOL, TangentFrame, VectorFieldSpec, _singular_values,
+    APPROX_RANK_TOL, MAX_FLOW_STEPS, TangentFrame, VectorFieldSpec,
+    _singular_values,
     check_lemma_submersive, flow_rk4, frame_minor_det, frame_rank,
     sl2_jacobian, v_field_spec, vfield_apply, w_field_spec)
 from sl2factor.word_core import PhiTemplate, middle_Q
@@ -288,6 +290,23 @@ def test_flow_refuses_nonfinite_time_step_and_direction(kwargs):
     # step took one step of length t
     with pytest.raises(PreconditionError):
         flow_rk4(v_field_spec(4, 2, 3), [0.3, 0.4], **kwargs)
+
+
+def test_flow_step_ceiling():
+    spec = v_field_spec(4, 2, 3)
+    # 1e23 steps: `remaining -= h` no longer moved, so this never returned
+    t0 = perf_counter()
+    with pytest.raises(PreconditionError):
+        flow_rk4(spec, [0.3, 0.4], t=1e20, step=1e-3, direction=1j)
+    assert perf_counter() - t0 < 0.5
+    # exactly at the ceiling (t/step is exact for step = 0.5) it runs; a
+    # step of 0.5 keeps RK4 stable on this rotation
+    res = flow_rk4(spec, [0.3, 0.4], t=MAX_FLOW_STEPS * 0.5, step=0.5,
+                   direction=1j)
+    assert all(cmath.isfinite(x) for x in res.end)
+    with pytest.raises(PreconditionError):
+        flow_rk4(spec, [0.3, 0.4], t=(MAX_FLOW_STEPS + 1) * 0.5, step=0.5,
+                 direction=1j)
 
 
 def _reference_rk4(spec, start, t, step, direction=1.0):
