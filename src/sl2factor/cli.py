@@ -57,11 +57,17 @@ def _load_input(args, key: str):
 # ranks one exact Jacobian per sample, about 0.1 ms each at N = 4 and
 # 1.1 ms at N = 32, where the default 1,000 samples take 0.7 s; the
 # product --n x --samples bounds both together, and at its ceiling
-# (--n 4 --samples 10000) one call takes 1.1 s.
+# (--n 4 --samples 10000) one call takes 1.1 s.  winding and certificate
+# sample loops of --samples values, up to obstruction.SAMPLE_CAP, the count
+# sample_loop doubles up to; it is repeated here so that --help can name it
+# without importing obstruction.  At that ceiling a cold `winding` takes
+# 0.19 s and a cold `certificate`, which samples eight loops, 1.1 s;
+# `certificate --samples 1000000` took 12 s before the ceiling.
 MAX_EXPAND_N = 18
 MAX_LEMMA_N = 32
 MAX_LEMMA_SAMPLES = 10_000
 MAX_LEMMA_WORK = 40_000
+MAX_LOOP_SAMPLES = 2 ** 16
 
 
 def _refuse_above(what: str, size: int, ceiling: int) -> None:
@@ -242,6 +248,8 @@ def _cmd_winding(args):
         loop = LoopSamples(tuple(scalar_from_json(v) for v in data))
         source = "input"
     else:
+        _refuse_above(f"--samples {args.samples}", args.samples,
+                      MAX_LOOP_SAMPLES)
         loop = sample_loop(
             lambda th: continuous_section_h3(0, args.radius *
                                              cmath.exp(1j * th)),
@@ -261,6 +269,8 @@ def _cmd_certificate(args):
                               holo_obstruction_certificate,
                               shrinking_circle_degrees)
     require_finite(args.radius)
+    _refuse_above(f"--samples {args.samples}", args.samples,
+                  MAX_LOOP_SAMPLES)
     d_probe = complex(_parse_scalar(args.d, approx=True))
     cert = holo_obstruction_certificate(d_probe, args.required)
     continuation = axis_continuation_degrees([d_probe, d_probe / 10],
@@ -372,14 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("winding", _cmd_winding, help="winding number of a loop")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=int, default=256,
+                   help=f"at most {MAX_LOOP_SAMPLES}")
     p.add_argument("--input", help="JSON file of loop values")
 
     p = add("certificate", _cmd_certificate,
             help="no holomorphic 4-factor Cohn word")
     p.add_argument("--d", default="1/2", help="fiber probe zw = D")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=int, default=256,
+                   help=f"per sampled loop, at most {MAX_LOOP_SAMPLES}")
     p.add_argument("--required", type=int, default=2)
 
     p = add("bound", _cmd_bound, help="composite factor-count bound")

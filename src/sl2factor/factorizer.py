@@ -167,8 +167,11 @@ def factor_count_bound(n: int, counts) -> int:
 def cohn_eval(z, w) -> SL2:
     """C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]]; det is 1 identically."""
     z, w = unify_scalars([z, w])
-    zw = z * w
-    return SL2(1 + zw, z * z, -(w * w), 1 - zw)
+    return _cohn_matrix(z, z * w, w * w)
+
+
+def _cohn_matrix(z, zw, w2) -> SL2:
+    return SL2(1 + zw, z * z, -w2, 1 - zw)
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,8 @@ class CohnTarget:
         return cohn_eval(self.z, self.w)
 
 
-def _h1_series(z, w):
+def _h1_series(z, zw):
     # (e^{zw} - 1 - zw)/w^2 = z^2 * sum_k (zw)^k / (k+2)!
-    zw = z * w
     acc = 0 * z
     fact = 2
     power = 1 + 0 * z
@@ -194,22 +196,19 @@ def _h1_series(z, w):
     return z * z * acc
 
 
-def _cohn5_h_values(z, w, exp: Callable):
-    zw = z * w
-    if abs(complex(zw)) < SERIES_CUTOFF:
-        h1 = _h1_series(z, w)
-    else:
-        h1 = (exp(zw) - 1 - zw) / (w * w)
-    h2 = -(1 + w * w) * exp(-zw)
-    h3 = exp(zw) - 1
-    h4 = 1 + 0 * z
-    return h1, h2, h3, h4
-
-
 def _cohn5_full(z, w, exp: Callable):
     """h values with the closing entry, target and residual."""
-    h1, h2, h3, h4 = _cohn5_h_values(z, w, exp)
-    target = cohn_eval(z, w)
+    # zw, w^2 and e^{zw} once each, shared by the h values and the target
+    zw, w2 = z * w, w * w
+    e_zw = exp(zw)
+    if abs(complex(zw)) < SERIES_CUTOFF:
+        h1 = _h1_series(z, zw)
+    else:
+        h1 = (e_zw - 1 - zw) / w2
+    h2 = -(1 + w2) * exp(-zw)
+    h3 = e_zw - 1
+    h4 = 1 + 0 * z
+    target = _cohn_matrix(z, zw, w2)
     traw = target.entries  # callers pass complex or mpc, never exact
     # prefix inverse: L(-h4) U(-h3) L(-h2) U(-h1), applied to the target
     pre = word_product("LULU", (-h4, -h3, -h2, -h1))

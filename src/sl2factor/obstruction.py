@@ -43,7 +43,9 @@ class LoopSamples:
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise PreconditionError("a loop needs at least two samples")
-        if any(v == 0 for v in vals):
+        if not all(map(cmath.isfinite, vals)):
+            raise PreconditionError("non-finite loop value; winding undefined")
+        if 0 in vals:
             raise PreconditionError("loop value vanishes; winding undefined")
         incs = tuple(cmath.phase(b / a)
                      for a, b in zip(vals, vals[1:] + vals[:1]))
@@ -113,8 +115,11 @@ def cohn_continuous_section(z, w) -> tuple:
         h3 = 0j
         h2 = 0j
     else:
-        scale = abs(wc) ** 1.5
-        h3 = wc * wc / scale
+        try:
+            scale = abs(wc) ** 1.5
+            h3 = wc * wc / scale
+        except (OverflowError, ZeroDivisionError):
+            raise _scale_out_of_range(wc) from None
         h2 = -zc * scale / wc
     h1 = (zc * zc - h3) / (1 - zc * wc)
     h4 = (-(wc * wc) - h2) / (1 - zc * wc)
@@ -126,7 +131,18 @@ def continuous_section_h3(z, w) -> complex:
     wc = complex(w)
     if wc == 0:
         return 0j
-    return wc * wc / abs(wc) ** 1.5
+    try:
+        return wc * wc / abs(wc) ** 1.5
+    except (OverflowError, ZeroDivisionError):
+        raise _scale_out_of_range(wc) from None
+
+
+def _scale_out_of_range(wc: complex) -> PreconditionError:
+    # |w|^{3/2} overflows (OverflowError) or underflows to 0 (a division
+    # by zero); the sections are refused there, not returned as inf or nan
+    way = "overflows" if abs(wc) > 1 else "underflows"
+    return PreconditionError(f"|w|^(3/2) {way} double precision at "
+                             f"|w| = {abs(wc):.3g}")
 
 
 def section_near_D1(z, w) -> tuple:

@@ -18,7 +18,11 @@ their flows; flow_rk4 integrates them with the classical fixed-step
 fourth-order scheme and reports the drift in P.  Such a field moves only
 z_k and z_l, so flow_rk4 substitutes the fixed coordinates into P_k and
 P_l once per flow and integrates the two moving ones; the drift is
-measured on the full P.
+measured on the full P.  Every entry of an alternating product is affine
+in each coordinate separately, so for the fields built here the folded
+P_l is C + D z_k and the folded P_k is B + D z_l: two decoupled linear
+ODEs, on which one RK4 step is a single increment per coordinate.  A P
+that does not fold that way runs the four stage evaluations per step.
 """
 
 from __future__ import annotations
@@ -58,9 +62,12 @@ APPROX_RANK_TOL = 1e-8
 # within a few sweeps, and the cap only bounds the loop.
 JACOBI_TOL = 1e-15
 JACOBI_MAX_SWEEPS = 30
-# One RK4 step costs about 6.5 us (2 cores, Python 3.11.7): a flow at this
-# ceiling takes 0.7 s.  It also keeps `remaining -= h` moving, since step
-# stays far above the spacing of floats near t.
+# One RK4 step of the affine path, which every v and w field takes, costs
+# about 0.4 us; one step of the four-stage loop kept for other P costs
+# 3.4-5 us on the v fields at N = 4-10 and up to 6.5 us on a busier
+# machine (2 cores, Python 3.11.7), so a flow at this ceiling takes 0.04 s
+# or up to 0.7 s.  The ceiling also keeps `remaining -= h` moving, since
+# step stays far above the spacing of floats near t.
 MAX_FLOW_STEPS = 100_000
 
 
@@ -280,6 +287,11 @@ class VectorFieldSpec:
     def pl(self) -> MultiPoly:
         return self.p.diff(self.l)
 
+    @cached_property
+    def pfun(self):
+        """Float evaluator of P, which flow_rk4 measures its drift with."""
+        return compile_approx(self.p)
+
 
 def v_field_spec(n: int, k: int, l: int, level_var: bool = False
                  ) -> VectorFieldSpec:
@@ -328,9 +340,9 @@ class FlowResult:
         return self.p_end - self.p_start
 
 
-def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> list:
-    """p with every coordinate but z_k and z_l fixed at point: a list of
-    (coefficient, exponent of z_k, exponent of z_l), one per monomial."""
+def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> dict:
+    """p with every coordinate but z_k and z_l fixed at point: a dict from
+    (exponent of z_k, exponent of z_l) to the folded coefficient."""
     folded: dict[tuple[int, int], complex] = {}
     for exp, c in p.terms.items():
         v = complex(c)
@@ -339,12 +351,12 @@ def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> list:
                 v *= x if e == 1 else x ** e
         key = exp[k], exp[l]
         folded[key] = folded.get(key, 0j) + v
-    return [(c, ek, el) for (ek, el), c in folded.items()]
+    return folded
 
 
-def _folded_value(terms: list, a: complex, b: complex) -> complex:
+def _folded_value(terms: dict, a: complex, b: complex) -> complex:
     acc = 0j
-    for c, ek, el in terms:
+    for (ek, el), c in terms.items():
         if ek == 1:
             c *= a
         elif ek:
@@ -357,6 +369,22 @@ def _folded_value(terms: list, a: complex, b: complex) -> complex:
     return acc
 
 
+def _affine_pair(pl: dict, pk: dict):
+    """(C, D_k, B, D_l) when the folded P_l is C + D_k z_k and the folded
+    P_k is B + D_l z_l, else None."""
+    if pl.keys() <= {(0, 0), (1, 0)} and pk.keys() <= {(0, 0), (0, 1)}:
+        return (pl.get((0, 0), 0j), pl.get((1, 0), 0j),
+                pk.get((0, 0), 0j), pk.get((0, 1), 0j))
+    return None
+
+
+def _rk4_gain(h: float, lam: complex) -> complex:
+    """g with one classical RK4 step of y' = lam y + mu equal to
+    y + g (lam y + mu): h (1 + x/2 + x^2/6 + x^3/24), x = h lam."""
+    x = h * lam
+    return h * (1 + x * (0.5 + x * (1 / 6 + x / 24)))
+
+
 def flow_rk4(spec: VectorFieldSpec, start: Sequence, t: float, step: float,
              direction: complex = 1.0) -> FlowResult:
     """Integrate the field with classical fixed-step RK4.
@@ -366,6 +394,14 @@ def flow_rk4(spec: VectorFieldSpec, start: Sequence, t: float, step: float,
     (z_k, z_l), and the scheme runs on those two scalars.  `p_start` and
     `p_end` evaluate the full P, so the drift checks the folded field
     independently.
+
+    Every field that v_field_spec and w_field_spec build folds to an
+    affine pair, P_l = C + D_k z_k and P_k = B + D_l z_l: then z_k and z_l
+    follow two decoupled linear ODEs, and one RK4 step of y' = lam y + mu
+    is exactly y + g (lam y + mu) with g from the step alone.  That
+    increment is computed once per step and coordinate, with g computed
+    once per flow (again for a partial last step).  Any other P runs the
+    four stage evaluations of the folded polynomials.
 
     `direction` multiplies the field by a unit scalar (i gives the
     imaginary-time flow, useful for long-time runs of fields whose
@@ -391,22 +427,41 @@ def flow_rk4(spec: VectorFieldSpec, start: Sequence, t: float, step: float,
     pl = _fold(spec.pl, state, k, l)
     pk = _fold(spec.pk, state, k, l)
     nd = -d
-    pfun = compile_approx(spec.p)
+    pfun = spec.pfun
     p_start = pfun(state)
     a, b = state[k], state[l]
     remaining = float(t)
-    while remaining > 1e-15:
-        h = step if remaining >= step else remaining
-        half = 0.5 * h
-        a1, b1 = d * _folded_value(pl, a, b), nd * _folded_value(pk, a, b)
-        x, y = a + half * a1, b + half * b1
-        a2, b2 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
-        x, y = a + half * a2, b + half * b2
-        a3, b3 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
-        x, y = a + h * a3, b + h * b3
-        a4, b4 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
-        a = require_finite(a + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
-        b = require_finite(b + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4))
-        remaining -= h
+    affine = _affine_pair(pl, pk)
+    if affine is not None:
+        c, dk, bb, dl = affine
+        # z_k' = lam_k z_k + mu_k and z_l' = lam_l z_l + mu_l
+        lam_k, mu_k, lam_l, mu_l = d * dk, d * c, nd * dl, nd * bb
+        gk, gl = _rk4_gain(step, lam_k), _rk4_gain(step, lam_l)
+        while remaining > 1e-15:
+            if remaining >= step:
+                h = step
+            else:
+                h = remaining
+                gk, gl = _rk4_gain(h, lam_k), _rk4_gain(h, lam_l)
+            a += gk * (lam_k * a + mu_k)
+            b += gl * (lam_l * b + mu_l)
+            remaining -= h
+        # inf and nan never turn finite again, so one check at the end
+        # catches an overflow at any step
+        a, b = require_finite(a), require_finite(b)
+    else:
+        while remaining > 1e-15:
+            h = step if remaining >= step else remaining
+            half = 0.5 * h
+            a1, b1 = d * _folded_value(pl, a, b), nd * _folded_value(pk, a, b)
+            x, y = a + half * a1, b + half * b1
+            a2, b2 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
+            x, y = a + half * a2, b + half * b2
+            a3, b3 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
+            x, y = a + h * a3, b + h * b3
+            a4, b4 = d * _folded_value(pl, x, y), nd * _folded_value(pk, x, y)
+            a = require_finite(a + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4))
+            b = require_finite(b + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4))
+            remaining -= h
     state[k], state[l] = a, b
     return FlowResult(tuple(state), p_start, pfun(state))

@@ -10,8 +10,10 @@ from time import perf_counter
 import pytest
 
 from sl2factor.cli import (MAX_EXPAND_N, MAX_LEMMA_N, MAX_LEMMA_SAMPLES,
-                           MAX_LEMMA_WORK, build_parser, main)
+                           MAX_LEMMA_WORK, MAX_LOOP_SAMPLES, build_parser,
+                           main)
 from sl2factor.exact_algebra import poly_to_json
+from sl2factor.obstruction import SAMPLE_CAP
 from sl2factor.word_core import middle_Q
 
 
@@ -268,6 +270,10 @@ def test_bound_huge_n_refused_at_once(capsys):
     (["lemma-check", "--samples", "1", "--n", "100000"], "--n"),
     (["lemma-check", "--n", "32", "--samples", "10000"],
      "--n 32 x --samples"),
+    (["winding", "--samples", "65537"], "--samples"),
+    (["winding", "--samples", "1000000"], "--samples"),
+    (["certificate", "--samples", "65537"], "--samples"),
+    (["certificate", "--samples", "1000000"], "--samples"),
 ])
 def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     t0 = perf_counter()
@@ -281,6 +287,8 @@ def test_size_ceilings_refuse_at_once(capsys, argv, flag):
 @pytest.mark.parametrize("command,ceilings", [
     ("expand", [MAX_EXPAND_N]),
     ("lemma-check", [MAX_LEMMA_N, MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK]),
+    ("winding", [MAX_LOOP_SAMPLES]),
+    ("certificate", [MAX_LOOP_SAMPLES]),
 ])
 def test_help_names_the_ceilings(capsys, command, ceilings):
     with pytest.raises(SystemExit):
@@ -288,6 +296,17 @@ def test_help_names_the_ceilings(capsys, command, ceilings):
     text = " ".join(capsys.readouterr().out.split())
     for ceiling in ceilings:
         assert str(ceiling) in text
+
+
+def test_loop_sample_ceiling_is_the_library_cap():
+    # cli repeats obstruction.SAMPLE_CAP so that --help needs no import
+    assert MAX_LOOP_SAMPLES == SAMPLE_CAP
+
+
+def test_winding_at_its_sample_ceiling(capsys):
+    code, rep = run(capsys, "winding", "--samples", str(MAX_LOOP_SAMPLES))
+    assert code == 0
+    assert (rep["winding"], rep["samples_used"]) == (2, MAX_LOOP_SAMPLES)
 
 
 def test_lemma_check_at_its_ceiling(capsys):
@@ -465,6 +484,22 @@ def test_non_finite_argument_is_exit_2(capsys, argv):
     assert code == 2
     assert rep["error"]["code"] == "precondition"
     assert "non-finite" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certificate", "--radius", "1e-320"],
+    ["winding", "--radius", "1e-320"],
+    ["certificate", "--radius", "1e200"],
+    ["winding", "--radius", "1e200"],
+    ["certificate", "--d", "1e300"],
+    ["certificate", "--d", "1e-300"],
+])
+def test_section_out_of_double_range_is_exit_2(capsys, argv):
+    # |w|^(3/2) underflowing to 0, overflowing, or w^2 overflowing to a
+    # non-finite sample each ended in a traceback
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
 
 
 @pytest.mark.parametrize("command,text", [

@@ -54,6 +54,24 @@ def test_loop_samples_rejections():
     assert winding_number(loop) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    complex(math.nan, 0.0), complex(math.inf, 1.0), complex(0.0, -math.inf),
+    complex(math.inf, -math.inf)])
+def test_loop_samples_refuse_non_finite_values(bad):
+    # inf + 1j between unit samples gave finite phases, and a nan one a
+    # nan winding that round() could not convert
+    vals = [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
+    vals[3] = bad
+    with pytest.raises(PreconditionError, match="non-finite"):
+        LoopSamples(tuple(vals))
+
+
+def test_loop_samples_accept_finite_values_whose_sum_overflows():
+    loop = LoopSamples(tuple(1e308 * cmath.exp(2j * math.pi * k / 8)
+                             for k in (0, 0, 1, 1, 2, 3, 4, 5, 6, 7)))
+    assert winding_number(loop) == 1
+
+
 def test_loop_samples_immutable():
     loop = LoopSamples(tuple(cmath.exp(2j * math.pi * k / 8)
                              for k in range(8)))
@@ -122,6 +140,15 @@ def test_continuous_section_values():
     assert abs(h[3] + 4.0) < 1e-12
     with pytest.raises(PreconditionError):
         cohn_continuous_section(1.0, 1.0)
+
+
+@pytest.mark.parametrize("w", [1e-320, 1e-300j, 1e210, -3e250j])
+def test_sections_refuse_w_outside_double_range(w):
+    # |w|^(3/2) underflows to 0 (a division by zero) or overflows
+    with pytest.raises(PreconditionError, match="double precision"):
+        continuous_section_h3(0, w)
+    with pytest.raises(PreconditionError, match="double precision"):
+        cohn_continuous_section(0.5, w)
 
 
 def test_continuous_section_satisfies_relations():

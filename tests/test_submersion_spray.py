@@ -20,7 +20,7 @@ from sl2factor.errors import PreconditionError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly, compile_approx
 from sl2factor.submersion_spray import (
     APPROX_RANK_TOL, MAX_FLOW_STEPS, TangentFrame, VectorFieldSpec,
-    _singular_values,
+    _affine_pair, _fold, _singular_values,
     check_lemma_submersive, flow_rk4, frame_minor_det, frame_rank,
     sl2_jacobian, v_field_spec, vfield_apply, w_field_spec)
 from sl2factor.word_core import PhiTemplate, middle_Q
@@ -395,7 +395,66 @@ def test_flow_matches_reference_on_a_field_not_affine_in_its_pair():
                 assert abs(res.drift) < 1e-8
 
 
+def _folded_pair(spec, start):
+    return _affine_pair(_fold(spec.pl, start, spec.k, spec.l),
+                        _fold(spec.pk, start, spec.k, spec.l))
+
+
+def _library_fields():
+    for n in range(4, 11):
+        for k in range(2, n):
+            for l in range(k + 1, n):
+                yield v_field_spec(n, k, l)
+    for n in range(5, 11):
+        for k in range(1, n - 1):
+            for l in range(k + 1, n - 1):
+                yield w_field_spec(n, k, l)
+
+
+def test_every_library_field_takes_the_affine_path():
+    # each entry of an alternating product is affine in every coordinate
+    # separately, so P_l folds to C + D z_k and P_k to B + D z_l
+    rng = random.Random(3)
+    specs = list(_library_fields())
+    assert len(specs) == 167
+    for spec in specs:
+        start = [cmath.rect(rng.uniform(0.2, 1.0), rng.uniform(-3.2, 3.2))
+                 for _ in range(spec.p.nvars)]
+        pair = _folded_pair(spec, start)
+        assert pair is not None
+        c, dk, b, dl = pair
+        assert abs(dk - dl) <= 1e-12 * (1 + abs(dk))
+    # the polynomial of the non-affine reference test keeps the stage loop
+    z = [MultiPoly.variable(3, i) for i in range(3)]
+    p = z[0] ** 2 * z[1] ** 2 + z[0] ** 3 + z[1] * z[2]
+    assert _folded_pair(VectorFieldSpec(p, 0, 1), [0.3, 0.4, 0.5]) is None
+
+
+def test_affine_flow_overflow_is_refused():
+    # real time grows z2 like e^t: 1,600 steps of 0.5 overflow, as the
+    # stage loop's per-step check refused them
+    spec = v_field_spec(4, 2, 3)
+    assert _folded_pair(spec, [1.0, 1.0]) is not None
+    with pytest.raises(PreconditionError, match="non-finite"):
+        flow_rk4(spec, [1, 1], t=800.0, step=0.5)
+
+
+def test_affine_flow_partial_last_step():
+    # t = 1.5 steps: one full step and one half step with its own gain,
+    # against three full half steps
+    spec = v_field_spec(7, 3, 5)
+    start = [0.3 - 0.1j, 0.4, -0.2 + 0.5j, 0.1j, 0.6]
+    assert _folded_pair(spec, start) is not None
+    for direction in (1.0, 1j):
+        a = flow_rk4(spec, start, t=0.0015, step=1e-3, direction=direction)
+        b = flow_rk4(spec, start, t=0.0015, step=5e-4, direction=direction)
+        for x, y in zip(a.end, b.end):
+            assert abs(x - y) < 1e-12
+        assert a.end[spec.k] != start[spec.k]
+
+
 def test_field_partials_are_computed_once():
     spec = v_field_spec(6, 2, 4)
     assert spec.pk is spec.pk and spec.pl is spec.pl
     assert spec.pk == spec.p.diff(spec.k) and spec.pl == spec.p.diff(spec.l)
+    assert spec.pfun is spec.pfun
