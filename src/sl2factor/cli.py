@@ -22,9 +22,9 @@ from time import perf_counter
 # only what every subcommand needs is imported here; each _cmd_* function
 # imports the rest, so a cold call loads just the modules it runs
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import (is_exact_scalar, is_exact_text, parse_exact,
-                            require_finite, scalar_from_json, scalar_to_json,
-                            unify_scalars)
+from .exact_algebra import (digit_limit_error, is_exact_scalar,
+                            is_exact_text, parse_exact, require_finite,
+                            scalar_from_json, scalar_to_json, unify_scalars)
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -44,10 +44,17 @@ def _parse_scalar(text: str, approx: bool = False):
     return require_finite(value)
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a JSON integer fails only above the digit limit
+        raise digit_limit_error("--input") from None
+
+
 def _load_input(args, key: str):
     """The JSON of --input, unwrapped when it is an object holding key."""
     with open(args.input) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=_json_int)
     return data[key] if isinstance(data, dict) and key in data else data
 
 
@@ -63,7 +70,11 @@ def _load_input(args, key: str):
 # without importing obstruction.  At that ceiling a cold `winding` takes
 # 0.19 s and a cold `certificate`, which samples eight loops, 1.1 s;
 # `certificate --samples 1000000` took 12 s before the ceiling.
+# fiber-solve evaluates middle products of --n factors at exact random
+# points: a cold call takes 0.8 s at its ceiling --n 1024, and 2.3 s at
+# N = 1,600 in process, where its coordinates near the digit limit.
 MAX_EXPAND_N = 18
+MAX_FIBER_N = 1024
 MAX_LEMMA_N = 32
 MAX_LEMMA_SAMPLES = 10_000
 MAX_LEMMA_WORK = 40_000
@@ -140,6 +151,7 @@ def _cmd_fiber_solve(args):
                                complete_nongeneric_even, complete_odd,
                                interior_sample, pivot_is_zero)
     from .word_core import format_point, sl2_from_json, sl2_to_json
+    _refuse_above(f"--n {args.n}", args.n, MAX_FIBER_N)
     target = sl2_from_json(_load_input(args, "target"))
     n = args.n
     z1 = _parse_scalar(args.z1, args.approx) if args.z1 is not None else 0
@@ -305,6 +317,11 @@ def _cmd_bound(args):
                 if n_missing > len(first) else "")
         raise PreconditionError(f"--k misses indices {first}{more}")
     value = factor_count_bound(args.n, counts)
+    # each K(i) is within the digit limit, but their sum can carry past it
+    try:
+        str(value)
+    except ValueError:
+        raise digit_limit_error("the bound") from None
     return {
         "n": args.n,
         "k": {str(i): counts[i] for i in sorted(counts)},
@@ -359,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fiber-solve", _cmd_fiber_solve,
             help="closed-form fiber completion over a target")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"word length, 4 to {MAX_FIBER_N}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--z1", help="free boundary coordinate (non-generic)")
     p.add_argument("--approx", action="store_true", help="allow a float --z1")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as _add
@@ -43,12 +44,26 @@ _RE_COMPLEX = re.compile(rf"^(?P<re>[+-]?{_FRAC})?(?P<sign>[+-])(?P<im>(?:{_FRAC
 _RE_PURE_IM = re.compile(rf"^(?P<sign>[+-]?)(?P<im>(?:{_FRAC})?)i$")
 
 
+def digit_limit_error(what: str) -> PreconditionError:
+    """Bad input: an integer above Python's limit on the digits of one
+    int/str conversion, which bounds a conversion of quadratic cost."""
+    return PreconditionError(
+        f"{what} has an integer of more than {sys.get_int_max_str_digits()} "
+        f"digits, the limit of one int/str conversion")
+
+
 def _fraction(x) -> Fraction:
-    """Fraction(x), refusing a zero denominator as bad input."""
+    """Fraction(x), refusing a zero denominator or an integer above the
+    digit limit as bad input."""
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise PreconditionError(f"zero denominator in {x!r}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and re.search(rf"\d{{{limit + 1}}}", x):
+            raise digit_limit_error("exact scalar") from None
+        raise
 
 
 def _as_fraction(x) -> Fraction:
@@ -263,7 +278,10 @@ EC_I = ExactComplex(0, 1)
 
 def _fmt_ratio(n: int, d: int) -> str:
     g = gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if d == g else f"{n // g}/{d // g}"
+    except ValueError:  # str of an int fails only above the digit limit
+        raise digit_limit_error("exact result") from None
 
 
 def format_exact(x: ExactComplex) -> str:

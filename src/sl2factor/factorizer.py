@@ -97,9 +97,10 @@ def can_factor_three(m: SL2, pattern: str) -> bool:
 def factor_unit_corner(b, c, d) -> Factorization:
     """Length-4 lower-first word for [[1, b], [c, d]] with d = 1 + bc."""
     zero, one, b, c, d = unify_scalars([0, 1, b, c, d])
-    if d - (one + b * c):
-        raise PreconditionError("unit corner needs d = 1 + bc")
-    target = SL2(one, b, c, d)
+    try:
+        target = SL2(one, b, c, d)
+    except (PreconditionError, VerificationError):
+        raise PreconditionError("unit corner needs d = 1 + bc") from None
     word = Word.of((LOWER, c - one), (UPPER, zero), (LOWER, one), (UPPER, b))
     return Factorization(word, target, True, replay(word, target))
 

@@ -209,6 +209,8 @@ def frame_rank(f: TangentFrame) -> int:
         rows = [[ExactComplex.coerce(col[i]) for col in f.columns]
                 for i in range(3)]
         return _exact_rank(rows)
+    if isinstance(f.columns[0][0], MultiPoly):
+        raise PreconditionError("rank needs a numeric point")
     sv = _singular_values([[require_finite(col[i]) for col in f.columns]
                           for i in range(3)])
     if sv[0] == 0.0:

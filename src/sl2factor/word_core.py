@@ -14,13 +14,11 @@ middle_Q_brute multiplies the factors one by one and is kept as an
 independent cross-check.
 
 Every internal product runs through one kernel (word_partials) of
-elementary updates on raw entries.  Validation stays at the boundary: a
-user-built SL2 checks its determinant, eval_word checks its result once,
-and replay multiplies a returned word back out against its target.  On
-polynomial entries the determinant check is exact_algebra.poly_det_is_one,
-the one rule the CLI's expand and criterion 1 use too: a d and -b c are
-summed into one table of the polynomial product kernel, and the check is
-literal, every non-constant term cancelling and the constant term being 1.
+elementary updates, each unimodular, so exact and polynomial products have
+det 1 by construction.  Validation stays at the boundary: a user-built SL2
+checks its determinant (polynomials by exact_algebra.poly_det_is_one),
+eval_word checks only approximate products, where rounding drifts, and
+replay multiplies a returned word back out against its target.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
 Cohn flag: exact and polynomial values must be literally zero, approximate
@@ -56,6 +54,9 @@ UPPER = "U"
 # The one tolerance for approximate (float or mpmath) values; read only by
 # negligible and by the five-factor Cohn flag (see factorizer.cohn_holo_5).
 APPROX_TOL = 1e-10
+# eval_word also measures det - 1 against a product's largest |entry|, since
+# a = 1e7 turns d's rounding of 1e-16 into 1e-9; a miss of this is no rounding.
+DRIFT_CAP = 1e-6
 
 
 def negligible(x, *sizes) -> bool:
@@ -117,9 +118,11 @@ class Word:
         return Word(ElementaryFactor(s, e) for s, e in pairs)
 
 
-def _check_det(vals, exact_error) -> None:
-    """Raise unless det = 1: exact_error for exact or polynomial entries,
-    VerificationError (rounding drift) for approximate ones."""
+def _check_det(vals, *sizes) -> None:
+    """Raise unless det = 1: PreconditionError for exact or polynomial
+    entries (bad input), VerificationError for approximate ones (drift),
+    whose det - 1 is measured against |ad| + |bc| and, below DRIFT_CAP,
+    against sizes."""
     a, b, c, d = vals
     if isinstance(a, MultiPoly):
         unimodular = poly_det_is_one(a, b, c, d)
@@ -128,12 +131,14 @@ def _check_det(vals, exact_error) -> None:
     else:
         # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
         ad, bc = a * d, b * c
-        if not negligible(ad - bc - 1, abs(ad) + abs(bc)):
+        miss = ad - bc - 1
+        if not (negligible(miss, abs(ad) + abs(bc))
+                or abs(miss) < DRIFT_CAP and negligible(miss, *sizes)):
             raise VerificationError("determinant is not 1 "
                                     "(approx mode: numeric instability)")
         return
     if not unimodular:
-        raise exact_error("determinant is not 1")
+        raise PreconditionError("determinant is not 1")
 
 
 class SL2:
@@ -147,7 +152,7 @@ class SL2:
 
     def __init__(self, a, b, c, d):
         vals = unify_scalars([a, b, c, d])
-        _check_det(vals, PreconditionError)
+        _check_det(vals)
         for name, v in zip("abcd", vals):
             object.__setattr__(self, name, v)
 
@@ -156,7 +161,7 @@ class SL2:
 
     @staticmethod
     def identity() -> "SL2":
-        return SL2(1, 0, 0, 1)
+        return _sl2(EC_ONE, EC_ZERO, EC_ZERO, EC_ONE)
 
     @staticmethod
     def lower(g) -> "SL2":
@@ -263,12 +268,12 @@ def _product(w: Word, point: Sequence = ()) -> SL2:
 
 def eval_word(w: Word, point: Sequence = ()) -> SL2:
     """Multiply out a word; symbolic and function entries get `point`.
-
-    The determinant of the product is checked once: an approximate word
-    whose rounding has drifted raises VerificationError.
-    """
+    Only an approximate product's determinant is checked (VerificationError
+    on drift), against its entries too: exact and polynomial products have
+    det 1 by construction."""
     prod = _product(w, point)
-    _check_det(prod.entries, VerificationError)
+    if not prod.is_exact:
+        _check_det(prod.entries, *prod.entries)
     return prod
 
 

@@ -9,9 +9,9 @@ from time import perf_counter
 
 import pytest
 
-from sl2factor.cli import (MAX_EXPAND_N, MAX_LEMMA_N, MAX_LEMMA_SAMPLES,
-                           MAX_LEMMA_WORK, MAX_LOOP_SAMPLES, build_parser,
-                           main)
+from sl2factor.cli import (MAX_EXPAND_N, MAX_FIBER_N, MAX_LEMMA_N,
+                           MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK,
+                           MAX_LOOP_SAMPLES, build_parser, main)
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.obstruction import SAMPLE_CAP
 from sl2factor.word_core import middle_Q
@@ -274,6 +274,8 @@ def test_bound_huge_n_refused_at_once(capsys):
     (["winding", "--samples", "1000000"], "--samples"),
     (["certificate", "--samples", "65537"], "--samples"),
     (["certificate", "--samples", "1000000"], "--samples"),
+    (["fiber-solve", "--input", "target.json", "--n", "1025"], "--n"),
+    (["fiber-solve", "--input", "target.json", "--n", "6400"], "--n"),
 ])
 def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     t0 = perf_counter()
@@ -289,6 +291,7 @@ def test_size_ceilings_refuse_at_once(capsys, argv, flag):
     ("lemma-check", [MAX_LEMMA_N, MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK]),
     ("winding", [MAX_LOOP_SAMPLES]),
     ("certificate", [MAX_LOOP_SAMPLES]),
+    ("fiber-solve", [MAX_FIBER_N]),
 ])
 def test_help_names_the_ceilings(capsys, command, ceilings):
     with pytest.raises(SystemExit):
@@ -296,6 +299,56 @@ def test_help_names_the_ceilings(capsys, command, ceilings):
     text = " ".join(capsys.readouterr().out.split())
     for ceiling in ceilings:
         assert str(ceiling) in text
+
+
+_SMALL = '{"a": "2", "b": "3", "c": "1", "d": "2"}'
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    # a 5,000-digit exact string, and the same as a bare JSON integer
+    (["factor-const"], '{"a": "%s", "b": "0", "c": "0", "d": "1"}'
+     % ("1" * 5000), "exact scalar has an integer of more than"),
+    (["factor-const"], '{"a": %s, "b": 0, "c": 0, "d": 1}' % ("1" * 5000),
+     "--input has an integer of more than"),
+    # valid input whose word entries have about 8,000 digits
+    (["factor-const"], '{"a": "%s", "b": "0", "c": "1/%s", "d": "1/%s"}'
+     % ("3" * 4000, "7" * 4000, "3" * 4000),
+     "exact result has an integer of more than"),
+    (["fiber-solve", "--n", "6400"], _SMALL, "--n 6400 is above the ceiling"),
+    # each K(i) within the limit, their sum one digit past it
+    (["bound", "--n", "2", "--k", "2=" + "9" * 4300], None,
+     "the bound has an integer of more than"),
+], ids=["exact-string", "json-integer", "word-entry", "fiber-n", "bound"])
+def test_numbers_above_the_digit_limit_are_exit_2(tmp_path, capsys, argv,
+                                                  text, message):
+    if text is not None:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        argv = argv + ["--input", str(path)]
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    assert rep["error"]["message"].startswith(message)
+
+
+def test_found_float_product_is_exit_0(tmp_path, capsys):
+    # det - 1 = 2.3e-10 on this product, within 1e-10 of its largest |entry|
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"a": 1e7, "b": 0.5, "c": 1.0, "d": 1.5e-7}))
+    code, rep = _one_line(capsys, ["factor-const", "--input", str(path)])
+    assert code == 0 and rep["verified"] is True
+    path.write_text(json.dumps(rep["word"]))
+    code, rep = _one_line(capsys, ["pad", "--input", str(path)])
+    assert code == 0 and rep["product_match"] is True
+
+
+@pytest.mark.parametrize("entries", [[1e11, 0, 0, 0], [1e10, 0, 0, 1.9e-10]])
+def test_float_matrix_far_from_sl2_is_exit_3(tmp_path, capsys, entries):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(zip("abcd", entries))))
+    code, rep = _one_line(capsys, ["factor-const", "--input", str(path)])
+    assert code == 3
+    assert "determinant is not 1" in rep["error"]["message"]
 
 
 def test_loop_sample_ceiling_is_the_library_cap():

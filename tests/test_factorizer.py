@@ -4,6 +4,7 @@
 ##
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,12 @@ def test_unit_corner():
     assert [fac.side for fac in f.word.factors] == [LOWER, UPPER, LOWER, UPPER]
     with pytest.raises(PreconditionError):
         factor_unit_corner(EC(2), EC(3), EC(6))
+    # SL2 judges d: one float step off 1 + bc is rounding, 1e-8 is not
+    d = math.nextafter(1 + 0.1 * 0.2, 2)
+    f = factor_unit_corner(0.1, 0.2, d)
+    assert f.verified and f.target.d == d
+    with pytest.raises(PreconditionError, match="unit corner needs"):
+        factor_unit_corner(1e6, 1e-6, 2 + 1e-8)
 
 
 def test_offdiag_zero():

@@ -175,6 +175,12 @@ def test_nonfinite_approx_jacobian_is_refused():
         frame_rank(TangentFrame(((math.nan, 1.0, 0.0),) * 4, False))
 
 
+def test_symbolic_frame_rank_is_refused():
+    point = [MultiPoly.variable(4, i) for i in range(4)]
+    with pytest.raises(PreconditionError, match="rank needs a numeric point"):
+        frame_rank(sl2_jacobian(PhiTemplate(4), point))
+
+
 def test_cli_import_leaves_numpy_out():
     src = os.path.dirname(os.path.dirname(sl2factor.__file__))
     code = "import sys, sl2factor.cli; print('numpy' in sys.modules)"
