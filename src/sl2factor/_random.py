@@ -7,9 +7,8 @@ through random.Random so identical seeds give identical sweeps.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .exact_algebra import ExactComplex
+from .exact_algebra import ExactComplex, _reduced
 from .word_core import LOWER, UPPER, ElementaryFactor, SL2, Word, eval_word
 
 
@@ -17,15 +16,17 @@ def rng_from_seed(seed) -> random.Random:
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-def random_fraction(rng: random.Random, num: int = 6, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
-
-
 def random_exact(rng: random.Random, num: int = 6, den: int = 4
                  ) -> ExactComplex:
+    """n1/d1 + (n2/d2) i with |n| <= num and 1 <= d <= den, built from its
+    integer triple; the imaginary pair is drawn first."""
     # half the draws stay real, matching how often real slices matter
-    im = random_fraction(rng, num, den) if rng.random() < 0.5 else Fraction(0)
-    return ExactComplex(random_fraction(rng, num, den), im)
+    if rng.random() < 0.5:
+        n2, d2 = rng.randint(-num, num), rng.randint(1, den)
+    else:
+        n2, d2 = 0, 1
+    n1, d1 = rng.randint(-num, num), rng.randint(1, den)
+    return _reduced(n1 * d2, n2 * d1, d1 * d2)
 
 
 def random_exact_nonzero(rng: random.Random, num: int = 6, den: int = 4

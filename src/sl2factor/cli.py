@@ -335,11 +335,24 @@ def _cmd_verify_suite(args):
     return rep, 0 if rep["all_pass"] else 3
 
 
+# argparse echoes a bad argument whole; one longer than this is echoed as
+# its first ECHO_CHARS characters and its length
+ECHO_CHARS = 40
+_ECHOED_ARG = re.compile(r"(['\"]?)(\S+?)\1(?!\S)")
+
+
+def _cut_long_arg(m: re.Match) -> str:
+    quote, arg = m.groups()
+    if len(arg) <= ECHO_CHARS:
+        return m[0]
+    return f"{quote}{arg[:ECHO_CHARS]}{quote}... ({len(arg)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
     """Sends a malformed command line down the one JSON error path."""
 
     def error(self, message):
-        raise PreconditionError(message)
+        raise PreconditionError(_ECHOED_ARG.sub(_cut_long_arg, message))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,12 +40,14 @@ from .exact_algebra import (
     MultiPoly,
     compile_approx,
     poly_embed,
+    _reduced,
     require_finite,
     unify_scalars,
 )
 from .word_core import (
     LOWER,
     PhiTemplate,
+    _exact_partials,
     expand_phi,
     in_singular_set,
     middle_Q,
@@ -94,6 +96,8 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
         vals = [require_finite(x) for x in vals]
     one, zero, *vals = vals
     sides = [t.side_of(j) for j in range(1, t.n + 1)]
+    if kind is ExactComplex:
+        return TangentFrame(_exact_columns(sides, vals), True)
     # A_1 is the identity, A_{j+1} the j-th partial product; the last
     # partial (the whole word) is never needed, so zip stops before it
     prefixes = chain([(one, zero, zero, one)], word_partials(sides, vals))
@@ -110,7 +114,31 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     if approx and not all(cmath.isfinite(x) for col in cols for x in col):
         raise PreconditionError(
             "approximate Jacobian entries overflow double precision")
-    return TangentFrame(tuple(cols), kind is ExactComplex)
+    return TangentFrame(tuple(cols), False)
+
+
+def _exact_columns(sides: Sequence[str], vals: Sequence) -> tuple:
+    """sl2_jacobian's columns at an exact point: the same Ad formulas on
+    the prefix numerators of _exact_partials, the squares over D^2, with
+    one reduction per entry."""
+    prefixes = chain([(1, 0, 0, 0, 0, 0, 1, 0, 1)],
+                     _exact_partials(sides, vals))
+    cols = []
+    for side, (ar, ai, br, bi, cr, ci, dr, di, den) in zip(sides, prefixes):
+        den2 = den * den
+        if side == LOWER:
+            # (d^2, -b^2, bd)
+            u = (dr * dr - di * di, 2 * dr * di)
+            v = (bi * bi - br * br, -2 * br * bi)
+            w = (br * dr - bi * di, br * di + bi * dr)
+        else:
+            # (-c^2, a^2, -ac)
+            u = (ci * ci - cr * cr, -2 * cr * ci)
+            v = (ar * ar - ai * ai, 2 * ar * ai)
+            w = (ai * ci - ar * cr, -(ar * ci + ai * cr))
+        cols.append((_reduced(*u, den2), _reduced(*v, den2),
+                     _reduced(*w, den2)))
+    return tuple(cols)
 
 
 def frame_minor_det(f: TangentFrame, js: tuple[int, int, int]):

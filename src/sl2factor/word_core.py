@@ -13,18 +13,23 @@ Q = Q~ * U(s) * L(t) (even length) or Q = Q~ * L(s) * U(t) (odd length);
 middle_Q_brute multiplies the factors one by one and is kept as an
 independent cross-check.
 
-Every internal product runs through one kernel (word_partials) of
-elementary updates, each unimodular, so exact and polynomial products have
-det 1 by construction.  Validation stays at the boundary: a user-built SL2
-checks its determinant (polynomials by exact_algebra.poly_det_is_one),
-eval_word checks only approximate products, where rounding drifts, and
-replay multiplies a returned word back out against its target.
+Every internal product applies the same elementary updates, each
+unimodular, so exact and polynomial products have det 1 by construction.
+word_partials runs them on complex, mpmath and polynomial entries;
+exact words run them on Gaussian-integer numerators over one common
+denominator (_exact_partials), with one reduction per entry kept.
+Validation stays at the boundary: a user-built SL2 checks its determinant
+(polynomials by exact_algebra.poly_det_is_one, approximate entries within
+SL2_DET_ULPS units of rounding), eval_word checks only approximate
+products, where rounding drifts, and replay multiplies a returned word
+back out against its target.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
-Cohn flag: exact and polynomial values must be literally zero, approximate
-ones below APPROX_TOL max(1, size of the values compared), that size being
-|ad| + |bc| for a determinant, |level| for a fiber level, and the largest
-|entry| of the target for a replay or a fiber pivot.
+Cohn flag and the SL2 boundary: exact and polynomial values must be
+literally zero, approximate ones below APPROX_TOL max(1, size of the
+values compared), that size being |ad| + |bc| for a product's
+determinant, |level| for a fiber level, and the largest |entry| of the
+target for a replay or a fiber pivot.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .exact_algebra import (
     EC_ZERO,
     ExactComplex,
     MultiPoly,
+    _reduced,
     format_exact,
     is_exact_scalar,
     poly_det_is_one,
@@ -57,6 +63,11 @@ APPROX_TOL = 1e-10
 # eval_word also measures det - 1 against a product's largest |entry|, since
 # a = 1e7 turns d's rounding of 1e-16 into 1e-9; a miss of this is no rounding.
 DRIFT_CAP = 1e-6
+# A user-built approximate SL2 passes when |det - 1| stays within this many
+# units of double rounding (2^-53) of max(1, |ad| + |bc|): computing ad - bc
+# rounds by a few units of |ad| + |bc|, while APPROX_TOL times that grows
+# past 1 from |ad| + |bc| = 1e10 on and let singular matrices through.
+SL2_DET_ULPS = 64
 
 
 def negligible(x, *sizes) -> bool:
@@ -120,8 +131,10 @@ class Word:
 
 def _check_det(vals, *sizes) -> None:
     """Raise unless det = 1: PreconditionError for exact or polynomial
-    entries (bad input), VerificationError for approximate ones (drift),
-    whose det - 1 is measured against |ad| + |bc| and, below DRIFT_CAP,
+    entries (bad input), VerificationError for approximate ones.  Without
+    sizes (the SL2 boundary) det - 1 must be within SL2_DET_ULPS units of
+    rounding of max(1, |ad| + |bc|); with sizes (a product's drift) it is
+    measured by negligible against |ad| + |bc| and, below DRIFT_CAP,
     against sizes."""
     a, b, c, d = vals
     if isinstance(a, MultiPoly):
@@ -132,8 +145,13 @@ def _check_det(vals, *sizes) -> None:
         # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
         ad, bc = a * d, b * c
         miss = ad - bc - 1
-        if not (negligible(miss, abs(ad) + abs(bc))
-                or abs(miss) < DRIFT_CAP and negligible(miss, *sizes)):
+        scale = abs(ad) + abs(bc)
+        if not sizes:
+            unimodular = abs(miss) < SL2_DET_ULPS * 2.0 ** -53 * max(1, scale)
+        else:
+            unimodular = (negligible(miss, scale) or abs(miss) < DRIFT_CAP
+                          and negligible(miss, *sizes))
+        if not unimodular:
             raise VerificationError("determinant is not 1 "
                                     "(approx mode: numeric instability)")
         return
@@ -243,8 +261,47 @@ def word_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
         yield a, b, c, d
 
 
+def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
+    """Each partial product of a non-empty exact word, as Gaussian-integer
+    numerators over one common denominator: (ar, ai, br, bi, cr, ci, dr,
+    di, den) for the entries (ar + ai i)/den, ..., (dr + di i)/den.
+
+    The updates are word_partials' on numerators: with x = (p + q i)/m,
+    L(x) takes (A, B, C, E)/D to (A m + B(p + q i), B m, C m + E(p + q i),
+    E m)/(D m), and U(x) is its mirror image.  Nothing is reduced, so no
+    gcd runs; callers reduce each entry they keep once (_reduced).
+    """
+    p, q, m = vals[0]._pqd
+    if sides[0] == LOWER:
+        ar, ai, br, bi, cr, ci, dr, di = m, 0, 0, 0, p, q, m, 0
+    else:
+        ar, ai, br, bi, cr, ci, dr, di = m, 0, p, q, 0, 0, m, 0
+    den = m
+    yield ar, ai, br, bi, cr, ci, dr, di, den
+    for side, x in zip(sides[1:], vals[1:]):
+        p, q, m = x._pqd
+        if side == LOWER:
+            ar, ai = ar * m + br * p - bi * q, ai * m + br * q + bi * p
+            cr, ci = cr * m + dr * p - di * q, ci * m + dr * q + di * p
+            br, bi, dr, di = br * m, bi * m, dr * m, di * m
+        else:
+            br, bi = br * m + ar * p - ai * q, bi * m + ar * q + ai * p
+            dr, di = dr * m + cr * p - ci * q, di * m + cr * q + ci * p
+            ar, ai, cr, ci = ar * m, ai * m, cr * m, ci * m
+        den *= m
+        yield ar, ai, br, bi, cr, ci, dr, di, den
+
+
 def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
-    """Entries (a, b, c, d) of the whole product; see word_partials."""
+    """Entries (a, b, c, d) of the whole product; see word_partials.  An
+    exact word is multiplied on numerators (_exact_partials) and each
+    entry reduced once."""
+    if type(vals[0]) is ExactComplex:
+        for last in _exact_partials(sides, vals):
+            pass
+        ar, ai, br, bi, cr, ci, dr, di, den = last
+        return (_reduced(ar, ai, den), _reduced(br, bi, den),
+                _reduced(cr, ci, den), _reduced(dr, di, den))
     for entries in word_partials(sides, vals):
         pass
     return entries

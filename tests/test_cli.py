@@ -657,6 +657,36 @@ def test_malformed_command_line_is_one_json_line(capsys, argv, command):
     assert rep["error"]["code"] == "precondition"
 
 
+def test_long_bad_argument_is_echoed_bounded(capsys):
+    # argparse echoes an invalid int whole; the report keeps its first 40
+    # characters and its length
+    code = main(["expand", "--n", "1" * 5000])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1 and len(out.encode()) < 300
+    assert json.loads(out)["error"]["message"] == (
+        "argument --n: invalid int value: '" + "1" * 40
+        + "'... (5000 characters)")
+    code, rep = _one_line(capsys, ["expand", "--n", "4", "x" * 100])
+    assert rep["error"]["message"] == ("unrecognized arguments: "
+                                       + "x" * 40 + "... (100 characters)")
+    code, rep = _one_line(capsys, ["expand", "--n", "1" * 40 + "x"])
+    assert rep["error"]["message"].endswith("'... (41 characters)")
+    code, rep = _one_line(capsys, ["expand", "--n", "x" * 40])
+    assert rep["error"]["message"].endswith("'" + "x" * 40 + "'")
+
+
+def test_factor_const_refuses_a_singular_float_target(tmp_path, capsys):
+    # det 0, but |ad| + |bc| = 6e10 once widened a 1e-10 relative bound
+    # to 6 and let it through
+    path = tmp_path / "m.json"
+    path.write_text('{"a": 3e5, "b": 1e5, "c": 3e5, "d": 1e5}')
+    code, rep = _one_line(capsys, ["factor-const", "--input", str(path)])
+    assert code == 3
+    assert rep["error"]["code"] == "verification"
+    assert "determinant is not 1" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("command,payload", [
     ("jacobian", {"x": 1}),
     ("jacobian", {"point": 5}),

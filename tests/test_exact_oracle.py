@@ -4,6 +4,7 @@
 ## .im, string forms, complex())
 ##
 
+import random
 import struct
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from sl2factor._random import random_exact
 from sl2factor.exact_algebra import ExactComplex, format_exact, parse_exact
 
 
@@ -242,3 +244,22 @@ def test_not_an_exact_operand():
         ExactComplex.coerce(1j)
     with pytest.raises(TypeError):
         ExactComplex(0.5)
+
+
+def _fraction_draw(rng, num, den):
+    # the Fraction-based draw random_exact replaced: imaginary part first
+    def fraction():
+        return Fraction(rng.randint(-num, num), rng.randint(1, den))
+    im = fraction() if rng.random() < 0.5 else Fraction(0)
+    return ExactComplex(fraction(), im)
+
+
+@pytest.mark.parametrize("num,den", [(6, 4), (4, 3), (10 ** 10, 10 ** 10)])
+def test_random_exact_matches_the_fraction_draw(num, den):
+    # same values from the same rng calls, so seeded sweeps stay the same
+    rng, ref = random.Random(2024), random.Random(2024)
+    for _ in range(5000):
+        x = random_exact(rng, num, den)
+        assert_canonical(x)
+        assert x == _fraction_draw(ref, num, den)
+        assert rng.getstate() == ref.getstate()

@@ -1,9 +1,13 @@
 ##
-## the elementary-update product kernel behind eval_word, checked against
-## a naive full 2x2 product that this file writes out as its own oracle
+## the product kernels behind eval_word, the elementary updates of
+## word_partials and their exact form on numerators, checked against a
+## naive full 2x2 product that this file writes out as its own oracle
 ##
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +19,12 @@ from sl2factor.errors import VerificationError
 from sl2factor.exact_algebra import (EC_ONE, EC_ZERO, ExactComplex, MultiPoly,
                                      poly_det_is_one)
 from sl2factor.factorizer import factor_constant
+from sl2factor.submersion_spray import sl2_jacobian
 from sl2factor.word_core import (DRIFT_CAP, LOWER, SL2, UPPER,
                                  ElementaryFactor, PhiTemplate, Word,
                                  eval_word, expand_phi, middle_Q,
-                                 middle_Q_brute, word_inverse, word_product)
+                                 middle_Q_brute, word_inverse, word_partials,
+                                 word_product)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 exacts = st.builds(ExactComplex, fractions, fractions)
@@ -143,6 +149,28 @@ def test_float_matrix_far_from_sl2_is_refused(entries):
         SL2(*entries)
 
 
+def _scaled_pairs():
+    # (a, b, c) at each scale: one row scaled by s up to 1e8, or both rows
+    # by t up to 1e6 (|ad| + |bc| up to 6e12), real and complex
+    for k in range(9):
+        s = 10.0 ** k
+        yield s, 3 * s, 1.0
+        yield (1 + 2j) * s, 3 * s, 1j
+    for k in range(7):
+        t = 10.0 ** k
+        yield 3 * t, t, 3 * t
+        yield 3 * t, (1 - 1j) * t, (2 + 1j) * t
+
+
+@pytest.mark.parametrize("a,b,c", list(_scaled_pairs()))
+def test_float_sl2_boundary_is_scaled_to_rounding(a, b, c):
+    # det 0 is refused at every scale; a det-1 matrix at the same scale,
+    # its d rounded once, is accepted
+    with pytest.raises(VerificationError, match="determinant is not 1"):
+        SL2(a, b, c, b * c / a)
+    SL2(a, b, c, (1 + b * c) / a)
+
+
 # The kernel applies only unimodular updates, so eval_word does not check
 # exact or polynomial products; these tests carry that guarantee instead.
 
@@ -182,3 +210,76 @@ def test_eval_word_checks_only_approximate_products(monkeypatch):
     for approx in (0.5, mpmath.mpf("0.5")):
         with pytest.raises(AssertionError, match="determinant checked"):
             eval_word(Word.of((LOWER, approx), (UPPER, 2)))
+
+
+# Exact products run on Gaussian-integer numerators over one denominator
+# and reduce each entry once; word_partials, which reduces after every
+# operation, is their oracle here, as middle_Q_brute is middle_Q's.
+
+big_fractions = st.builds(Fraction, st.integers(-10 ** 10, 10 ** 10),
+                          st.integers(1, 10 ** 10))
+# small and 10-digit parts, about half of the entries real
+exact_entries = st.builds(
+    ExactComplex, st.one_of(fractions, big_fractions),
+    st.one_of(st.just(0), st.one_of(fractions, big_fractions)))
+
+
+def assert_canonical(x):
+    p, q, d = x._pqd
+    assert type(x) is ExactComplex
+    assert d > 0 and gcd(p, q, d) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([LOWER, UPPER]),
+       st.lists(exact_entries, min_size=1, max_size=40), st.booleans())
+def test_exact_kernel_equals_naive_and_reduced_products(first, vals,
+                                                        alternate):
+    other = UPPER if first == LOWER else LOWER
+    ss = [other if alternate and j % 2 else first for j in range(len(vals))]
+    pairs = list(zip(ss, vals))
+    expected = naive_product(pairs, EC_ONE, EC_ZERO)
+    *_, last = word_partials(ss, vals)
+    product = word_product(ss, vals)
+    for entries in (product, eval_word(_word(pairs)).entries):
+        assert tuple(entries) == expected == last
+        for x in entries:
+            assert_canonical(x)
+
+
+def ad_columns(sides_, prefixes):
+    # A e21 A^-1 and A e12 A^-1 in (e21, e12, d12) coordinates
+    return [(d * d, -(b * b), b * d) if side == LOWER
+            else (-(c * c), a * a, -(a * c))
+            for side, (a, b, c, d) in zip(sides_, prefixes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_exact_jacobian_columns_equal_the_ad_formula(n, data):
+    point = data.draw(st.lists(exact_entries, min_size=n, max_size=n))
+    t = PhiTemplate(n)
+    sides_ = [t.side_of(j) for j in range(1, n + 1)]
+    prefixes = chain([(EC_ONE, EC_ZERO, EC_ZERO, EC_ONE)],
+                     word_partials(sides_, point))
+    frame = sl2_jacobian(t, point)
+    assert frame.exact
+    assert list(frame.columns) == ad_columns(sides_, prefixes)
+    for col in frame.columns:
+        for x in col:
+            assert_canonical(x)
+
+
+def test_long_exact_word_multiplies_out_quickly():
+    # reducing after every operation, as word_partials does, runs gcds on
+    # ever larger integers and took about 48 s for this word (2 cores,
+    # Python 3.11.7); one reduction per entry takes a fraction of a second
+    vals = [ExactComplex(Fraction(7_368_120_943 * (-1) ** j + j,
+                                  9_871_236_541 + 3 * j),
+                         Fraction(1_234_567_891 - j, 4_567_891_237 + j))
+            for j in range(1000)]
+    t0 = perf_counter()
+    m = eval_word(Word(ElementaryFactor(UPPER if j % 2 else LOWER, x)
+                       for j, x in enumerate(vals)))
+    assert perf_counter() - t0 < 2.0
+    assert m.det() == EC_ONE
