@@ -14,10 +14,13 @@ The holomorphic-family content is the Cohn matrix
 
     C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]],
 
-which admits an entire five-factor factorization built from h1 =
-(e^{zw} - 1 - zw)/w^2, h2 = -(1 + w^2) e^{-zw}, h3 = e^{zw} - 1, h4 = 1,
-with the final upper entry read off from the partial-product inverse, and
-a four-factor pointwise family on {zw != 1} parametrized by a free h3.
+which admits an entire five-factor factorization built from h3 = e^{zw} -
+1, h1 = (h3 - zw)/w^2, h2 = -(1 + w^2) e^{-zw}, h4 = 1, with the final
+upper entry H2 read off from the first row of the prefix inverse
+L(-h4) U(-h3) L(-h2) U(-h1) times the second column of C, and a
+four-factor pointwise family on {zw != 1} parametrized by a free h3.
+The five-factor word builds C unchecked (det C = 1 identically) and
+checks it by replaying the whole word against it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import unify_scalars
 from .word_core import (APPROX_TOL, ElementaryFactor, FunctionHandle, LOWER,
-                        SL2, UPPER, Word, negligible, replay, sl2_to_json,
-                        word_product, word_to_json)
+                        SL2, UPPER, Word, _one_zero_like, _sl2, negligible,
+                        replay, sl2_to_json, word_product, word_to_json)
 
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
@@ -168,11 +171,8 @@ def factor_count_bound(n: int, counts) -> int:
 def cohn_eval(z, w) -> SL2:
     """C(z, w) = [[1 + zw, z^2], [-w^2, 1 - zw]]; det is 1 identically."""
     z, w = unify_scalars([z, w])
-    return _cohn_matrix(z, z * w, w * w)
-
-
-def _cohn_matrix(z, zw, w2) -> SL2:
-    return SL2(1 + zw, z * z, -w2, 1 - zw)
+    zw = z * w
+    return SL2(1 + zw, z * z, -(w * w), 1 - zw)
 
 
 @dataclass(frozen=True)
@@ -199,33 +199,45 @@ def _h1_series(z, zw):
 
 def _cohn5_full(z, w, exp: Callable):
     """h values with the closing entry, target and residual."""
-    # zw, w^2 and e^{zw} once each, shared by the h values and the target
+    # zw, w^2 and e^{zw} - 1 once each, shared by the h values and the target
     zw, w2 = z * w, w * w
-    e_zw = exp(zw)
+    h3 = exp(zw) - 1
     if abs(complex(zw)) < SERIES_CUTOFF:
         h1 = _h1_series(z, zw)
     else:
-        h1 = (e_zw - 1 - zw) / w2
+        h1 = (h3 - zw) / w2
     h2 = -(1 + w2) * exp(-zw)
-    h3 = e_zw - 1
     h4 = 1 + 0 * z
-    target = _cohn_matrix(z, zw, w2)
+    # det C = 1 identically; rounding moves it by a few units of |ad| + |bc|
+    target = _sl2(1 + zw, z * z, -w2, 1 - zw)
     traw = target.entries  # callers pass complex or mpc, never exact
-    # prefix inverse: L(-h4) U(-h3) L(-h2) U(-h1), applied to the target
-    pre = word_product("LULU", (-h4, -h3, -h2, -h1))
-    big_h2 = pre[0] * traw[1] + pre[1] * traw[3]
+    # H2 is the first row of the prefix inverse L(-h4) U(-h3) L(-h2) U(-h1)
+    # times the second column of C; word_partials' updates, a and b only
+    a, b = _one_zero_like(h4)
+    b += a * -h3
+    a += b * -h2
+    b += a * -h1
+    big_h2 = a * traw[1] + b * traw[3]
     prod = word_product("ULULU", (h1, h2, h3, h4, big_h2))
     residual = max(abs(x - y) for x, y in zip(prod, traw))
     return (h1, h2, h3, h4, big_h2), target, float(residual)
 
 
 def _cohn5_double(z: complex, w: complex):
-    """_cohn5_full in double precision; an overflow is a VerificationError."""
+    """_cohn5_full in double precision.  A value that leaves the float range
+    is a VerificationError that points to --dps: zw or e^{+-zw} overflowing
+    (cmath.exp raises OverflowError, or ValueError on an infinite zw), w^2
+    underflowing to 0 under h1, or a target whose entries or determinant
+    overflow (ad - bc not finite, the one miss SL2's check could find)."""
     try:
-        return _cohn5_full(z, w, cmath.exp)
-    except OverflowError:
+        hs, target, residual = _cohn5_full(z, w, cmath.exp)
+        a, b, c, d = target.entries
+        if not cmath.isfinite(a * d - b * c):
+            raise OverflowError
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise VerificationError("five-factor word overflows double "
                                 "precision; rerun with --dps") from None
+    return hs, target, residual
 
 
 def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
@@ -236,8 +248,10 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     like e^{2|Re(zw)|} and swamp the result for large |Re(zw)|.  The
     verified flag is strict (residual < 1e-10).  An unverified word is
     returned with its residual, never raised, at any precision; only a
-    double-precision overflow (|Re(zw)| above about 709) is a
-    VerificationError, which points to dps (--dps on the command line).
+    value leaving the double range (zw, or e^{+-zw} once |Re(zw)| passes
+    about 709, w^2 underflowing to 0, a target entry or its determinant
+    overflowing) is a VerificationError, which points to dps (--dps on the
+    command line).
     A dps that is not an int of at least 15 (double precision) is refused:
     the residual is computed at the working precision, so a lower one
     could call a wrong word verified.

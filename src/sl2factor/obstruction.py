@@ -39,7 +39,7 @@ class LoopSamples:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
+        vals = tuple(map(complex, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 2:
             raise PreconditionError("a loop needs at least two samples")
@@ -67,7 +67,8 @@ def sample_loop(f: Callable[[float], complex], samples: int = DEFAULT_SAMPLES,
         raise PreconditionError("need at least two samples")
     n = samples
     while True:
-        vals = tuple(complex(f(TWO_PI * k / n)) for k in range(n))
+        # LoopSamples converts each value to complex, once
+        vals = tuple(f(TWO_PI * k / n) for k in range(n))
         try:
             return LoopSamples(vals)
         except InadequateSamplingError:
@@ -92,12 +93,12 @@ def section_degree_on_fiber(h3: Callable[[complex, complex], complex], D,
     Dc = complex(D)
     if Dc == 0:
         raise PreconditionError("fiber parameter D must be nonzero")
-    return circle_winding(lambda w: complex(h3(Dc / w, w)), radius, samples)
+    return circle_winding(lambda w: h3(Dc / w, w), radius, samples)
 
 
 def _fiber_degree_z_param(h3, D, radius: float, samples: int) -> int:
     Dc = complex(D)
-    return circle_winding(lambda z: complex(h3(z, Dc / z)), radius, samples)
+    return circle_winding(lambda z: h3(z, Dc / z), radius, samples)
 
 
 def cohn_continuous_section(z, w) -> tuple:

@@ -35,6 +35,7 @@ target for a replay or a fiber pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
@@ -236,7 +237,13 @@ def _one_zero_like(g):
         return MultiPoly.one(g.nvars), MultiPoly.zero(g.nvars)
     if type(g) is ExactComplex:
         return EC_ONE, EC_ZERO
-    return type(g)(1), type(g)(0)
+    return _approx_one_zero(type(g))
+
+
+@cache
+def _approx_one_zero(kind):
+    # exact and immutable, so one pair per type serves every product
+    return kind(1), kind(0)
 
 
 def word_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:

@@ -588,6 +588,18 @@ def test_cohn_overflow_is_exit_3(capsys):
     assert "--dps" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("z,w", [
+    ("1e200", "1e-200"),   # zw = 1, but w^2 underflows to 0 under h1
+    ("1e155", "1e-154"),   # the target's z^2 overflows
+    ("1e200i", "1e200"),   # zw itself overflows
+])
+def test_cohn_out_of_double_range_is_exit_3(capsys, z, w):
+    code, rep = _one_line(capsys, ["cohn", "--approx", "--z", z, "--w", w])
+    assert code == 3
+    assert rep["error"]["code"] == "verification"
+    assert "--dps" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("z,w,h3", [
     ("0.5", "0.5", "0.25"),   # all float
     ("0.5", "0.5", "1"),      # float z and w, exact h3

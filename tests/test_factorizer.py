@@ -4,7 +4,9 @@
 ##
 
 import cmath
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,8 @@ from sl2factor.factorizer import (
     factor_constant, factor_count_bound, factor_offdiag_zero,
     factor_unit_corner, pad_avoid_singular)
 from sl2factor.word_core import (
-    FunctionHandle, LOWER, SL2, UPPER, Word, eval_word)
+    APPROX_TOL, FunctionHandle, LOWER, SL2, UPPER, Word, eval_word,
+    word_product)
 
 EC = ExactComplex
 
@@ -329,9 +332,12 @@ def test_factorization_to_json():
 
 
 @pytest.mark.parametrize("z,w", [(100.0, 100.0), (-30.0, 30.0),
-                                 (30 + 1j, 30.0)])
+                                 (30 + 1j, 30.0), (1e200, 1e-200),
+                                 (1e155, 1e-154), (1e200j, 1e200)])
 def test_cohn5_double_overflow_is_verification_error(z, w):
-    # e^{+-zw} leaves the float range once |Re zw| passes about 709
+    # e^{+-zw} leaves the float range once |Re zw| passes about 709; at
+    # (1e200, 1e-200) w^2 underflows to 0 under h1, at (1e155, 1e-154) the
+    # target's z^2 overflows, and at (1e200j, 1e200) zw itself does
     with pytest.raises(VerificationError, match="--dps"):
         cohn_holo_5(z, w)
     assert cohn_holo_5(z, w, dps=15).factor_count == 5
@@ -347,3 +353,66 @@ def test_cohn5_refuses_precision_below_double(dps):
     with pytest.raises(PreconditionError, match="at least 15"):
         cohn_holo_5(1.0, 1.0, dps=dps)
     assert cohn_holo_5(1.0, 1.0, dps=15).verified
+
+
+def _cohn5_reference(z, w, dps):
+    # the five-factor word as first built: the whole four-entry prefix
+    # inverse, and a target built by cohn_eval, so checked by SL2
+    def build(z, w, exp):
+        zw, w2 = z * w, w * w
+        e_zw = exp(zw)
+        if abs(complex(zw)) < factorizer.SERIES_CUTOFF:
+            h1 = factorizer._h1_series(z, zw)
+        else:
+            h1 = (e_zw - 1 - zw) / w2
+        h2 = -(1 + w2) * exp(-zw)
+        h3 = e_zw - 1
+        h4 = 1 + 0 * z
+        target = cohn_eval(z, w)
+        pre = word_product("LULU", (-h4, -h3, -h2, -h1))
+        big_h2 = pre[0] * target.b + pre[1] * target.d
+        prod = word_product("ULULU", (h1, h2, h3, h4, big_h2))
+        residual = float(max(abs(x - y)
+                             for x, y in zip(prod, target.entries)))
+        word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4),
+                       (UPPER, big_h2))
+        return Factorization(word, target, residual < APPROX_TOL, residual)
+
+    if dps is None:
+        return build(complex(z), complex(w), cmath.exp)
+    import mpmath
+    with mpmath.workdps(dps):
+        return build(mpmath.mpc(complex(z)), mpmath.mpc(complex(w)),
+                     mpmath.exp)
+
+
+def _oracle_points():
+    grid = [-2 + 4 * k / 40 for k in range(0, 41, 2)]
+    points = [(t * (1 + 1j), s * (1 - 1j)) for t in grid for s in grid]
+    rng = random.Random(5)
+    for scale in (1e-4, 1.0, 10.0):  # 1e-4: the series region |zw| < 1e-3
+        points += [(complex(rng.gauss(0, scale), rng.gauss(0, scale)),
+                    complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+                   for _ in range(40)]
+    points += [(1e-4, 1e-4 + 2e-4j), (0.999e-3, 1.0), (1.001e-3, 1.0)]
+    zeros = (0.0, -0.0, 0j, complex(-0.0, -0.0), complex(0.0, -0.0))
+    points += [(x, y) for x in zeros for y in (*zeros, 1j, 2.0 - 1j)]
+    points += [(2.0 - 1j, x) for x in zeros]
+    # unverified in double, or past its range (both refuse at dps None)
+    points += [(1e200, 1e-200), (1e155, 1e-154), (1e150, 1e100j),
+               (1e100, 1e100j), (1e-200j, 1e200), (100.0, 100.0), (5.0, 10.0)]
+    return points
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_cohn5_bits_match_the_full_prefix_inverse(dps):
+    # same machine, two algorithms: H2 from the first row only and a target
+    # built unchecked must give byte-identical reports
+    for z, w in _oracle_points():
+        try:
+            ref = json.dumps(_cohn5_reference(z, w, dps).to_json())
+        except (ArithmeticError, ValueError, VerificationError):
+            with pytest.raises(VerificationError, match="--dps"):
+                cohn_holo_5(z, w, dps)
+        else:
+            assert json.dumps(cohn_holo_5(z, w, dps).to_json()) == ref, (z, w)

@@ -86,6 +86,29 @@ def test_sample_loop_adaptive_doubling():
     assert len(loop.values) >= 16
 
 
+def test_sample_loop_converts_each_sample_once():
+    import mpmath
+
+    conversions = []
+
+    class Sample:
+        def __init__(self, th):
+            self.value = cmath.exp(5j * th)
+
+        def __complex__(self):
+            conversions.append(self)
+            return self.value
+
+    # w^5 steps by 5 * 2pi/16 > pi/2 on 16 samples, so one doubling to 32
+    loop = sample_loop(Sample, samples=16)
+    assert winding_number(loop) == 5
+    assert len(loop.values) == 32
+    assert len(conversions) == 16 + 32
+    for f in (lambda th: 1, lambda th: mpmath.mpc(cmath.exp(1j * th))):
+        loop = sample_loop(f, samples=8)
+        assert all(type(v) is complex for v in loop.values)
+
+
 def test_sample_loop_cap_exhaustion():
     # a phase jump no refinement can fix
     def jumpy(th):

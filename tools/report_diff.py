@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of two source trees, byte for byte.
+
+    python3 tools/report_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are `src` directories (the ones holding the
+`sl2factor` package), for instance a checkout of the parent commit and the
+working tree.  Every command of COMMANDS runs once under each tree, as
+`python -m sl2factor.cli ...` with PYTHONPATH set to that tree and
+PYTHONDONTWRITEBYTECODE=1, so neither tree gains __pycache__ files.  The
+`timing_ms` values are masked; the rest of stdout and the exit code must
+match exactly.  For each command that differs, the differing lines of its
+pretty-printed report are shown.  Exits 1 on any difference, 0 otherwise.
+Standard library only; input files go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# JSON files the commands read, by name.
+INPUTS = {
+    "generic": {"target": {"a": "2", "b": "3", "c": "1", "d": "2"}},
+    "generic_big": {"a": "12345678901/7", "b": "3/11+2 i", "c": "5-1/3 i",
+                    "d": "700/407407403733+763/135802467911 i"},
+    "a_zero": {"a": "0", "b": "3", "c": "-1/3", "d": "2+i"},
+    "b_zero": {"a": "2", "b": "0", "c": "3", "d": "1/2"},
+    "m_lower_pivot": {"a": "2", "b": "3", "c": "1", "d": "2"},
+    "m_upper_pivot": {"a": "2", "b": "1/3", "c": "0", "d": "1/2"},
+    "m_diagonal": {"a": "3+i", "b": "0", "c": "0", "d": "3/10-1/10 i"},
+    "m_identity": {"a": "1", "b": "0", "c": "0", "d": "1"},
+    "m_float": {"a": 2.0, "b": 3.0, "c": 1.0, "d": 2.0},
+    "m_singular": {"a": 3e5, "b": 1e5, "c": 3e5, "d": 1e5},
+    "word_exact": {"word": [{"side": "U", "entry": "3"},
+                            {"side": "L", "entry": "2"}]},
+    "word_mixed": [{"side": "L", "entry": "1/2+i"},
+                   {"side": "U", "entry": 0.5}, {"side": "L", "entry": "-3"}],
+    "loop": {"values": [[1, 0], [0.5, 0.8], [-0.6, 0.7], [-1, 0],
+                        [-0.5, -0.8], [0.6, -0.7]]},
+}
+
+# The five-factor Cohn word at the corners of criterion 7's box,
+# z = t(1 + i), w = t'(1 - i) with t, t' = +-2, in double and at dps 40.
+COHN_CORNERS = [
+    ["cohn", f"--z={z}", f"--w={w}", *dps]
+    for z in ("2+2i", "-2-2i") for w in ("2-2i", "-2+2i")
+    for dps in ((), ("--dps", "40"))
+]
+
+COMMANDS = [
+    ["expand", "--n", "4"],
+    ["expand", "--n", "7"],
+    ["jacobian", "--n", "4", "--point", "5,0,0,7"],
+    ["jacobian", "--n", "4", "--point", "1,2,3,4"],
+    ["jacobian", "--n", "5", "--point", "1/2,0,-3,2+i,1"],
+    ["jacobian", "--n", "6", "--point", "1/3+2/5 i,7,0,0,-1,9/4"],
+    ["jacobian", "--n", "4", "--point", "0.5,1,1,1", "--approx"],
+    ["lemma-check", "--n", "4", "--samples", "200", "--seed", "1"],
+    ["lemma-check", "--n", "7", "--samples", "100", "--seed", "2"],
+    *(["fiber-solve", "--n", str(n), "--input", "{generic}"]
+      for n in range(4, 9)),
+    *(["fiber-solve", "--n", str(n), "--input", "{a_zero}", "--seed", "3"]
+      for n in range(4, 9)),
+    ["fiber-solve", "--n", "4", "--input", "{b_zero}", "--z1", "7"],
+    ["fiber-solve", "--n", "5", "--input", "{b_zero}", "--z1", "7"],
+    ["fiber-solve", "--n", "6", "--input", "{b_zero}"],
+    ["fiber-solve", "--n", "1024", "--input", "{generic_big}", "--seed", "5"],
+    *(["factor-const", "--input", "{%s}" % name]
+      for name in ("m_lower_pivot", "m_upper_pivot", "m_diagonal",
+                   "m_identity", "m_float", "m_singular")),
+    ["pad", "--input", "{word_exact}"],
+    ["pad", "--input", "{word_mixed}"],
+    ["cohn", "--z", "1", "--w", "2", "--factors", "4", "--h3", "3"],
+    ["cohn", "--z", "1/2", "--w", "1/4"],
+    ["cohn", "--z", "1/2", "--w", "1/4", "--dps", "40"],
+    ["winding", "--radius", "4"],
+    ["winding", "--input", "{loop}"],
+    ["certificate"],
+    ["certificate", "--d", "2+i", "--required", "2"],
+    ["bound", "--n", "5", "--k", "2=3,3=4,4=3,5=4"],
+    ["verify-suite", "--scale", "quick"],
+    ["verify-suite", "--scale", "full"],
+    *COHN_CORNERS,
+    # past the double range: refused with exit 3 and a pointer to --dps
+    ["cohn", "--approx", "--z", "1e200", "--w", "1e-200"],
+    ["cohn", "--approx", "--z", "1e155", "--w", "1e-154"],
+    ["cohn", "--approx", "--z", "1e200i", "--w", "1e200"],
+]
+
+_TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
+
+
+def run(src: Path, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "sl2factor.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    out = _TIMING.sub('"timing_ms": "*"', done.stdout)
+    return f"exit {done.returncode}\n{out}{done.stderr}"
+
+
+def _readable(report: str) -> list[str]:
+    # one JSON line per report: spread it out so a diff names the field
+    head, _, body = report.partition("\n")
+    try:
+        body = json.dumps(json.loads(body), indent=1)
+    except ValueError:
+        pass
+    return [head, *body.splitlines()]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: report_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv)
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in INPUTS.items():
+            path = Path(tmp, f"{name}.json")
+            path.write_text(json.dumps(data))
+            paths[name] = str(path)
+        for command in COMMANDS:
+            args = [arg.format(**paths) for arg in command]
+            before, after = run(old, args), run(new, args)
+            shown = " ".join(command)
+            if before == after:
+                print(f"same  {shown}")
+                continue
+            differing += 1
+            print(f"DIFF  {shown}")
+            for line in difflib.unified_diff(_readable(before),
+                                             _readable(after), "old", "new",
+                                             n=0, lineterm=""):
+                print(f"      {line}")
+    print(f"{differing} of {len(COMMANDS)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
