@@ -16,10 +16,10 @@ _EXPORTS = {
         "ExactComplex", "MultiPoly", "format_exact", "parse_exact",
         "poly_det_is_one", "poly_from_json", "poly_to_json"),
     "word_core": (
-        "ElementaryFactor", "FunctionHandle", "PhiTemplate", "SL2", "Word",
-        "eval_word", "expand_phi", "format_point", "in_singular_set",
-        "middle_Q", "middle_Q_brute", "sl2_from_json", "sl2_to_json",
-        "word_from_json", "word_inverse", "word_to_json"),
+        "ElementaryFactor", "PhiTemplate", "SL2", "Word", "eval_word",
+        "expand_phi", "format_point", "in_singular_set", "middle_Q",
+        "middle_Q_brute", "sl2_from_json", "sl2_to_json", "word_from_json",
+        "word_inverse", "word_to_json"),
     "submersion_spray": (
         "FlowResult", "TangentFrame", "VectorFieldSpec",
         "check_lemma_submersive", "flow_rk4", "frame_minor_det",
@@ -30,10 +30,10 @@ _EXPORTS = {
         "complete_nongeneric_even", "complete_odd", "f5_param",
         "fiber_transport_dim1", "fiber_transport_dim2", "interior_sample"),
     "factorizer": (
-        "BUILTIN_ENTRIES", "CohnTarget", "Factorization", "can_factor_three",
-        "cohn_eval", "cohn_family_4", "cohn_family_relations", "cohn_holo_5",
-        "cohn_holo_5_word", "factor_constant", "factor_count_bound",
-        "factor_offdiag_zero", "factor_unit_corner", "pad_avoid_singular"),
+        "Factorization", "can_factor_three", "cohn_eval", "cohn_family_4",
+        "cohn_family_relations", "cohn_holo_5", "factor_constant",
+        "factor_count_bound", "factor_offdiag_zero", "factor_unit_corner",
+        "pad_avoid_singular"),
     "obstruction": (
         "Certificate", "LoopSamples", "axis_continuation_degrees",
         "certificate_from_json", "circle_winding", "cohn_continuous_section",

@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("winding", _cmd_winding, help="winding number of a loop")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=256,
-                   help=f"at most {MAX_LOOP_SAMPLES}")
+                   help=f"3 to {MAX_LOOP_SAMPLES}")
     p.add_argument("--input", help="JSON file of loop values")
 
     p = add("certificate", _cmd_certificate,
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", default="1/2", help="fiber probe zw = D")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=256,
-                   help=f"per sampled loop, at most {MAX_LOOP_SAMPLES}")
+                   help=f"per sampled loop, 3 to {MAX_LOOP_SAMPLES}")
     p.add_argument("--required", type=int, default=2)
 
     p = add("bound", _cmd_bound, help="composite factor-count bound")

@@ -26,15 +26,15 @@ checks it by replaying the whole word against it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import unify_scalars
-from .word_core import (APPROX_TOL, ElementaryFactor, FunctionHandle, LOWER,
-                        SL2, UPPER, Word, _one_zero_like, _sl2, negligible,
-                        replay, sl2_to_json, word_product, word_to_json)
+from .word_core import (APPROX_TOL, ElementaryFactor, LOWER, SL2, UPPER,
+                        Word, _one_zero_like, _sl2, negligible, replay,
+                        sl2_to_json, word_product, word_to_json)
 
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
@@ -133,8 +133,6 @@ def pad_avoid_singular(word: Word) -> Word:
     if not word.is_alternating:
         raise PreconditionError("padding expects an alternating word")
     first = word.factors[0]
-    if isinstance(first.entry, FunctionHandle):
-        raise PreconditionError("first entry must be shiftable by 1")
     g = first.entry
     side = first.side
     other = UPPER if side == LOWER else LOWER
@@ -175,16 +173,6 @@ def cohn_eval(z, w) -> SL2:
     return SL2(1 + zw, z * z, -(w * w), 1 - zw)
 
 
-@dataclass(frozen=True)
-class CohnTarget:
-    z: object
-    w: object
-
-    @property
-    def matrix(self) -> SL2:
-        return cohn_eval(self.z, self.w)
-
-
 def _h1_series(z, zw):
     # (e^{zw} - 1 - zw)/w^2 = z^2 * sum_k (zw)^k / (k+2)!
     acc = 0 * z
@@ -219,25 +207,11 @@ def _cohn5_full(z, w, exp: Callable):
     b += a * -h1
     big_h2 = a * traw[1] + b * traw[3]
     prod = word_product("ULULU", (h1, h2, h3, h4, big_h2))
-    residual = max(abs(x - y) for x, y in zip(prod, traw))
-    return (h1, h2, h3, h4, big_h2), target, float(residual)
-
-
-def _cohn5_double(z: complex, w: complex):
-    """_cohn5_full in double precision.  A value that leaves the float range
-    is a VerificationError that points to --dps: zw or e^{+-zw} overflowing
-    (cmath.exp raises OverflowError, or ValueError on an infinite zw), w^2
-    underflowing to 0 under h1, or a target whose entries or determinant
-    overflow (ad - bc not finite, the one miss SL2's check could find)."""
-    try:
-        hs, target, residual = _cohn5_full(z, w, cmath.exp)
-        a, b, c, d = target.entries
-        if not cmath.isfinite(a * d - b * c):
-            raise OverflowError
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise VerificationError("five-factor word overflows double "
-                                "precision; rerun with --dps") from None
-    return hs, target, residual
+    diffs = [float(abs(x - y)) for x, y in zip(prod, traw)]
+    # NaN compares false both ways, so max can pass over one; a sum cannot
+    total = sum(diffs)
+    residual = max(diffs) if total == total else math.nan
+    return (h1, h2, h3, h4, big_h2), target, residual
 
 
 def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
@@ -250,8 +224,8 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
     returned with its residual, never raised, at any precision; only a
     value leaving the double range (zw, or e^{+-zw} once |Re(zw)| passes
     about 709, w^2 underflowing to 0, a target entry or its determinant
-    overflowing) is a VerificationError, which points to dps (--dps on the
-    command line).
+    overflowing, a word entry or replay difference that is not finite) is
+    a VerificationError, which points to dps (--dps on the command line).
     A dps that is not an int of at least 15 (double precision) is refused:
     the residual is computed at the working precision, so a lower one
     could call a wrong word verified.
@@ -265,7 +239,21 @@ def cohn_holo_5(z, w, dps: int | None = None) -> Factorization:
             zm, wm = mpmath.mpc(complex(z)), mpmath.mpc(complex(w))
             hs, target, residual = _cohn5_full(zm, wm, mpmath.exp)
     else:
-        hs, target, residual = _cohn5_double(complex(z), complex(w))
+        # cmath.exp raises OverflowError, or ValueError on an infinite zw;
+        # w^2 underflowing to 0 divides by zero under h1.  Near |Re zw| =
+        # 700 H2 can come out as inf - inf = NaN: a non-finite entry stays
+        # in the replayed product, whose updates only add to an entry, so
+        # the residual is finite only when every entry is
+        try:
+            hs, target, residual = _cohn5_full(complex(z), complex(w),
+                                               cmath.exp)
+            a, b, c, d = target.entries
+            if not (math.isfinite(residual)
+                    and cmath.isfinite(a * d - b * c)):
+                raise OverflowError
+        except (OverflowError, ValueError, ZeroDivisionError):
+            raise VerificationError("five-factor word overflows double "
+                                    "precision; rerun with --dps") from None
     h1, h2, h3, h4, big_h2 = hs
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4),
                    (UPPER, big_h2))
@@ -302,31 +290,3 @@ def cohn_family_4(z, w, h3) -> Factorization:
     word = Word.of((UPPER, h1), (LOWER, h2), (UPPER, h3), (LOWER, h4))
     target = cohn_eval(z, w)
     return Factorization(word, target, True, replay(word, target))
-
-
-@lru_cache(maxsize=1)
-def _cohn5_h_at(z: complex, w: complex) -> tuple:
-    # the five handles of one evaluation share a single computation
-    return _cohn5_double(z, w)[0]
-
-
-def _cohn5_entry(index: int) -> Callable:
-    def entry(z, w):
-        return _cohn5_h_at(complex(z), complex(w))[index]
-    return entry
-
-
-BUILTIN_ENTRIES: Mapping[str, FunctionHandle] = {
-    name: FunctionHandle(name, _cohn5_entry(i))
-    for i, name in enumerate(
-        ["cohn5_h1", "cohn5_h2", "cohn5_h3", "cohn5_h4", "cohn5_H2"])
-}
-
-
-def cohn_holo_5_word() -> Word:
-    """The five-factor word with named function entries in (z, w)."""
-    return Word.of((UPPER, BUILTIN_ENTRIES["cohn5_h1"]),
-                   (LOWER, BUILTIN_ENTRIES["cohn5_h2"]),
-                   (UPPER, BUILTIN_ENTRIES["cohn5_h3"]),
-                   (LOWER, BUILTIN_ENTRIES["cohn5_h4"]),
-                   (UPPER, BUILTIN_ENTRIES["cohn5_H2"]))

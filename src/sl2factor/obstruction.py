@@ -60,11 +60,14 @@ def winding_number(loop: LoopSamples) -> int:
     return round(sum(loop.increments) / TWO_PI)
 
 
-def sample_loop(f: Callable[[float], complex], samples: int = DEFAULT_SAMPLES,
-                cap: int = SAMPLE_CAP) -> LoopSamples:
-    """Sample f on [0, 2pi), doubling the count until adequacy holds."""
-    if samples < 2:
-        raise PreconditionError("need at least two samples")
+def sample_loop(f: Callable[[float], complex],
+                samples: int = DEFAULT_SAMPLES) -> LoopSamples:
+    """Sample f on [0, 2pi), doubling the count up to SAMPLE_CAP until
+    adequacy holds.  At least three samples: the two increments of a
+    two-sample loop are opposite, so its degree would read 0 whatever f
+    is."""
+    if samples < 3:
+        raise PreconditionError("need at least three samples")
     n = samples
     while True:
         # LoopSamples converts each value to complex, once
@@ -72,9 +75,9 @@ def sample_loop(f: Callable[[float], complex], samples: int = DEFAULT_SAMPLES,
         try:
             return LoopSamples(vals)
         except InadequateSamplingError:
-            if n >= cap:
+            if n >= SAMPLE_CAP:
                 raise
-            n = min(2 * n, cap)
+            n = min(2 * n, SAMPLE_CAP)
 
 
 def circle_winding(f: Callable[[complex], complex], radius: float,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import (
@@ -80,17 +80,6 @@ def negligible(x, *sizes) -> bool:
     if is_exact_scalar(x) or isinstance(x, MultiPoly):
         return not x
     return abs(x) < APPROX_TOL * max([1, *map(abs, sizes)])
-
-
-@dataclass(frozen=True)
-class FunctionHandle:
-    """Named evaluable entry, e.g. an entire function of (z, w)."""
-
-    name: str
-    fn: Callable
-
-    def __call__(self, *args):
-        return self.fn(*args)
 
 
 @dataclass(frozen=True)
@@ -314,28 +303,19 @@ def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     return entries
 
 
-def _eval_entry(entry, point: Sequence):
-    if isinstance(entry, MultiPoly):
-        # no point means symbolic expansion: keep the polynomial itself
-        return entry if len(point) == 0 else entry.eval(point)
-    if isinstance(entry, FunctionHandle):
-        return entry(*point)
-    return entry  # a scalar, or refused by unify_scalars
-
-
-def _product(w: Word, point: Sequence = ()) -> SL2:
+def _product(w: Word) -> SL2:
     if not len(w):
         return SL2.identity()
-    vals = unify_scalars([_eval_entry(f.entry, point) for f in w])
+    vals = unify_scalars([f.entry for f in w])
     return _sl2(*word_product([f.side for f in w.factors], vals))
 
 
-def eval_word(w: Word, point: Sequence = ()) -> SL2:
-    """Multiply out a word; symbolic and function entries get `point`.
-    Only an approximate product's determinant is checked (VerificationError
-    on drift), against its entries too: exact and polynomial products have
+def eval_word(w: Word) -> SL2:
+    """Multiply out a word of scalar or polynomial entries.  Only an
+    approximate product's determinant is checked (VerificationError on
+    drift), against its entries too: exact and polynomial products have
     det 1 by construction."""
-    prod = _product(w, point)
+    prod = _product(w)
     if not prod.is_exact:
         _check_det(prod.entries, *prod.entries)
     return prod
@@ -370,12 +350,8 @@ def replay(word: Word, target: SL2):
 
 def word_inverse(w: Word) -> Word:
     """Reverse the factors and negate the entries."""
-    out = []
-    for f in reversed(w.factors):
-        if isinstance(f.entry, FunctionHandle):
-            raise PreconditionError("cannot invert a function-handle entry")
-        out.append(ElementaryFactor(f.side, -f.entry))
-    return Word(out)
+    return Word(ElementaryFactor(f.side, -f.entry)
+                for f in reversed(w.factors))
 
 
 @dataclass(frozen=True)
@@ -474,8 +450,6 @@ def in_singular_set(point: Sequence, n: int) -> bool:
 def factor_to_json(f: ElementaryFactor):
     if isinstance(f.entry, MultiPoly):
         return {"side": f.side, "entry": poly_to_json(f.entry)}
-    if isinstance(f.entry, FunctionHandle):
-        return {"side": f.side, "entry": f.entry.name}
     return {"side": f.side, "entry": scalar_to_json(f.entry)}
 
 

@@ -362,6 +362,20 @@ def test_winding_at_its_sample_ceiling(capsys):
     assert (rep["winding"], rep["samples_used"]) == (2, MAX_LOOP_SAMPLES)
 
 
+@pytest.mark.parametrize("command", ["winding", "certificate"])
+def test_two_loop_samples_are_refused(capsys, command):
+    # a two-sample loop reads degree 0 whatever the map; three do not
+    code, rep = _one_line(capsys, [command, "--samples", "2"])
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    code, rep = _one_line(capsys, [command, "--samples", "3"])
+    assert code == 0
+    if command == "winding":
+        assert rep["winding"] == 2
+    else:
+        assert rep["evidence"]["continuation_degrees"] == [2, -2]
+
+
 def test_lemma_check_at_its_ceiling(capsys):
     code, rep = run(capsys, "lemma-check", "--n", str(MAX_LEMMA_N),
                     "--samples", "3")

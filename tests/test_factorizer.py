@@ -18,13 +18,11 @@ from sl2factor._random import random_exact, rng_from_seed
 from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex
 from sl2factor.factorizer import (
-    BUILTIN_ENTRIES, CohnTarget, Factorization, can_factor_three, cohn_eval,
-    cohn_family_4, cohn_family_relations, cohn_holo_5, cohn_holo_5_word,
-    factor_constant, factor_count_bound, factor_offdiag_zero,
-    factor_unit_corner, pad_avoid_singular)
+    Factorization, can_factor_three, cohn_eval, cohn_family_4,
+    cohn_family_relations, cohn_holo_5, factor_constant, factor_count_bound,
+    factor_offdiag_zero, factor_unit_corner, pad_avoid_singular)
 from sl2factor.word_core import (
-    APPROX_TOL, FunctionHandle, LOWER, SL2, UPPER, Word, eval_word,
-    word_product)
+    APPROX_TOL, LOWER, SL2, UPPER, Word, eval_word, word_product)
 
 EC = ExactComplex
 
@@ -162,8 +160,6 @@ def test_pad_rejections():
         pad_avoid_singular(Word(()))
     with pytest.raises(PreconditionError):
         pad_avoid_singular(Word.of((UPPER, EC(1)), (UPPER, EC(2))))
-    with pytest.raises(PreconditionError):
-        pad_avoid_singular(cohn_holo_5_word())  # function entries
 
 
 def test_factor_count_bound():
@@ -182,7 +178,6 @@ def test_factor_count_bound():
 def test_cohn_eval():
     m = cohn_eval(EC(1), EC(2))
     assert m == _sl2(3, 1, -4, -1)
-    assert CohnTarget(EC(1), EC(2)).matrix == m
     # determinant identically 1 also off the rationals
     approx = cohn_eval(0.3 + 0.4j, -1.1 + 0.2j)
     det = approx.a * approx.d - approx.b * approx.c
@@ -282,33 +277,9 @@ def test_cohn_family_relations_iff_product(z, w, h3):
     assert not all(r.is_zero for r in cohn_family_relations(zc, wc, h))
 
 
-def test_builtin_entries_and_symbolic_word():
-    assert set(BUILTIN_ENTRIES) == {"cohn5_h1", "cohn5_h2", "cohn5_h3",
-                                    "cohn5_h4", "cohn5_H2"}
-    word = cohn_holo_5_word()
-    assert all(isinstance(fac.entry, FunctionHandle) for fac in word.factors)
-    z, w = 0.4 + 0.3j, -0.2 + 0.1j
-    values = [fac.entry.fn(z, w) for fac in word.factors]
-    direct = cohn_holo_5(z, w)
-    for v, fac in zip(values, direct.word.factors):
-        assert abs(complex(v) - complex(fac.entry)) < 1e-12
-
-
-def test_cohn_holo_5_word_computes_once_per_point(monkeypatch):
-    calls = []
-    full = factorizer._cohn5_full
-
-    def counting(*args):
-        calls.append(args[:2])
-        return full(*args)
-
-    monkeypatch.setattr(factorizer, "_cohn5_full", counting)
-    factorizer._cohn5_h_at.cache_clear()
-    word = cohn_holo_5_word()
+def test_cohn_holo_5_word_multiplies_out_to_cohn():
     for z, w in ((0.3 - 0.2j, 1.1 + 0.4j), (-0.7 + 0.1j, 0.25 - 0.6j)):
-        calls.clear()
-        prod = eval_word(word, (z, w))
-        assert calls == [(z, w)]
+        prod = eval_word(cohn_holo_5(z, w).word)
         target = cohn_eval(z, w)
         assert max(abs(x - y) for x, y in
                    zip(prod.entries, target.entries)) < 1e-10
@@ -341,9 +312,29 @@ def test_cohn5_double_overflow_is_verification_error(z, w):
     with pytest.raises(VerificationError, match="--dps"):
         cohn_holo_5(z, w)
     assert cohn_holo_5(z, w, dps=15).factor_count == 5
-    # the function handles of the named word fail the same way
+
+
+def test_cohn5_nan_closing_entry_is_out_of_range():
+    # zw = -702.72: h2 is about -1.6e307 and H2 comes out as inf - inf =
+    # NaN, which max over the replay differences could pass over
     with pytest.raises(VerificationError, match="--dps"):
-        eval_word(cohn_holo_5_word(), (z, w))
+        cohn_holo_5(-70.272, 10.0)
+    assert math.isnan(factorizer._cohn5_full(-70.272 + 0j, 10.0 + 0j,
+                                             cmath.exp)[2])
+    assert cohn_holo_5(-70.272, 10.0, dps=15).factor_count == 5
+
+
+def test_cohn5_real_zw_sweep_returns_only_finite_words():
+    # zw from -720 to 720 in steps of 0.05, with w = 10: a word returned
+    # in double precision has finite entries and residual, so its report
+    # is strict JSON; the rest are refused with a pointer to --dps
+    for k in range(-14400, 14401):
+        try:
+            f = cohn_holo_5(k * 0.05 / 10, 10.0)
+        except VerificationError as exc:
+            assert "--dps" in str(exc)
+            continue
+        json.dumps(f.to_json(), allow_nan=False)
 
 
 @pytest.mark.parametrize("dps", [1, 0, -5, 14, 40.0, "40", True])

@@ -109,14 +109,25 @@ def test_sample_loop_converts_each_sample_once():
         assert all(type(v) is complex for v in loop.values)
 
 
-def test_sample_loop_cap_exhaustion():
+def test_sample_loop_cap_exhaustion(monkeypatch):
     # a phase jump no refinement can fix
     def jumpy(th):
         return cmath.exp(1j * (th + math.pi * (th > 3)))
+    monkeypatch.setattr(obstruction, "SAMPLE_CAP", 64)
     with pytest.raises(InadequateSamplingError):
-        sample_loop(jumpy, samples=16, cap=64)
+        sample_loop(jumpy, samples=16)
     with pytest.raises(PreconditionError):
         sample_loop(lambda th: 1 + 0j, samples=1)
+
+
+def test_sample_loop_needs_three_samples():
+    # the two increments of a two-sample loop are opposite, so it reads
+    # degree 0 even for w^2; supplied values are not refused
+    with pytest.raises(PreconditionError, match="three"):
+        sample_loop(lambda th: cmath.exp(2j * th), samples=2)
+    assert winding_number(LoopSamples((1, 1 + 0.1j))) == 0
+    assert winding_number(sample_loop(lambda th: cmath.exp(2j * th),
+                                      samples=3)) == 2
 
 
 def test_zero_sample_propagates_not_retried():

@@ -92,6 +92,13 @@ COMMANDS = [
     ["cohn", "--approx", "--z", "1e200", "--w", "1e-200"],
     ["cohn", "--approx", "--z", "1e155", "--w", "1e-154"],
     ["cohn", "--approx", "--z", "1e200i", "--w", "1e200"],
+    # H2 = inf - inf = NaN near |Re zw| = 700: refused the same way
+    ["cohn", "--approx", "--z=-70.272", "--w=10"],
+    # two samples read degree 0 whatever the loop, so fewer than three are
+    # refused with exit 2; three still read the section's degree 2
+    ["winding", "--samples", "2"],
+    ["winding", "--samples", "3"],
+    ["certificate", "--samples", "2"],
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
