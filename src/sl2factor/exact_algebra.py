@@ -741,6 +741,12 @@ def _kind_rank(v) -> int:
     raise PreconditionError(f"not a scalar: {v!r}")
 
 
+def require_scalar(v) -> None:
+    """Refuse, with PreconditionError, a value of a kind unify_scalars
+    does not accept."""
+    _RANK.get(type(v)) or _kind_rank(v)
+
+
 def unify_scalars(vals: Sequence) -> list:
     """The scalar arguments of one call, brought to one kind.
 

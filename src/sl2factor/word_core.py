@@ -18,7 +18,9 @@ unimodular, so exact and polynomial products have det 1 by construction.
 word_partials runs them on complex, mpmath and polynomial entries;
 exact words run them on Gaussian-integer numerators over one common
 denominator (_exact_partials), with one reduction per entry kept.
-Validation stays at the boundary: a user-built SL2 checks its determinant
+Validation stays at the boundary: a user-built ElementaryFactor checks
+its entry's kind (words the library computes itself are built unchecked
+by _word, as matrices by _sl2), a user-built SL2 checks its determinant
 (polynomials by exact_algebra.poly_det_is_one, approximate entries within
 SL2_DET_ULPS units of rounding), eval_word checks only approximate
 products, where rounding drifts, and replay multiplies a returned word
@@ -50,6 +52,7 @@ from .exact_algebra import (
     poly_det_is_one,
     poly_from_json,
     poly_to_json,
+    require_scalar,
     scalar_from_json,
     scalar_to_json,
     unify_scalars,
@@ -84,12 +87,16 @@ def negligible(x, *sizes) -> bool:
 
 @dataclass(frozen=True)
 class ElementaryFactor:
+    """L(entry) or U(entry); the entry must be of a kind unify_scalars
+    accepts (PreconditionError otherwise)."""
+
     side: str
     entry: object
 
     def __post_init__(self):
         if self.side not in (LOWER, UPPER):
             raise PreconditionError(f"side must be 'L' or 'U', got {self.side!r}")
+        require_scalar(self.entry)
 
 
 @dataclass(frozen=True)
@@ -221,6 +228,22 @@ def _sl2(*entries) -> SL2:
     return m
 
 
+def _word(sides: Sequence[str], entries: Sequence) -> Word:
+    """Trusted constructor for words the library computed itself: sides
+    valid and entries of kinds unify_scalars accepts, so nothing is
+    checked.  Arguments as for word_product."""
+    factors = []
+    for side, entry in zip(sides, entries):
+        f = object.__new__(ElementaryFactor)
+        fields = f.__dict__  # frozen: write the fields, not the attributes
+        fields["side"] = side
+        fields["entry"] = entry
+        factors.append(f)
+    w = object.__new__(Word)
+    object.__setattr__(w, "factors", tuple(factors))
+    return w
+
+
 def _one_zero_like(g):
     if isinstance(g, MultiPoly):
         return MultiPoly.one(g.nvars), MultiPoly.zero(g.nvars)
@@ -350,8 +373,8 @@ def replay(word: Word, target: SL2):
 
 def word_inverse(w: Word) -> Word:
     """Reverse the factors and negate the entries."""
-    return Word(ElementaryFactor(f.side, -f.entry)
-                for f in reversed(w.factors))
+    factors = w.factors[::-1]
+    return _word([f.side for f in factors], [-f.entry for f in factors])
 
 
 @dataclass(frozen=True)

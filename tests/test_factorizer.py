@@ -160,6 +160,9 @@ def test_pad_rejections():
         pad_avoid_singular(Word(()))
     with pytest.raises(PreconditionError):
         pad_avoid_singular(Word.of((UPPER, EC(1)), (UPPER, EC(2))))
+    # an entry of no scalar kind is refused before it reaches g + 1
+    with pytest.raises(PreconditionError, match="not a scalar"):
+        pad_avoid_singular(Word.of((LOWER, "x")))
 
 
 def test_factor_count_bound():
@@ -319,8 +322,7 @@ def test_cohn5_nan_closing_entry_is_out_of_range():
     # NaN, which max over the replay differences could pass over
     with pytest.raises(VerificationError, match="--dps"):
         cohn_holo_5(-70.272, 10.0)
-    assert math.isnan(factorizer._cohn5_full(-70.272 + 0j, 10.0 + 0j,
-                                             cmath.exp)[2])
+    assert math.isnan(factorizer._cohn5_full(-70.272 + 0j, 10.0 + 0j)[2])
     assert cohn_holo_5(-70.272, 10.0, dps=15).factor_count == 5
 
 
@@ -395,7 +397,7 @@ def _oracle_points():
     return points
 
 
-@pytest.mark.parametrize("dps", [None, 40])
+@pytest.mark.parametrize("dps", [None, 40, 80])
 def test_cohn5_bits_match_the_full_prefix_inverse(dps):
     # same machine, two algorithms: H2 from the first row only and a target
     # built unchecked must give byte-identical reports
@@ -407,3 +409,26 @@ def test_cohn5_bits_match_the_full_prefix_inverse(dps):
                 cohn_holo_5(z, w, dps)
         else:
             assert json.dumps(cohn_holo_5(z, w, dps).to_json()) == ref, (z, w)
+
+
+@pytest.mark.parametrize("dps", [15, 40, 80])
+def test_cohn5_mp_entries_match_mpc_operators_to_the_last_bit(dps):
+    # the reports show entries rounded to double; the kernel on libmp
+    # tuples must also give the reference's mpc values bit for bit
+    for z, w in _oracle_points():
+        f, ref = cohn_holo_5(z, w, dps), _cohn5_reference(z, w, dps)
+        got = [x._mpc_ for x in (*(g.entry for g in f.word),
+                                 *f.target.entries)]
+        want = [x._mpc_ for x in (*(g.entry for g in ref.word),
+                                  *ref.target.entries)]
+        assert got == want, (z, w)
+        assert f.verified == ref.verified, (z, w)
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+@pytest.mark.parametrize("z,w", [(math.inf, 1.0), (1.0, complex(0, -math.inf)),
+                                 (math.nan, 1.0), (2.0, complex(math.nan, 1))])
+def test_cohn5_refuses_non_finite_input(z, w, dps):
+    # at dps such input used to come back as a word of NaN entries
+    with pytest.raises(PreconditionError, match="non-finite"):
+        cohn_holo_5(z, w, dps)

@@ -178,6 +178,17 @@ def test_bad_side_rejected():
         ElementaryFactor("X", 1)
 
 
+@pytest.mark.parametrize("entry", ["x", None, [1], b"1", object()],
+                         ids=["str", "None", "list", "bytes", "object"])
+def test_entry_of_no_scalar_kind_rejected(entry):
+    # refused where the word is built, not as a bare TypeError in the first
+    # product or padding that touches the entry
+    with pytest.raises(PreconditionError, match="not a scalar"):
+        ElementaryFactor(LOWER, entry)
+    with pytest.raises(PreconditionError, match="not a scalar"):
+        Word.of((UPPER, 2), (LOWER, entry))
+
+
 def test_polynomial_matrix_is_exact():
     # is_exact means "replays compare literally", which polynomials do
     x = MultiPoly.variable(1, 0)

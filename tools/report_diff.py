@@ -88,6 +88,10 @@ COMMANDS = [
     ["verify-suite", "--scale", "quick"],
     ["verify-suite", "--scale", "full"],
     *COHN_CORNERS,
+    # the corner where double precision fails (zw = -8), at dps 80, and
+    # the series branch for h1 (|zw| < 1e-3) at dps 40
+    ["cohn", "--approx", "--z=-2-2i", "--w=2-2i", "--dps", "80"],
+    ["cohn", "--approx", "--z=1e-4+2e-4i", "--w=0.5", "--dps", "40"],
     # past the double range: refused with exit 3 and a pointer to --dps
     ["cohn", "--approx", "--z", "1e200", "--w", "1e-200"],
     ["cohn", "--approx", "--z", "1e155", "--w", "1e-154"],
