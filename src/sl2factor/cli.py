@@ -221,7 +221,9 @@ def _cmd_cohn(args):
     z = _parse_scalar(args.z, args.approx)
     w = _parse_scalar(args.w, args.approx)
     if args.factors == 5:
-        f = cohn_holo_5(complex(z), complex(w), dps=args.dps)
+        # cohn_holo_5 takes the double value of an exact z or w, and
+        # refuses one beyond the double range
+        f = cohn_holo_5(z, w, dps=args.dps)
         if not f.verified:
             hint = ("rerun with --dps 40" if args.dps is None
                     else f"rerun with --dps above {args.dps}")
@@ -283,7 +285,7 @@ def _cmd_certificate(args):
     require_finite(args.radius)
     _refuse_above(f"--samples {args.samples}", args.samples,
                   MAX_LOOP_SAMPLES)
-    d_probe = complex(_parse_scalar(args.d, approx=True))
+    d_probe = require_finite(_parse_scalar(args.d, approx=True))
     cert = holo_obstruction_certificate(d_probe, args.required)
     continuation = axis_continuation_degrees([d_probe, d_probe / 10],
                                              args.radius, args.samples)
@@ -437,10 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, command: str | None, t0: float) -> None:
+def _emit(payload: dict, command: str | None, t0: float) -> bool:
+    """Print the report as one line of strict JSON.  A report holding a
+    non-finite float has no such line: print nothing and return False."""
     payload["command"] = command
     payload["timing_ms"] = round((perf_counter() - t0) * 1000.0, 3)
-    print(json.dumps(payload, sort_keys=True))
+    try:
+        line = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        json.dumps(payload, sort_keys=True)  # re-raises any other fault
+        return False
+    print(line)
+    return True
 
 
 def main(argv=None) -> int:
@@ -458,7 +468,11 @@ def main(argv=None) -> int:
                                    "message": str(exc)}}, 3
     except (OSError, json.JSONDecodeError) as exc:
         payload, code = {"error": {"code": "io", "message": str(exc)}}, 4
-    _emit(payload, args.command, t0)
+    if not _emit(payload, args.command, t0):
+        code = 3
+        _emit({"error": {"code": "verification", "message":
+                         "report holds a non-finite value"}},
+              args.command, t0)
     return code
 
 

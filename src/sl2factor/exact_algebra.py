@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add as _add
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
 
@@ -249,6 +249,9 @@ class ExactComplex:
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
+    def __reduce__(self):
+        return _ec, self._pqd
+
 
 _set_pqd = ExactComplex._pqd.__set__
 
@@ -334,8 +337,13 @@ def is_exact_scalar(x) -> bool:
 
 
 def require_finite(x: complex) -> complex:
-    """Reject NaN/Inf before they leak into results."""
-    z = complex(x)
+    """Reject NaN/Inf before they leak into results, and an exact value
+    beyond the double range, which complex() cannot convert."""
+    try:
+        z = complex(x)
+    except OverflowError:
+        raise PreconditionError("exact scalar beyond the double range; "
+                                "it has no approximate value") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise PreconditionError(f"non-finite approximate scalar: {z!r}")
     return z
@@ -598,6 +606,9 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.to_str()})"
+
+    def __reduce__(self):
+        return _poly, (self.nvars, self.terms)
 
 
 _set_nvars = MultiPoly.nvars.__set__

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import PreconditionError, VerificationError
 from .exact_algebra import require_finite, unify_scalars

@@ -29,13 +29,13 @@ largest |entry| of the target).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .errors import PreconditionError, SamplingBudgetError, VerificationError
+from .errors import (PreconditionError, SamplingBudgetError,
+                     VerificationError, _Record)
 from .exact_algebra import unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import SL2, PhiTemplate, negligible, replay, word_product
+from .word_core import SL2, _word, negligible, replay, word_product
 
 MAX_SAMPLE_TRIES = 64
 
@@ -58,34 +58,63 @@ def pivot_is_zero(target: SL2, n: int) -> bool:
     return negligible(pivot, *target.entries)
 
 
-@dataclass(frozen=True)
-class InteriorPoint:
+def _replay_phi(point: tuple, target: SL2) -> None:
+    """Replay Phi_N at a completed point against its target.  The solver
+    computed every coordinate in one kind, so the word is built unchecked
+    (word_core._word); lower factor first, alternating."""
+    replay(_word("LU" * len(point), point), target)
+
+
+class InteriorPoint(_Record):
     """Values of z_2..z_{N-1} lying exactly on a Q-level set."""
 
-    n: int
-    stratum: str  # "Q1" or "Q2"
-    level: object
-    values: tuple
+    __slots__ = _fields = ("n", "stratum", "level", "values")
+
+    def __init__(self, n: int, stratum: str, level: object, values: tuple):
+        _set_ip_n(self, n)
+        _set_stratum(self, stratum)  # "Q1" or "Q2"
+        _set_level(self, level)
+        _set_values(self, values)
 
     def q_entries(self):
         return _middle_product(unify_scalars(self.values))
 
 
-@dataclass(frozen=True)
-class FiberCompletion:
+_set_ip_n = InteriorPoint.n.__set__
+_set_stratum = InteriorPoint.stratum.__set__
+_set_level = InteriorPoint.level.__set__
+_set_values = InteriorPoint.values.__set__
+
+
+class FiberCompletion(_Record):
     """A full point of Phi_N^{-1}(target), with the verification replayed."""
 
-    n: int
-    branch: str
-    point: tuple
-    target: SL2
-    verified: bool
-    eq4_residual: object = None
-    z1_free: object = None
+    __slots__ = _fields = ("n", "branch", "point", "target", "verified",
+                           "eq4_residual", "z1_free")
+
+    def __init__(self, n: int, branch: str, point: tuple, target: SL2,
+                 verified: bool, eq4_residual: object = None,
+                 z1_free: object = None):
+        _set_fc_n(self, n)
+        _set_branch(self, branch)
+        _set_point(self, point)
+        _set_target(self, target)
+        _set_verified(self, verified)
+        _set_eq4_residual(self, eq4_residual)
+        _set_z1_free(self, z1_free)
 
     @property
     def interior(self) -> tuple:
         return self.point[1:-1]
+
+
+_set_fc_n = FiberCompletion.n.__set__
+_set_branch = FiberCompletion.branch.__set__
+_set_point = FiberCompletion.point.__set__
+_set_target = FiberCompletion.target.__set__
+_set_verified = FiberCompletion.verified.__set__
+_set_eq4_residual = FiberCompletion.eq4_residual.__set__
+_set_z1_free = FiberCompletion.z1_free.__set__
 
 
 def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
@@ -179,7 +208,7 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     # the d-equation comes for free; its cleared residual must vanish
     eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
     point = (z1, *values, zn)
-    replay(PhiTemplate(n).word_at(point), target)
+    _replay_phi(point, target)
     return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
 
 
@@ -204,7 +233,7 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     q4 = _middle_product(interior)[3]
     zn = (d - q4 - b * z1) / c
     point = (z1, *interior, zn)
-    replay(PhiTemplate(n).word_at(point), target)
+    _replay_phi(point, target)
     return FiberCompletion(n, "nongeneric", point, target, True, z1_free=z1)
 
 
@@ -227,7 +256,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
         z1s = (d - q4) / b
         zn = (a - q1) / b
         point = (z1s, *values, zn)
-        replay(PhiTemplate(n).word_at(point), target)
+        _replay_phi(point, target)
         return FiberCompletion(n, "generic", point, target, True)
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
@@ -237,7 +266,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
                 "interior must satisfy Q1 = a and Q2 = 0")
         zn = a * (c - q3 - a * z1)
         point = (z1, *values, zn)
-        replay(PhiTemplate(n).word_at(point), target)
+        _replay_phi(point, target)
         return FiberCompletion(n, "nongeneric", point, target, True,
                                z1_free=z1)
     raise PreconditionError(f"unknown branch {branch!r}")

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import InadequateSamplingError, PreconditionError, \
-    VerificationError
+    VerificationError, _Record
 from .exact_algebra import require_finite, unify_scalars
 
 TWO_PI = 2.0 * math.pi
@@ -32,15 +31,16 @@ SAMPLE_CAP = 2 ** 16
 CLAIM_NO_HOLO_4 = "no-holo-4-factorization"
 
 
-@dataclass(frozen=True)
-class LoopSamples:
-    """Closed loop of nonzero values; construction enforces adequacy."""
+class LoopSamples(_Record):
+    """Closed loop of nonzero values; construction enforces adequacy.
+    The principal-branch angular increments are kept too, but only the
+    values are fields."""
 
-    values: tuple
+    __slots__ = ("values", "increments")
+    _fields = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(map(complex, self.values))
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: tuple):
+        vals = tuple(map(complex, values))
         if len(vals) < 2:
             raise PreconditionError("a loop needs at least two samples")
         if not all(map(cmath.isfinite, vals)):
@@ -52,7 +52,12 @@ class LoopSamples:
         if any(abs(t) >= math.pi / 2 for t in incs):
             raise InadequateSamplingError(
                 "angular step >= pi/2; refine the sampling")
-        object.__setattr__(self, "increments", incs)
+        _set_loop_values(self, vals)
+        _set_increments(self, incs)
+
+
+_set_loop_values = LoopSamples.values.__set__
+_set_increments = LoopSamples.increments.__set__
 
 
 def winding_number(loop: LoopSamples) -> int:
@@ -238,20 +243,22 @@ def shrinking_circle_degrees(f: Callable[[complex], complex],
     return [circle_winding(f, r, samples) for r in radii]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Machine-checkable verdict with the evidence its degrees rest on."""
 
-    claim: str
-    required_degree: int
-    achieved: tuple
-    verdict: bool
-    evidence: dict
+    __slots__ = _fields = ("claim", "required_degree", "achieved", "verdict",
+                           "evidence")
 
-    def __post_init__(self):
-        if self.verdict != (self.required_degree not in self.achieved):
+    def __init__(self, claim: str, required_degree: int, achieved: tuple,
+                 verdict: bool, evidence: dict):
+        if verdict != (required_degree not in achieved):
             raise VerificationError(
                 "certificate verdict contradicts its own degree lists")
+        _set_claim(self, claim)
+        _set_required_degree(self, required_degree)
+        _set_achieved(self, achieved)
+        _set_verdict(self, verdict)
+        _set_evidence(self, evidence)
 
     def to_json(self) -> dict:
         return {
@@ -261,6 +268,13 @@ class Certificate:
             "verdict": self.verdict,
             "evidence": dict(self.evidence),
         }
+
+
+_set_claim = Certificate.claim.__set__
+_set_required_degree = Certificate.required_degree.__set__
+_set_achieved = Certificate.achieved.__set__
+_set_verdict = Certificate.verdict.__set__
+_set_evidence = Certificate.evidence.__set__
 
 
 def certificate_from_json(data: dict) -> Certificate:

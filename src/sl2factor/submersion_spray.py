@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _Record
 from .exact_algebra import (
     ExactComplex,
     MultiPoly,
@@ -73,12 +72,18 @@ JACOBI_MAX_SWEEPS = 30
 MAX_FLOW_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class TangentFrame:
+class TangentFrame(_Record):
     """N tangent columns of Phi_N in the (e21, e12, d12) basis."""
 
-    columns: tuple
-    exact: bool
+    __slots__ = _fields = ("columns", "exact")
+
+    def __init__(self, columns: tuple, exact: bool):
+        _set_columns(self, columns)
+        _set_exact(self, exact)
+
+
+_set_columns = TangentFrame.columns.__set__
+_set_exact = TangentFrame.exact.__set__
 
 
 def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
@@ -288,26 +293,28 @@ def check_lemma_submersive(n: int, samples: int, seed: int = 0) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class VectorFieldSpec:
+class VectorFieldSpec(_Record):
     """Field P_l d/dz_k - P_k d/dz_l on the variables of the polynomial P.
 
     k and l are 0-based indices into P's variables.  Instances come from
     v_field_spec (interior variables, P = Q1 of the middle word) or
     w_field_spec (leading variables, P the upper-right entry of the
-    truncated word); arbitrary P is allowed.
+    truncated word); arbitrary P is allowed.  The derived polynomials
+    are computed once, on first use, into the instance __dict__.
     """
 
-    p: MultiPoly
-    k: int
-    l: int
+    __slots__ = ("p", "k", "l", "__dict__")
+    _fields = ("p", "k", "l")
 
-    def __post_init__(self):
-        if self.k == self.l:
+    def __init__(self, p: MultiPoly, k: int, l: int):
+        if k == l:
             raise PreconditionError("field indices must differ")
-        for idx in (self.k, self.l):
-            if not 0 <= idx < self.p.nvars:
+        for idx in (k, l):
+            if not 0 <= idx < p.nvars:
                 raise PreconditionError(f"index {idx} out of range")
+        _set_p(self, p)
+        _set_k(self, k)
+        _set_l(self, l)
 
     @cached_property
     def pk(self) -> MultiPoly:
@@ -321,6 +328,11 @@ class VectorFieldSpec:
     def pfun(self):
         """Float evaluator of P, which flow_rk4 measures its drift with."""
         return compile_approx(self.p)
+
+
+_set_p = VectorFieldSpec.p.__set__
+_set_k = VectorFieldSpec.k.__set__
+_set_l = VectorFieldSpec.l.__set__
 
 
 def v_field_spec(n: int, k: int, l: int, level_var: bool = False
@@ -359,15 +371,22 @@ def vfield_apply(spec: VectorFieldSpec, q: MultiPoly) -> MultiPoly:
     return spec.pl * q.diff(spec.k) - spec.pk * q.diff(spec.l)
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    end: tuple
-    p_start: complex
-    p_end: complex
+class FlowResult(_Record):
+    __slots__ = _fields = ("end", "p_start", "p_end")
+
+    def __init__(self, end: tuple, p_start: complex, p_end: complex):
+        _set_end(self, end)
+        _set_p_start(self, p_start)
+        _set_p_end(self, p_end)
 
     @property
     def drift(self) -> complex:
         return self.p_end - self.p_start
+
+
+_set_end = FlowResult.end.__set__
+_set_p_start = FlowResult.p_start.__set__
+_set_p_end = FlowResult.p_end.__set__
 
 
 def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> dict:

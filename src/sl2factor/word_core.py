@@ -36,11 +36,10 @@ target for a replay or a fiber pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
-from typing import Iterator, Mapping, Sequence
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError, VerificationError, _Record
 from .exact_algebra import (
     EC_ONE,
     EC_ZERO,
@@ -85,29 +84,36 @@ def negligible(x, *sizes) -> bool:
     return abs(x) < APPROX_TOL * max([1, *map(abs, sizes)])
 
 
-@dataclass(frozen=True)
-class ElementaryFactor:
+class ElementaryFactor(_Record):
     """L(entry) or U(entry); the entry must be of a kind unify_scalars
     accepts (PreconditionError otherwise)."""
 
-    side: str
-    entry: object
+    __slots__ = _fields = ("side", "entry")
 
-    def __post_init__(self):
-        if self.side not in (LOWER, UPPER):
-            raise PreconditionError(f"side must be 'L' or 'U', got {self.side!r}")
-        require_scalar(self.entry)
+    def __init__(self, side: str, entry: object):
+        if side not in (LOWER, UPPER):
+            raise PreconditionError(f"side must be 'L' or 'U', got {side!r}")
+        require_scalar(entry)
+        _set_side(self, side)
+        _set_entry(self, entry)
 
 
-@dataclass(frozen=True)
-class Word:
-    factors: tuple[ElementaryFactor, ...]
+_set_side = ElementaryFactor.side.__set__
+_set_entry = ElementaryFactor.entry.__set__
+
+
+class Word(_Record):
+    """A tuple of ElementaryFactor; its value is their left-to-right
+    product (eval_word)."""
+
+    __slots__ = _fields = ("factors",)
 
     def __init__(self, factors=()):
-        object.__setattr__(self, "factors", tuple(factors))
-        for f in self.factors:
+        factors = tuple(factors)
+        for f in factors:
             if not isinstance(f, ElementaryFactor):
                 raise PreconditionError("word items must be ElementaryFactor")
+        _set_factors(self, factors)
 
     def __len__(self):
         return len(self.factors)
@@ -124,6 +130,9 @@ class Word:
     def of(*pairs) -> "Word":
         """Word.of(("L", 2), ("U", 3), ...) convenience constructor."""
         return Word(ElementaryFactor(s, e) for s, e in pairs)
+
+
+_set_factors = Word.factors.__set__
 
 
 def _check_det(vals, *sizes) -> None:
@@ -219,6 +228,9 @@ class SL2:
     def __repr__(self):
         return f"SL2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
+    def __reduce__(self):
+        return _sl2, self.entries
+
 
 def _sl2(*entries) -> SL2:
     """Trusted constructor: entries already of one kind, det known to be 1."""
@@ -235,12 +247,11 @@ def _word(sides: Sequence[str], entries: Sequence) -> Word:
     factors = []
     for side, entry in zip(sides, entries):
         f = object.__new__(ElementaryFactor)
-        fields = f.__dict__  # frozen: write the fields, not the attributes
-        fields["side"] = side
-        fields["entry"] = entry
+        _set_side(f, side)
+        _set_entry(f, entry)
         factors.append(f)
     w = object.__new__(Word)
-    object.__setattr__(w, "factors", tuple(factors))
+    _set_factors(w, tuple(factors))
     return w
 
 
@@ -377,15 +388,15 @@ def word_inverse(w: Word) -> Word:
     return _word([f.side for f in factors], [-f.entry for f in factors])
 
 
-@dataclass(frozen=True)
-class PhiTemplate:
+class PhiTemplate(_Record):
     """Alternating-word template of length N, lower first (Phi_N)."""
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise PreconditionError("template length must be >= 1")
+        _set_n(self, n)
 
     def side_of(self, j: int) -> str:
         # j is 1-based position in the word
@@ -402,6 +413,9 @@ class PhiTemplate:
                 f"expected {self.n} coordinates, got {len(values)}")
         return Word(ElementaryFactor(self.side_of(j), values[j - 1])
                     for j in range(1, self.n + 1))
+
+
+_set_n = PhiTemplate.n.__set__
 
 
 def expand_phi(t: PhiTemplate) -> SL2:

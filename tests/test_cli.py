@@ -614,6 +614,33 @@ def test_cohn_out_of_double_range_is_exit_3(capsys, z, w):
     assert "--dps" in rep["error"]["message"]
 
 
+ABOVE_DOUBLE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohn", "--z", ABOVE_DOUBLE, "--w", "1"],
+    ["cohn", "--z", "1", f"--w=-{ABOVE_DOUBLE}i", "--dps", "40"],
+    ["certificate", "--d", ABOVE_DOUBLE],
+])
+def test_exact_argument_beyond_double_range_is_exit_2(capsys, argv):
+    # complex() of the exact value raised OverflowError, a traceback
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+    assert "double range" in rep["error"]["message"]
+
+
+def test_report_with_a_non_finite_value_is_exit_3(capsys):
+    # verified at dps 820, but h1 = (e^900 - 1 - 900)/900 is past the
+    # double range, so the report would print Infinity
+    argv = ["cohn", "--approx", "--z", "30", "--w", "30", "--dps", "820"]
+    code, rep = _one_line(capsys, argv)
+    assert code == 3
+    assert rep == {"command": "cohn", "timing_ms": rep["timing_ms"],
+                   "error": {"code": "verification", "message":
+                             "report holds a non-finite value"}}
+
+
 @pytest.mark.parametrize("z,w,h3", [
     ("0.5", "0.5", "0.25"),   # all float
     ("0.5", "0.5", "1"),      # float z and w, exact h3

@@ -116,6 +116,10 @@ RAW = ['{"a": [1e400, 0], "b": 0, "c": 0, "d": 1}', "[1e400, 0]",
 input_texts = st.one_of(payloads.map(json.dumps), st.sampled_from(RAW))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -127,7 +131,8 @@ def _run(argv):
     lines = out.getvalue().splitlines()
     assert code in (0, 2, 3, 4), (argv, code)
     assert len(lines) == 1, (argv, lines)
-    report = json.loads(lines[0])
+    # strict JSON: no NaN, Infinity or -Infinity, in any report
+    report = json.loads(lines[0], parse_constant=_refuse_constant)
     assert isinstance(report, dict)
     return code, report
 
@@ -181,10 +186,6 @@ def test_generated_input_file_gives_one_json_line(input_path, command, n,
     argv = [command, "--input", str(input_path)]
     if command in ("jacobian", "fiber-solve"):
         argv += ["--n", str(n)] + (["--approx"] if approx else [])
-    code, report = _run(argv)
+    _, report = _run(argv)
     assert report["command"] == command
-    if code == 0:
-        # a success report carries no NaN or infinity
-        assert "NaN" not in json.dumps(report)
-        assert "Infinity" not in json.dumps(report)
 

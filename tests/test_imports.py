@@ -28,12 +28,13 @@ LOADED = (
     "                        m != 'sl2factor.cli' or m == 'mpmath')))\n")
 
 
-def _python(code: str) -> str:
+def _python(code: str, *flags: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -63,9 +64,9 @@ SUBCOMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv,modules", SUBCOMMANDS,
-                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
-def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+def _run_main(tmp_path, argv, report: str, *flags: str) -> list:
+    """Run main(argv) in a fresh interpreter, its input files written to
+    tmp_path; what the code `report` prints, as JSON."""
     files = {"target": {"target": {"a": "2", "b": "3", "c": "1", "d": "2"}},
              "word": {"word": [{"side": "U", "entry": "3"},
                                {"side": "L", "entry": "2"}]}}
@@ -73,12 +74,38 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{k: tmp_path / f"{k}.json" for k in files})
             for a in argv]
-    out = _python(
+    return json.loads(_python(
         "import contextlib, io\n"
         "from sl2factor.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n" + LOADED)
-    assert set(json.loads(out)) == modules
+        f"    assert main({argv!r}) == 0\n" + report, *flags))
+
+
+@pytest.mark.parametrize("argv,modules", SUBCOMMANDS,
+                         ids=[argv[0] for argv, _ in SUBCOMMANDS])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    assert set(_run_main(tmp_path, argv, LOADED)) == modules
+
+
+# dataclasses alone costs a cold call about 14 ms, since it imports
+# inspect, ast, dis and tokenize; only factorizer.Factorization is still a
+# dataclass.  Under -S no site .pth file runs, and one may import typing
+# before the package does.
+STDLIB_LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'}\n"
+    "                        & set(sys.modules))))\n")
+STDLIB_CASES = [(argv, {"typing"} if "factorizer" in modules
+                 else {"dataclasses", "inspect", "typing"})
+                for argv, modules in SUBCOMMANDS if argv[0] != "verify-suite"]
+
+
+@pytest.mark.parametrize("argv,refused", STDLIB_CASES,
+                         ids=[argv[0] for argv, _ in STDLIB_CASES])
+def test_cold_call_loads_no_dataclasses_inspect_or_typing(tmp_path, argv,
+                                                          refused):
+    loaded = set(_run_main(tmp_path, argv, STDLIB_LOADED, "-S"))
+    assert not loaded & refused
 
 
 def test_every_export_resolves_to_its_home_object_and_is_kept():

@@ -98,6 +98,12 @@ COMMANDS = [
     ["cohn", "--approx", "--z", "1e200i", "--w", "1e200"],
     # H2 = inf - inf = NaN near |Re zw| = 700: refused the same way
     ["cohn", "--approx", "--z=-70.272", "--w=10"],
+    # verified at dps 820, but h1 is past the double range: a report that
+    # is not strict JSON, refused with exit 3
+    ["cohn", "--approx", "--z", "30", "--w", "30", "--dps", "820"],
+    # an exact z, or probe D, beyond the double range: refused with exit 2
+    ["cohn", "--z", "1" + "0" * 400, "--w", "1"],
+    ["certificate", "--d", "1" + "0" * 400],
     # two samples read degree 0 whatever the loop, so fewer than three are
     # refused with exit 2; three still read the section's degree 2
     ["winding", "--samples", "2"],
