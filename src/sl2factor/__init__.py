@@ -12,14 +12,15 @@ the modules it uses.
 """
 
 _EXPORTS = {
+    "scalars": ("ExactComplex", "format_exact", "parse_exact"),
     "exact_algebra": (
-        "ExactComplex", "MultiPoly", "format_exact", "parse_exact",
-        "poly_det_is_one", "poly_from_json", "poly_to_json"),
+        "MultiPoly", "poly_det_is_one", "poly_from_json", "poly_to_json"),
     "word_core": (
         "ElementaryFactor", "PhiTemplate", "SL2", "Word", "eval_word",
-        "expand_phi", "format_point", "in_singular_set", "middle_Q",
-        "middle_Q_brute", "sl2_from_json", "sl2_to_json", "word_from_json",
-        "word_inverse", "word_to_json"),
+        "expand_phi", "factor_count_bound", "format_point",
+        "in_singular_set", "middle_Q", "middle_Q_brute", "pad_avoid_singular",
+        "sl2_from_json", "sl2_to_json", "word_from_json", "word_inverse",
+        "word_to_json"),
     "submersion_spray": (
         "FlowResult", "TangentFrame", "VectorFieldSpec",
         "check_lemma_submersive", "flow_rk4", "frame_minor_det",
@@ -32,8 +33,7 @@ _EXPORTS = {
     "factorizer": (
         "Factorization", "can_factor_three", "cohn_eval", "cohn_family_4",
         "cohn_family_relations", "cohn_holo_5", "factor_constant",
-        "factor_count_bound", "factor_offdiag_zero", "factor_unit_corner",
-        "pad_avoid_singular"),
+        "factor_offdiag_zero", "factor_unit_corner"),
     "obstruction": (
         "Certificate", "LoopSamples", "axis_continuation_degrees",
         "certificate_from_json", "circle_winding", "cohn_continuous_section",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .exact_algebra import ExactComplex, _reduced
+from .scalars import ExactComplex, _reduced
 from .word_core import LOWER, UPPER, ElementaryFactor, SL2, Word, eval_word
 
 

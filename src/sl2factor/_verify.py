@@ -12,10 +12,9 @@ from __future__ import annotations
 import cmath
 from time import perf_counter
 
-from .exact_algebra import ExactComplex, MultiPoly, poly_det_is_one
+from .exact_algebra import MultiPoly, poly_det_is_one
 from .factorizer import (can_factor_three, cohn_family_4,
-                         cohn_family_relations, cohn_holo_5, factor_constant,
-                         pad_avoid_singular)
+                         cohn_family_relations, cohn_holo_5, factor_constant)
 from .fiber_solver import (complete_generic_even, complete_nongeneric_even,
                            complete_odd, interior_sample)
 from .obstruction import (axis_continuation_degrees, circle_winding,
@@ -26,8 +25,9 @@ from ._random import (random_alternating_word, random_exact,
                       random_exact_nonzero, random_sl2, rng_from_seed)
 from .submersion_spray import (check_lemma_submersive, flow_rk4,
                                v_field_spec, vfield_apply)
+from .scalars import ExactComplex
 from .word_core import (SL2, PhiTemplate, eval_word, in_singular_set,
-                        middle_Q, middle_Q_brute)
+                        middle_Q, middle_Q_brute, pad_avoid_singular)
 
 COHN_DPS = 40
 

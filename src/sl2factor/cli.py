@@ -22,9 +22,9 @@ from time import perf_counter
 # only what every subcommand needs is imported here; each _cmd_* function
 # imports the rest, so a cold call loads just the modules it runs
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import (digit_limit_error, is_exact_scalar,
-                            is_exact_text, parse_exact, require_finite,
-                            scalar_from_json, scalar_to_json, unify_scalars)
+from .scalars import (digit_limit_error, is_exact_scalar, is_exact_text,
+                      parse_exact, require_finite, scalar_from_json,
+                      scalar_to_json, unify_scalars)
 
 
 def _parse_scalar(text: str, approx: bool = False):
@@ -197,9 +197,8 @@ def _cmd_factor_const(args):
 
 
 def _cmd_pad(args):
-    from .factorizer import pad_avoid_singular
-    from .word_core import (Word, eval_word, replay, word_from_json,
-                            word_to_json)
+    from .word_core import (Word, eval_word, pad_avoid_singular, replay,
+                            word_from_json, word_to_json)
     word = word_from_json(_load_input(args, "word"))
     # echo both words in the one kind their product is computed in
     word = Word.of(*zip([f.side for f in word],
@@ -301,7 +300,7 @@ def _cmd_certificate(args):
 
 def _cmd_bound(args):
     from itertools import islice
-    from .factorizer import factor_count_bound
+    from .word_core import factor_count_bound
     counts = {}
     for part in args.k.split(","):
         try:

@@ -37,8 +37,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
-from .exact_algebra import require_finite, unify_scalars
-from .word_core import (APPROX_TOL, LOWER, SL2, UPPER, Word, _sl2, _word,
+from .scalars import require_finite, unify_scalars
+from .word_core import (APPROX_TOL, LOWER, SL2, Word, _sl2, _word,
                         negligible, replay, sl2_to_json, word_to_json)
 
 SERIES_CUTOFF = 1e-3
@@ -118,47 +118,6 @@ def factor_offdiag_zero(a, c) -> Factorization:
     target = SL2(a, zero, c, one / a)
     word = _word("LULU", ((c - one) / a, a - one, one, one / a - one))
     return Factorization(word, target, True, replay(word, target))
-
-
-def pad_avoid_singular(word: Word) -> Word:
-    """Same product, two more factors, interior entries not all zero.
-
-    The first factor M(g) is rewritten as M(g + 1) Mbar(0) M(g' = -1),
-    using that same-side factors multiply additively and Mbar(0) is the
-    identity.  The new third entry -1 sits among the interior slots of
-    the longer word, so the padded point avoids the all-zero-interior
-    singular set.
-    """
-    if len(word) == 0:
-        raise PreconditionError("cannot pad an empty word")
-    if not word.is_alternating:
-        raise PreconditionError("padding expects an alternating word")
-    first, *rest = word.factors
-    g = first.entry
-    side = first.side
-    other = UPPER if side == LOWER else LOWER
-    zero, neg_one = g - g, g - g - 1
-    return _word([side, other, side, *(f.side for f in rest)],
-                 [g + 1, zero, neg_one, *(f.entry for f in rest)])
-
-
-def factor_count_bound(n: int, counts) -> int:
-    """Composite bound 1 + sum_{i=2..n} (K(i) + 3) on factor counts.
-
-    counts may be a callable i -> K(i) or a mapping/sequence indexed by i.
-    """
-    if n < 2:
-        raise PreconditionError("need n >= 2")
-    def k_of(i):
-        try:
-            value = counts(i) if callable(counts) else counts[i]
-        except (KeyError, IndexError) as exc:
-            raise PreconditionError(f"missing factor count for i = {i}") \
-                from exc
-        if not isinstance(value, int) or value < 0:
-            raise PreconditionError("factor counts must be nonnegative ints")
-        return value
-    return 1 + sum(k_of(i) + 3 for i in range(2, n + 1))
 
 
 # ---------------------------------------------------------------------------

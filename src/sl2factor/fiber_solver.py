@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 from .errors import (PreconditionError, SamplingBudgetError,
                      VerificationError, _Record)
-from .exact_algebra import unify_scalars
+from .scalars import unify_scalars
 from ._random import random_exact, rng_from_seed
 from .word_core import SL2, _word, negligible, replay, word_product
 

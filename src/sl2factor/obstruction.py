@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Sequence
+from math import sqrt
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError, _Record
-from .exact_algebra import require_finite, unify_scalars
+from .scalars import require_finite, unify_scalars
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_SAMPLES = 256
@@ -115,43 +116,47 @@ def cohn_continuous_section(z, w) -> tuple:
     h3 = w^2/|w|^{3/2} extends by 0 across w = 0, and h2 = -zw/h3
     simplifies to -z |w|^{3/2}/w, which also vanishes there; h1 and h4
     follow from the family relations.  At w = 0 the tuple is
-    (z^2, 0, 0, 0).
+    (z^2, 0, 0, 0).  h2 is computed as -z (conj(w)/|w|^{1/2}), and h1,
+    h4 divide by 1 - zw before they multiply (z (z/(1 - zw)), w (w/(1 -
+    zw))), so no intermediate leaves double range before the component
+    does.  A section with a component (or 1 - zw) outside double range
+    is refused, not returned as inf or nan.
     """
     zc, wc = complex(z), complex(w)
-    if zc * wc == 1:
+    zw = zc * wc
+    if zw == 1:
         raise PreconditionError("section needs zw != 1")
     if wc == 0:
         h3 = 0j
         h2 = 0j
     else:
-        try:
-            scale = abs(wc) ** 1.5
-            h3 = wc * wc / scale
-        except (OverflowError, ZeroDivisionError):
-            raise _scale_out_of_range(wc) from None
-        h2 = -zc * scale / wc
-    h1 = (zc * zc - h3) / (1 - zc * wc)
-    h4 = (-(wc * wc) - h2) / (1 - zc * wc)
-    return (h1, h2, h3, h4)
+        h3 = continuous_section_h3(zc, wc)
+        h2 = -zc * (wc.conjugate() / sqrt(abs(wc)))
+    t = 1 - zw
+    h = (zc * (zc / t) - h3 / t, h2, h3, -(wc * (wc / t)) - h2 / t)
+    if not (cmath.isfinite(t) and all(map(cmath.isfinite, h))):
+        raise PreconditionError(f"section leaves double precision at "
+                                f"z = {zc!r}, w = {wc!r}")
+    return h
 
 
 def continuous_section_h3(z, w) -> complex:
-    """Just the h3 = w^2/|w|^{3/2} component, the degree carrier."""
+    """Just the h3 = w^2/|w|^{3/2} component, the degree carrier.
+
+    It is computed as (w/|w|)^2 |w|^{1/2}, which stays in double range
+    wherever w does; w^2 underflows below |w| = 1e-162 and overflows
+    above 1e154.  A w whose modulus overflows is refused.
+    """
     wc = complex(w)
     if wc == 0:
         return 0j
     try:
-        return wc * wc / abs(wc) ** 1.5
-    except (OverflowError, ZeroDivisionError):
-        raise _scale_out_of_range(wc) from None
-
-
-def _scale_out_of_range(wc: complex) -> PreconditionError:
-    # |w|^{3/2} overflows (OverflowError) or underflows to 0 (a division
-    # by zero); the sections are refused there, not returned as inf or nan
-    way = "overflows" if abs(wc) > 1 else "underflows"
-    return PreconditionError(f"|w|^(3/2) {way} double precision at "
-                             f"|w| = {abs(wc):.3g}")
+        r = abs(wc)
+    except OverflowError:
+        raise PreconditionError(f"|w| overflows double precision at w = "
+                                f"{wc!r}") from None
+    u = wc / r
+    return u * u * sqrt(r)
 
 
 def section_near_D1(z, w) -> tuple:

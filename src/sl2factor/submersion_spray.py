@@ -34,15 +34,8 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import PreconditionError, _Record
-from .exact_algebra import (
-    ExactComplex,
-    MultiPoly,
-    compile_approx,
-    poly_embed,
-    _reduced,
-    require_finite,
-    unify_scalars,
-)
+from .exact_algebra import MultiPoly, compile_approx, poly_embed
+from .scalars import ExactComplex, _reduced, require_finite, unify_scalars
 from .word_core import (
     LOWER,
     PhiTemplate,

@@ -1,5 +1,11 @@
 """Elementary factors, words, SL2 matrices, and the product map Phi_N.
 
+Also the two word-level results that need nothing else: padding a word
+off the singular set (pad_avoid_singular) and the composite factor-count
+bound (factor_count_bound).  Polynomials come from exact_algebra, which
+is imported only where one is built or read, so a call on scalars loads
+scalars alone.
+
 An elementary factor is L(g) = [[1,0],[g,1]] or U(g) = [[1,g],[0,1]].
 A word is a finite sequence of factors; its evaluation is the left-to-right
 matrix product.  Phi_N is the alternating word whose j-th entry is the j-th
@@ -40,17 +46,13 @@ from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
 
 from .errors import PreconditionError, VerificationError, _Record
-from .exact_algebra import (
+from .scalars import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    MultiPoly,
     _reduced,
-    format_exact,
-    is_exact_scalar,
-    poly_det_is_one,
-    poly_from_json,
-    poly_to_json,
+    is_literal,
+    is_poly,
     require_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -79,7 +81,7 @@ def negligible(x, *sizes) -> bool:
     sizes), sizes being the values x is measured against, since rounding
     grows with them.  Their moduli are taken only on the approximate path.
     """
-    if is_exact_scalar(x) or isinstance(x, MultiPoly):
+    if is_literal(x):
         return not x
     return abs(x) < APPROX_TOL * max([1, *map(abs, sizes)])
 
@@ -143,10 +145,11 @@ def _check_det(vals, *sizes) -> None:
     measured by negligible against |ad| + |bc| and, below DRIFT_CAP,
     against sizes."""
     a, b, c, d = vals
-    if isinstance(a, MultiPoly):
-        unimodular = poly_det_is_one(a, b, c, d)
-    elif isinstance(a, ExactComplex):
+    if type(a) is ExactComplex:
         unimodular = a * d - b * c == 1
+    elif is_poly(a):
+        from .exact_algebra import poly_det_is_one
+        unimodular = poly_det_is_one(a, b, c, d)
     else:
         # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
         ad, bc = a * d, b * c
@@ -183,6 +186,9 @@ class SL2:
     def __setattr__(self, name, value):
         raise AttributeError("SL2 is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SL2 is immutable")
+
     @staticmethod
     def identity() -> "SL2":
         return _sl2(EC_ONE, EC_ZERO, EC_ZERO, EC_ONE)
@@ -204,7 +210,7 @@ class SL2:
     @property
     def is_exact(self) -> bool:
         """Exact or polynomial entries, which replays compare literally."""
-        return is_exact_scalar(self.a) or isinstance(self.a, MultiPoly)
+        return is_literal(self.a)
 
     def __matmul__(self, other: "SL2") -> "SL2":
         return SL2(self.a * other.a + self.b * other.c,
@@ -256,10 +262,10 @@ def _word(sides: Sequence[str], entries: Sequence) -> Word:
 
 
 def _one_zero_like(g):
-    if isinstance(g, MultiPoly):
-        return MultiPoly.one(g.nvars), MultiPoly.zero(g.nvars)
     if type(g) is ExactComplex:
         return EC_ONE, EC_ZERO
+    if is_poly(g):
+        return type(g).one(g.nvars), type(g).zero(g.nvars)
     return _approx_one_zero(type(g))
 
 
@@ -388,6 +394,47 @@ def word_inverse(w: Word) -> Word:
     return _word([f.side for f in factors], [-f.entry for f in factors])
 
 
+def pad_avoid_singular(word: Word) -> Word:
+    """Same product, two more factors, interior entries not all zero.
+
+    The first factor M(g) is rewritten as M(g + 1) Mbar(0) M(g' = -1),
+    using that same-side factors multiply additively and Mbar(0) is the
+    identity.  The new third entry -1 sits among the interior slots of
+    the longer word, so the padded point avoids the all-zero-interior
+    singular set.
+    """
+    if len(word) == 0:
+        raise PreconditionError("cannot pad an empty word")
+    if not word.is_alternating:
+        raise PreconditionError("padding expects an alternating word")
+    first, *rest = word.factors
+    g = first.entry
+    side = first.side
+    other = UPPER if side == LOWER else LOWER
+    zero, neg_one = g - g, g - g - 1
+    return _word([side, other, side, *(f.side for f in rest)],
+                 [g + 1, zero, neg_one, *(f.entry for f in rest)])
+
+
+def factor_count_bound(n: int, counts) -> int:
+    """Composite bound 1 + sum_{i=2..n} (K(i) + 3) on factor counts.
+
+    counts may be a callable i -> K(i) or a mapping/sequence indexed by i.
+    """
+    if n < 2:
+        raise PreconditionError("need n >= 2")
+    def k_of(i):
+        try:
+            value = counts(i) if callable(counts) else counts[i]
+        except (KeyError, IndexError) as exc:
+            raise PreconditionError(f"missing factor count for i = {i}") \
+                from exc
+        if not isinstance(value, int) or value < 0:
+            raise PreconditionError("factor counts must be nonnegative ints")
+        return value
+    return 1 + sum(k_of(i) + 3 for i in range(2, n + 1))
+
+
 class PhiTemplate(_Record):
     """Alternating-word template of length N, lower first (Phi_N)."""
 
@@ -403,6 +450,7 @@ class PhiTemplate(_Record):
         return LOWER if j % 2 == 1 else UPPER
 
     def word_symbolic(self) -> Word:
+        from .exact_algebra import MultiPoly
         return Word(
             ElementaryFactor(self.side_of(j), MultiPoly.variable(self.n, j - 1))
             for j in range(1, self.n + 1))
@@ -423,7 +471,7 @@ def expand_phi(t: PhiTemplate) -> SL2:
     return eval_word(t.word_symbolic())
 
 
-def middle_Q(n: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+def middle_Q(n: int) -> tuple:
     """Entries of M_2(z_2)...M_{N-1}(z_{N-1}) as polynomials in z_2..z_{N-1}.
 
     Built by appending factor pairs to the two-shorter word: for even length
@@ -431,6 +479,7 @@ def middle_Q(n: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     two newest variables.  Upper-first alternation throughout (position j in
     the full word is upper exactly when j is even).
     """
+    from .exact_algebra import MultiPoly
     if n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
     m = n - 2
@@ -460,8 +509,9 @@ def middle_Q(n: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
     return q1, q2, q3, q4
 
 
-def middle_Q_brute(n: int) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+def middle_Q_brute(n: int) -> tuple:
     """Same entries by factor-at-a-time multiplication (oracle path)."""
+    from .exact_algebra import MultiPoly
     if n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
     m = n - 2
@@ -485,7 +535,8 @@ def in_singular_set(point: Sequence, n: int) -> bool:
 
 
 def factor_to_json(f: ElementaryFactor):
-    if isinstance(f.entry, MultiPoly):
+    if is_poly(f.entry):
+        from .exact_algebra import poly_to_json
         return {"side": f.side, "entry": poly_to_json(f.entry)}
     return {"side": f.side, "entry": scalar_to_json(f.entry)}
 
@@ -496,6 +547,7 @@ def word_to_json(w: Word) -> list:
 
 def _entry_from_json(v):
     if isinstance(v, dict):
+        from .exact_algebra import poly_from_json
         return poly_from_json(v)
     return scalar_from_json(v)
 

@@ -555,18 +555,34 @@ def test_non_finite_argument_is_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["certificate", "--radius", "1e-320"],
+])
+def test_section_out_of_double_range_is_exit_2(capsys, argv):
+    # the z-loop's w = D/z overflows on |z| = 1e-320, a non-finite sample
+    # that once ended in a traceback
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
     ["winding", "--radius", "1e-320"],
     ["certificate", "--radius", "1e200"],
     ["winding", "--radius", "1e200"],
     ["certificate", "--d", "1e300"],
     ["certificate", "--d", "1e-300"],
+    ["winding", "--radius", "1e-170"],
+    ["winding", "--radius", "1e160"],
+    ["certificate", "--d", "1e-170"],
 ])
-def test_section_out_of_double_range_is_exit_2(capsys, argv):
-    # |w|^(3/2) underflowing to 0, overflowing, or w^2 overflowing to a
-    # non-finite sample each ended in a traceback
+def test_section_far_from_unit_scale_keeps_degree_2(capsys, argv):
+    # w^2 underflows or overflows on these loops, h3 = (w/|w|)^2 |w|^(1/2)
+    # does not
     code, rep = _one_line(capsys, argv)
-    assert code == 2
-    assert rep["error"]["code"] == "precondition"
+    assert code == 0
+    if argv[0] == "winding":
+        assert rep["winding"] == 2
+    else:
+        assert rep["evidence"]["continuation_degrees"] == [2, -2]
 
 
 @pytest.mark.parametrize("command,text", [

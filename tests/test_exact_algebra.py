@@ -34,6 +34,27 @@ def test_immutable():
         ExactComplex(1).re = Fraction(2)
 
 
+def test_exact_complex_refuses_deletion():
+    x = ExactComplex(1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        del x._pqd
+    assert x == ExactComplex(1, 2) and x + 1 == ExactComplex(2, 2)
+
+
+def test_poly_refuses_deletion_and_term_writes():
+    p = MultiPoly(2, {(1, 0): 3, (0, 1): ExactComplex(0, 1)})
+    for name in ("nvars", "terms", "_terms"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(p, name)
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = ExactComplex(0)
+    with pytest.raises(AttributeError):
+        p.terms.clear()
+    assert p.terms == {(1, 0): ExactComplex(3), (0, 1): EC_I}
+    assert (0, 0) not in p.terms and p.nvars == 2
+    assert p == MultiPoly(2, {(1, 0): 3, (0, 1): EC_I})
+
+
 @given(exacts, exacts, exacts)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

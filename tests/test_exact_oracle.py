@@ -6,14 +6,17 @@
 
 import random
 import struct
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sl2factor._random import random_exact
-from sl2factor.exact_algebra import ExactComplex, format_exact, parse_exact
+from sl2factor.errors import PreconditionError
+from sl2factor.scalars import (ExactComplex, format_exact, is_exact_text,
+                                parse_exact)
 
 
 class PairComplex:
@@ -263,3 +266,135 @@ def test_random_exact_matches_the_fraction_draw(num, den):
         assert_canonical(x)
         assert x == _fraction_draw(ref, num, den)
         assert rng.getstate() == ref.getstate()
+
+
+# Exact text is parsed straight to integer triples.  The reference is the
+# Fraction route: ExactComplex(Fraction(re), Fraction(im)) of the parts the
+# text was drawn from.
+
+LIMIT = sys.get_int_max_str_digits()
+naturals = st.one_of(
+    st.integers(0, 99),
+    st.integers(10 ** 9, 10 ** 10 - 1),  # 10-digit integers
+    # integers of exactly LIMIT digits
+    st.builds(lambda lead, tail: lead * 10 ** (LIMIT - 1) + tail,
+              st.integers(1, 9), st.integers(0, 10 ** 12)))
+denominators = st.one_of(st.integers(1, 99), st.integers(10 ** 9, 10 ** 10))
+spaces = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def digits(draw, n):
+    """n in decimal, with leading zeros up to the digit limit."""
+    text = str(n)
+    return "0" * draw(st.integers(0, min(2, LIMIT - len(text)))) + text
+
+
+@st.composite
+def ratio_tokens(draw, signs):
+    """(tokens, value) of one part: an optional sign, digits, and an
+    optional denominator."""
+    sign = draw(st.sampled_from(signs))
+    n = draw(naturals)
+    tokens, value = [sign, draw(digits(n))], Fraction(-n if sign == "-" else n)
+    if draw(st.booleans()):
+        d = draw(denominators)
+        tokens += ["/", draw(digits(d))]
+        value /= d
+    return tokens, value
+
+
+@st.composite
+def exact_texts(draw):
+    """(text, re, im): a real, a complex or a pure imaginary form, with
+    whitespace between its tokens and around it."""
+    form = draw(st.sampled_from(["real", "complex", "imaginary"]))
+    re_tokens, re = ([], Fraction(0)) if form == "imaginary" else \
+        draw(ratio_tokens(["", "+", "-"]))
+    tokens, im = re_tokens, Fraction(0)
+    if form != "real":
+        sign = draw(st.sampled_from(
+            ["+", "-"] if form == "complex" else ["", "+", "-"]))
+        if draw(st.booleans()):
+            im_tokens, im = draw(ratio_tokens([""]))
+        else:  # "i" alone
+            im_tokens, im = [], Fraction(1)
+        tokens = tokens + [sign, *im_tokens, "i"]
+        if sign == "-":
+            im = -im
+    text = "".join(draw(spaces) + t for t in tokens if t) + draw(spaces)
+    return text, re, im
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_texts())
+def test_parse_matches_the_fraction_route(case):
+    text, re, im = case
+    assert is_exact_text(text)
+    x = parse_exact(text)
+    assert_canonical(x)
+    assert x == ExactComplex(Fraction(re), Fraction(im))
+    assert (x.re, x.im) == (re, im)
+
+
+@settings(deadline=None)
+@given(ratio_tokens(["", "+", "-"]))
+def test_constructor_text_matches_the_fraction_route(case):
+    tokens, value = case
+    text = "".join(tokens)
+    assert ExactComplex(text) == ExactComplex(value)
+    assert ExactComplex(0, text) == ExactComplex(0, value)
+    assert_canonical(ExactComplex(text, text))
+
+
+# the refusals quote the part as written, as Fraction's route did
+@pytest.mark.parametrize("text,part", [
+    ("1/0", "1/0"), ("-3/0", "-3/0"), ("+0/0", "+0/0"),
+    ("1/0+2 i", "1/0"), ("3+2/0 i", "2/0"), ("-5/0 i", "-5/0"),
+    ("0/0 i", "0/0"), ("1/0-0/0 i", "1/0"),
+])
+def test_parse_zero_denominator_message(text, part):
+    with pytest.raises(PreconditionError) as exc:
+        parse_exact(text)
+    assert str(exc.value) == f"zero denominator in {part!r}"
+
+
+def test_constructor_zero_denominator_message():
+    for args, part in ((("1/0",), "1/0"), ((0, "2/0"), "2/0"),
+                       ((" 1/0 ",), " 1/0 ")):
+        with pytest.raises(PreconditionError) as exc:
+            ExactComplex(*args)
+        assert str(exc.value) == f"zero denominator in {part!r}"
+
+
+DIGIT_LIMIT_MESSAGE = (f"exact scalar has an integer of more than {LIMIT} "
+                       f"digits, the limit of one int/str conversion")
+
+
+@pytest.mark.parametrize("text", [
+    "1" * (LIMIT + 1), "-" + "0" * (LIMIT + 1), "1/" + "2" * (LIMIT + 1),
+    "3+" + "1" * (LIMIT + 1) + " i", "1" * (LIMIT + 1) + "/0",
+], ids=["integer", "zeros", "denominator", "imaginary", "before-zero"])
+def test_parse_digit_limit_message(text):
+    with pytest.raises(PreconditionError) as exc:
+        parse_exact(text)
+    assert str(exc.value) == DIGIT_LIMIT_MESSAGE
+    if "i" not in text:
+        with pytest.raises(PreconditionError) as exc:
+            ExactComplex(text)
+        assert str(exc.value) == DIGIT_LIMIT_MESSAGE
+
+
+def test_other_inputs_keep_the_fraction_route():
+    # text given to the constructor goes through Fraction, as before
+    assert ExactComplex("0.5") == ExactComplex(Fraction(1, 2))
+    assert ExactComplex(" 3/4 ") == ExactComplex(Fraction(3, 4))
+    assert ExactComplex("1e3") == ExactComplex("1_000") == ExactComplex(1000)
+    third = ExactComplex(Fraction(1, 3))
+    assert third._pqd == (1, 0, 3)
+    assert hash(third) == hash(Fraction(1, 3))
+    assert repr(third) == "ExactComplex(Fraction(1, 3), Fraction(0, 1))"
+    assert repr(ExactComplex(True, False)) == \
+        "ExactComplex(Fraction(1, 1), Fraction(0, 1))"
+    assert hash(ExactComplex(7, 2)) == hash((Fraction(7), Fraction(2)))
+    assert hash(ExactComplex(-7)) == hash(-7) == hash(Fraction(-7))

@@ -19,10 +19,11 @@ from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex
 from sl2factor.factorizer import (
     Factorization, can_factor_three, cohn_eval, cohn_family_4,
-    cohn_family_relations, cohn_holo_5, factor_constant, factor_count_bound,
-    factor_offdiag_zero, factor_unit_corner, pad_avoid_singular)
+    cohn_family_relations, cohn_holo_5, factor_constant, factor_offdiag_zero,
+    factor_unit_corner)
 from sl2factor.word_core import (
-    APPROX_TOL, LOWER, SL2, UPPER, Word, eval_word, word_product)
+    APPROX_TOL, LOWER, SL2, UPPER, Word, eval_word, factor_count_bound,
+    pad_avoid_singular, word_product)
 
 EC = ExactComplex
 

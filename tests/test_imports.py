@@ -15,8 +15,10 @@ import pytest
 import sl2factor
 
 SRC = str(Path(sl2factor.__file__).resolve().parents[1])
-CORE = {"errors", "exact_algebra", "word_core"}
-ALL_MODULES = CORE | {"_random", "_verify", "factorizer", "fiber_solver",
+CORE = {"errors", "scalars", "word_core"}
+# exact_algebra (polynomials) loads only where a polynomial is built or read
+POLY = CORE | {"exact_algebra"}
+ALL_MODULES = POLY | {"_random", "_verify", "factorizer", "fiber_solver",
                       "obstruction", "submersion_spray"}
 
 # appended to a child's code: print the sl2factor submodules it loaded,
@@ -45,21 +47,20 @@ def test_import_package_loads_no_submodule():
 
 
 SUBCOMMANDS = [
-    (["expand", "--n", "5"], CORE),
+    (["expand", "--n", "5"], POLY),
     (["jacobian", "--n", "4", "--point", "5,0,0,7"],
-     CORE | {"submersion_spray"}),
+     POLY | {"submersion_spray"}),
     (["lemma-check", "--n", "4", "--samples", "5"],
-     CORE | {"submersion_spray", "_random"}),
+     POLY | {"submersion_spray", "_random"}),
     (["fiber-solve", "--n", "4", "--input", "{target}"],
      CORE | {"fiber_solver", "_random"}),
     (["factor-const", "--input", "{target}"], CORE | {"factorizer"}),
-    (["pad", "--input", "{word}"], CORE | {"factorizer"}),
+    (["pad", "--input", "{word}"], CORE),
     (["cohn", "--z", "1/2", "--w", "1/4"], CORE | {"factorizer"}),
-    (["winding", "--samples", "32"], {"errors", "exact_algebra",
-                                      "obstruction"}),
-    (["certificate", "--samples", "64"], {"errors", "exact_algebra",
+    (["winding", "--samples", "32"], {"errors", "scalars", "obstruction"}),
+    (["certificate", "--samples", "64"], {"errors", "scalars",
                                           "obstruction"}),
-    (["bound", "--n", "3", "--k", "2=4,3=5"], CORE | {"factorizer"}),
+    (["bound", "--n", "3", "--k", "2=4,3=5"], CORE),
     (["verify-suite", "--scale", "quick"], ALL_MODULES | {"mpmath"}),
 ]
 
@@ -89,14 +90,17 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
 
 # dataclasses alone costs a cold call about 14 ms, since it imports
 # inspect, ast, dis and tokenize; only factorizer.Factorization is still a
-# dataclass.  Under -S no site .pth file runs, and one may import typing
+# dataclass.  fractions and the decimal it imports cost about 2 ms; no
+# subcommand but verify-suite loads them, since exact text is parsed to
+# integers.  Under -S no site .pth file runs, and one may import typing
 # before the package does.
 STDLIB_LOADED = (
     "import json, sys\n"
-    "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'}\n"
-    "                        & set(sys.modules))))\n")
-STDLIB_CASES = [(argv, {"typing"} if "factorizer" in modules
-                 else {"dataclasses", "inspect", "typing"})
+    "print(json.dumps(sorted({'dataclasses', 'decimal', 'fractions',\n"
+    "                         'inspect', 'typing'} & set(sys.modules))))\n")
+STDLIB_CASES = [(argv, {"decimal", "fractions", "typing"}
+                 | (set() if "factorizer" in modules
+                    else {"dataclasses", "inspect"}))
                 for argv, modules in SUBCOMMANDS if argv[0] != "verify-suite"]
 
 
@@ -118,6 +122,45 @@ def test_every_export_resolves_to_its_home_object_and_is_kept():
         "    mod = import_module('sl2factor.' + home)\n"
         "    assert value is getattr(mod, name), name\n"
         "    assert vars(sl2factor)[name] is value, name\n")
+
+
+# every public name exact_algebra had before the scalars got their own
+# module; the scalar ones are re-exported
+EXACT_ALGEBRA_NAMES = (
+    "EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "MultiPoly",
+    "compile_approx", "digit_limit_error", "format_exact", "is_exact_scalar",
+    "is_exact_text", "parse_exact", "poly_det_is_one", "poly_embed",
+    "poly_from_json", "poly_to_json", "require_finite", "require_scalar",
+    "scalar_from_json", "scalar_to_json", "unify_scalars")
+
+
+def test_exact_algebra_keeps_every_name():
+    from sl2factor import exact_algebra, scalars
+    for name in EXACT_ALGEBRA_NAMES:
+        value = getattr(exact_algebra, name)
+        if hasattr(scalars, name):
+            assert value is getattr(scalars, name), name
+
+
+def test_scalar_kinds_do_not_depend_on_import_order():
+    # scalars imports neither fractions nor exact_algebra, and loading
+    # them adds nothing to the kind table: a Fraction or a MultiPoly made
+    # afterwards is recognised all the same
+    out = _python(
+        "import sys\n"
+        "from sl2factor import scalars\n"
+        "assert 'fractions' not in sys.modules\n"
+        "kinds = dict(scalars.KINDS)\n"
+        "from fractions import Fraction\n"
+        "from sl2factor.exact_algebra import MultiPoly\n"
+        "assert scalars.KINDS == kinds\n"
+        "x, h = MultiPoly.variable(2, 0), Fraction(1, 2)\n"
+        "assert scalars.is_poly(x) and not scalars.is_poly(h)\n"
+        "assert scalars.is_literal(x) and scalars.is_exact_scalar(h)\n"
+        "u = scalars.unify_scalars([h, x])\n"
+        "assert u == [MultiPoly.constant(2, h), x]\n"
+        "print('ok')\n")
+    assert out.strip() == "ok"
 
 
 def test_star_import_and_dir_list_every_export():

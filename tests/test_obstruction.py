@@ -5,7 +5,9 @@
 
 import cmath
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,13 +178,64 @@ def test_continuous_section_values():
         cohn_continuous_section(1.0, 1.0)
 
 
+def _section_mp(z, w):
+    # the section's defining formulas in mpmath, whose exponent range
+    # is unbounded
+    z, w = mpmath.mpc(z), mpmath.mpc(w)
+    h3 = w * w / abs(w) ** 1.5
+    h2 = -z * w / h3
+    return ((z * z - h3) / (1 - z * w), h2, h3,
+            (-(w * w) - h2) / (1 - z * w))
+
+
 @pytest.mark.parametrize("w", [1e-320, 1e-300j, 1e210, -3e250j])
-def test_sections_refuse_w_outside_double_range(w):
-    # |w|^(3/2) underflows to 0 (a division by zero) or overflows
+def test_sections_keep_the_double_range(w):
+    # w^2 and |w|^(3/2) leave double precision here, (w/|w|)^2 |w|^(1/2)
+    # does not: |h3| = |w|^(1/2), arg h3 = 2 arg w, and h2 = -zw/h3
+    z = 0.5
+    root = math.sqrt(abs(w))
+    h3 = continuous_section_h3(0, w)
+    h = cohn_continuous_section(z, w)
+    assert h[2] == h3
+    assert abs(abs(h3) / root - 1) < 1e-15
+    assert abs(cmath.phase(h3 / (w / abs(w)) ** 2)) < 1e-15
+    assert abs(abs(h[1]) / (z * root) - 1) < 1e-15
+    assert abs(cmath.phase(h[1] * (w / abs(w)) / -z)) < 1e-15
+    # every component is finite and, relative to its size, the value the
+    # formulas give without rounding of range
+    with mpmath.workdps(40):
+        for got, want in zip(h, _section_mp(z, w)):
+            assert cmath.isfinite(got)
+            assert abs(got - complex(want)) <= 1e-14 * abs(complex(want))
+
+
+@pytest.mark.parametrize("z,w", [(1e200, 1e200), (1e200, 0.0),
+                                  (0.0, 1e200)])
+def test_section_outside_double_range_is_refused(z, w):
+    # zw, h1 = z^2 or h4 = -w^2 leave double precision: a refusal, not
+    # inf or nan (nor a 0 from an infinite 1 - zw)
+    with pytest.raises(PreconditionError, match="double precision"):
+        cohn_continuous_section(z, w)
+
+
+def test_sections_refuse_w_whose_modulus_overflows():
+    w = complex(1.5e308, 1.5e308)
     with pytest.raises(PreconditionError, match="double precision"):
         continuous_section_h3(0, w)
     with pytest.raises(PreconditionError, match="double precision"):
         cohn_continuous_section(0.5, w)
+
+
+def test_section_h3_matches_the_direct_formula():
+    # within double range the rewrite changes only the last bits of
+    # w^2/|w|^(3/2)
+    rng = random.Random(5)
+    for _ in range(2000):
+        w = cmath.rect(10 ** rng.uniform(-100, 100),
+                       rng.uniform(-math.pi, math.pi))
+        direct = w * w / abs(w) ** 1.5
+        assert abs(continuous_section_h3(0, w) - direct) \
+            <= 1e-15 * abs(direct)
 
 
 def test_continuous_section_satisfies_relations():

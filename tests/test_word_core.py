@@ -128,6 +128,15 @@ def test_in_singular_set():
         in_singular_set((1, 2, 3), 4)
 
 
+def test_sl2_refuses_deletion():
+    m = SL2(2, 3, 1, 2)
+    for name in "abcd":
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, name)
+    assert m.entries == (ExactComplex(2), ExactComplex(3), ExactComplex(1),
+                         ExactComplex(2))
+
+
 def test_sl2_json_roundtrip():
     m = SL2(ExactComplex(Fraction(1, 2)), ExactComplex(0, Fraction(3, 4)),
             ExactComplex(Fraction(-4, 3), Fraction(2, 3)),

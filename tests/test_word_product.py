@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath
 
-from sl2factor import word_core
+from sl2factor import exact_algebra, word_core
 from sl2factor.errors import VerificationError
 from sl2factor.exact_algebra import (EC_ONE, EC_ZERO, ExactComplex, MultiPoly,
                                      poly_det_is_one)
@@ -200,7 +200,8 @@ def test_eval_word_checks_only_approximate_products(monkeypatch):
         raise AssertionError("determinant checked")
 
     monkeypatch.setattr(word_core, "_check_det", refuse)
-    monkeypatch.setattr(word_core, "poly_det_is_one", refuse)
+    # word_core imports poly_det_is_one where it checks a polynomial
+    monkeypatch.setattr(exact_algebra, "poly_det_is_one", refuse)
     exact = Word.of((LOWER, Fraction(1, 3)), (UPPER, ExactComplex(2, 1)),
                     (LOWER, 5))
     assert eval_word(exact).det() == EC_ONE

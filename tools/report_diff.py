@@ -44,6 +44,11 @@ INPUTS = {
                    {"side": "U", "entry": 0.5}, {"side": "L", "entry": "-3"}],
     "loop": {"values": [[1, 0], [0.5, 0.8], [-0.6, 0.7], [-1, 0],
                         [-0.5, -0.8], [0.6, -0.7]]},
+    "word_poly": {"word": [
+        {"side": "U", "entry": {"nvars": 2, "terms": [
+            {"exp": [1, 0], "re": "1", "im": "0"},
+            {"exp": [0, 2], "re": "-1/2", "im": "3"}]}},
+        {"side": "L", "entry": "2"}]},
 }
 
 # The five-factor Cohn word at the corners of criterion 7's box,
@@ -109,6 +114,18 @@ COMMANDS = [
     ["winding", "--samples", "2"],
     ["winding", "--samples", "3"],
     ["certificate", "--samples", "2"],
+    # w^2 underflows (|w| = 1e-170) or overflows (|w| = 1e160), while the
+    # section h3 = (w/|w|)^2 |w|^(1/2) keeps degree 2
+    ["winding", "--radius", "1e-170"],
+    ["winding", "--radius", "1e160"],
+    ["certificate", "--d", "1e-170"],
+    # exact text: signs, leading zeros and whitespace; a zero denominator
+    ["cohn", "--z", " -007/014 + 2 i ", "--w", "+1/04", "--factors", "4",
+     "--h3", "- 3 i"],
+    ["cohn", "--z", "1/0", "--w", "1"],
+    # padding a polynomial word; a bound whose --k misses an index
+    ["pad", "--input", "{word_poly}"],
+    ["bound", "--n", "4", "--k", "2=1,4=2"],
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
