@@ -38,7 +38,7 @@ def _crit_q_unimodular(rng, full: bool):
     for n in lengths:
         q = middle_Q(n)
         if list(q) != list(middle_Q_brute(n)):
-            return False, {"n": n, "reason": "recursion != brute force"}
+            return False, {"n": n, "reason": "middle_Q != brute force"}
         if not poly_det_is_one(*q):
             return False, {"n": n, "reason": "Q1 Q4 - Q2 Q3 != 1"}
     within = perf_counter() - t0 < 10.0

@@ -4,7 +4,9 @@ A MultiPoly is a sparse polynomial over the Gaussian rationals
 (scalars.ExactComplex): a map from exponent tuples (one entry per
 variable) to nonzero coefficients.  The constructor validates and
 canonicalizes (zeros dropped), so structural equality is mathematical
-equality; ring operations build their results through the trusted _poly.
+equality; ring operations build their results through the trusted
+_poly, or _poly_nonzero when no zero is left (sums merge on coefficient
+triples and drop what cancels; a one-term factor shifts exponents).
 The term map is private; .terms is a read-only view of it.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
 output byte-stable.  Products and the determinant check poly_det_is_one
@@ -139,11 +141,7 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for exp, c in o._terms.items():
-            c0 = merged.get(exp)
-            merged[exp] = c if c0 is None else c0 + c
-        return _poly(self.nvars, merged)
+        return _merge(self, o, 1)
 
     __radd__ = __add__
 
@@ -151,11 +149,7 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for exp, c in o._terms.items():
-            c0 = merged.get(exp)
-            merged[exp] = -c if c0 is None else c0 - c
-        return _poly(self.nvars, merged)
+        return _merge(self, o, -1)
 
     def __rsub__(self, other):
         o = self._coerce_operand(other)
@@ -172,6 +166,10 @@ class MultiPoly:
             return NotImplemented
         # terms keep the first-seen order of the pair loop, so float
         # evaluation sums in a fixed order
+        if len(o._terms) == 1:
+            return _shifted(self, o)
+        if len(self._terms) == 1:
+            return _shifted(o, self)
         if len(self._terms) >= _PACK_MIN and len(o._terms) >= _PACK_MIN:
             table, den, unpack = _product_table(((1, self, o),))
             made = {}  # one ExactComplex per distinct numerator
@@ -297,6 +295,46 @@ def _poly_nonzero(nvars: int, terms: dict) -> MultiPoly:
     _set_nvars(x, nvars)
     _set_terms(x, terms)
     return x
+
+
+def _merge(x: MultiPoly, y: MultiPoly, sign: int) -> MultiPoly:
+    """x + sign y for sign = 1 or -1, merged on the coefficients' (p, q, d)
+    triples: x's terms in order, then y's new ones.  Equal denominators add
+    their numerators, reduced by one gcd unless the denominator is 1; only
+    unequal ones cross-multiply.  A term that cancels is dropped."""
+    merged = dict(x._terms)
+    get = merged.get
+    for e, c in y._terms.items():
+        c0 = get(e)
+        p2, q2, d2 = c._pqd
+        if c0 is None:
+            merged[e] = c if sign == 1 else _ec(-p2, -q2, d2)
+            continue
+        p1, q1, d1 = c0._pqd
+        if sign == -1:
+            p2, q2 = -p2, -q2
+        if d1 == d2:
+            p, q = p1 + p2, q1 + q2
+        else:
+            p, q, d1 = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+        if p or q:
+            merged[e] = _reduced(p, q, d1)
+        else:
+            del merged[e]
+    return _poly_nonzero(x.nvars, merged)
+
+
+def _shifted(x: MultiPoly, t: MultiPoly) -> MultiPoly:
+    """x times the one-term t, in x's term order: each exponent shifted by
+    t's, each coefficient multiplied by t's (x's own objects when t's is
+    1).  A product of nonzero coefficients is nonzero, so nothing is
+    filtered."""
+    ((s, c1),) = t._terms.items()
+    exps = list(x._terms) if not any(s) else \
+        [tuple(map(_add, e, s)) for e in x._terms]
+    coeffs = x._terms.values() if c1._pqd == (1, 0, 1) else \
+        [c * c1 for c in x._terms.values()]
+    return _poly_nonzero(x.nvars, dict(zip(exps, coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,9 @@ def winding_number(loop: LoopSamples) -> int:
 def sample_loop(f: Callable[[float], complex],
                 samples: int = DEFAULT_SAMPLES) -> LoopSamples:
     """Sample f on [0, 2pi), doubling the count up to SAMPLE_CAP until
-    adequacy holds.  At least three samples: the two increments of a
-    two-sample loop are opposite, so its degree would read 0 whatever f
-    is."""
+    adequacy holds; a loop still inadequate at the cap raises
+    InadequateSamplingError naming the cap.  At least three samples: the two increments of a two-sample
+    loop are opposite, so its degree would read 0 whatever f is."""
     if samples < 3:
         raise PreconditionError("need at least three samples")
     n = samples
@@ -80,9 +80,12 @@ def sample_loop(f: Callable[[float], complex],
         vals = tuple(f(TWO_PI * k / n) for k in range(n))
         try:
             return LoopSamples(vals)
-        except InadequateSamplingError:
+        except InadequateSamplingError as exc:
             if n >= SAMPLE_CAP:
-                raise
+                raise InadequateSamplingError(
+                    f"angular step >= pi/2 at every sample count from "
+                    f"{samples} to {n}: no sample count up to the cap of "
+                    f"{SAMPLE_CAP} resolved the loop") from exc
             n = min(2 * n, SAMPLE_CAP)
 
 

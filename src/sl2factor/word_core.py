@@ -14,10 +14,13 @@ Phi_N(z_1..z_N) = M_1(z_1) M_2(z_2) ... M_N(z_N).
 
 The middle polynomials Q1..Q4 are the symbolic entries of the interior
 product M_2(z_2) ... M_{N-1}(z_{N-1}); they satisfy Q1*Q4 - Q2*Q3 = 1 and
-drive the fiber solvers.  middle_Q builds them by the two-step recursion
-Q = Q~ * U(s) * L(t) (even length) or Q = Q~ * L(s) * U(t) (odd length);
-middle_Q_brute multiplies the factors one by one and is kept as an
-independent cross-check.
+drive the fiber solvers.  They and Phi_N's entries are continuants: each
+elementary update multiplies by a variable no earlier entry holds, so
+every monomial is squarefree with coefficient 1, and one builder
+(_continuants) assembles them as lists of monomials for middle_Q and
+expand_phi.  middle_Q_brute and eval_word(PhiTemplate(n).word_symbolic())
+multiply the factors one by one as polynomials and are kept as their
+oracles.
 
 Every internal product applies the same elementary updates, each
 unimodular, so exact and polynomial products have det 1 by construction.
@@ -466,47 +469,47 @@ class PhiTemplate(_Record):
 _set_n = PhiTemplate.n.__set__
 
 
+def _continuants(nvars: int, side: str) -> tuple:
+    """Entries (a, b, c, d) of the alternating word in x_0..x_{nvars-1}
+    whose first factor is on `side`, as polynomials.
+
+    word_partials' updates on ordered lists of exponent tuples, from the
+    identity: L(x_k) appends b's monomials to a and d's to c, U(x_k) a's
+    to b and c's to d, each with exponent 1 at k.  No earlier monomial
+    holds x_k, so every monomial is squarefree, occurs once and has
+    coefficient 1; the terms come in eval_word's order.
+    """
+    from .exact_algebra import _poly_nonzero
+    a, b, c, d = [(0,) * nvars], [], [], [(0,) * nvars]
+    lower = side == LOWER
+    for k in range(nvars):
+        tail = (1,) + (0,) * (nvars - k - 1)
+        if lower:
+            a += [e[:k] + tail for e in b]
+            c += [e[:k] + tail for e in d]
+        else:
+            b += [e[:k] + tail for e in a]
+            d += [e[:k] + tail for e in c]
+        lower = not lower
+    return tuple(_poly_nonzero(nvars, dict.fromkeys(x, EC_ONE))
+                 for x in (a, b, c, d))
+
+
 def expand_phi(t: PhiTemplate) -> SL2:
-    """Full symbolic entries of Phi_N as polynomials in z_1..z_N."""
-    return eval_word(t.word_symbolic())
+    """Full symbolic entries of Phi_N as polynomials in z_1..z_N; the same
+    as eval_word(t.word_symbolic()), built by _continuants."""
+    return _sl2(*_continuants(t.n, LOWER))
 
 
 def middle_Q(n: int) -> tuple:
     """Entries of M_2(z_2)...M_{N-1}(z_{N-1}) as polynomials in z_2..z_{N-1}.
 
-    Built by appending factor pairs to the two-shorter word: for even length
-    Q = Q~ * U(s) * L(t), for odd length Q = Q~ * L(s) * U(t), with s, t the
-    two newest variables.  Upper-first alternation throughout (position j in
-    the full word is upper exactly when j is even).
+    Built by _continuants, upper first (position j in the full word is
+    upper exactly when j is even); middle_Q_brute is its oracle.
     """
-    from .exact_algebra import MultiPoly
     if n < 3:
         raise PreconditionError("middle polynomials need N >= 3")
-    m = n - 2
-
-    def var(j: int) -> MultiPoly:
-        # z_j for j = 2..n-1
-        return MultiPoly.variable(m, j - 2)
-
-    if n % 2 == 0:
-        # base N=4: U(z2) L(z3)
-        q1, q2, q3, q4 = (1 + var(2) * var(3), var(2), var(3),
-                          MultiPoly.one(m))
-        start = 6
-    else:
-        # base N=3: the single factor U(z2)
-        q1, q2, q3, q4 = (MultiPoly.one(m), var(2), MultiPoly.zero(m),
-                          MultiPoly.one(m))
-        start = 5
-    for k in range(start, n + 1, 2):
-        s, t = var(k - 2), var(k - 1)
-        if n % 2 == 0:
-            q1, q2, q3, q4 = ((1 + s * t) * q1 + t * q2, s * q1 + q2,
-                              (1 + s * t) * q3 + t * q4, s * q3 + q4)
-        else:
-            q1, q2, q3, q4 = (q1 + s * q2, t * q1 + (1 + s * t) * q2,
-                              q3 + s * q4, t * q3 + (1 + s * t) * q4)
-    return q1, q2, q3, q4
+    return _continuants(n - 2, UPPER)
 
 
 def middle_Q_brute(n: int) -> tuple:

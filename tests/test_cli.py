@@ -203,6 +203,18 @@ def test_winding_builtin_section(capsys):
     assert rep["source"] == "w^2/|w|^(3/2)"
 
 
+def test_winding_unresolved_at_the_cap_names_it(capsys):
+    # at a subnormal radius w = r e^(i theta) rounds to a handful of
+    # directions, so no sample count makes the loop adequate
+    code, rep = run(capsys, "winding", "--radius", "5e-324")
+    assert code == 3
+    assert rep["error"]["code"] == "verification"
+    assert rep["error"]["message"] == (
+        f"angular step >= pi/2 at every sample count from 256 to "
+        f"{SAMPLE_CAP}: no sample count up to the cap of {SAMPLE_CAP} "
+        f"resolved the loop")
+
+
 def test_winding_input_loop(tmp_path, capsys):
     path = tmp_path / "loop.json"
     vals = [[1, 0], [0, 1], [-1, 0], [0, -1]]
@@ -210,6 +222,7 @@ def test_winding_input_loop(tmp_path, capsys):
     code, rep = run(capsys, "winding", "--input", str(path))
     assert code == 3  # pi/2 steps are not adequate
     assert rep["error"]["code"] == "verification"
+    assert "refine the sampling" in rep["error"]["message"]
     path.write_text(json.dumps({"values": [[1, 0], [0, 0], [-1, 0]]}))
     code, rep = run(capsys, "winding", "--input", str(path))
     assert code == 2  # zero sample: invalid loop, not an adequacy issue

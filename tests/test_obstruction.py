@@ -116,8 +116,15 @@ def test_sample_loop_cap_exhaustion(monkeypatch):
     def jumpy(th):
         return cmath.exp(1j * (th + math.pi * (th > 3)))
     monkeypatch.setattr(obstruction, "SAMPLE_CAP", 64)
-    with pytest.raises(InadequateSamplingError):
+    # the cap is named, not "refine the sampling", which cannot help here
+    with pytest.raises(InadequateSamplingError,
+                       match="from 16 to 64: no sample count up to the cap "
+                             "of 64 resolved the loop") as info:
         sample_loop(jumpy, samples=16)
+    assert "refine" not in str(info.value)
+    # a user loop that is too coarse still asks for finer sampling
+    with pytest.raises(InadequateSamplingError, match="refine the sampling"):
+        LoopSamples(tuple(jumpy(2 * math.pi * k / 64) for k in range(64)))
     with pytest.raises(PreconditionError):
         sample_loop(lambda th: 1 + 0j, samples=1)
 

@@ -122,6 +122,104 @@ def test_ring_ops_match_reference(case):
     assert (a - a).terms == {}
 
 
+## Sums merge on coefficient triples, and a one-term factor shifts
+## exponents: both against coefficient-wise ExactComplex arithmetic, which
+## also fixes the term order (the left operand's terms, then new ones).
+
+
+def _ec_sum(a: MultiPoly, b: MultiPoly, sign: int) -> list:
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, ExactComplex(0)) + sign * c
+    return [(e, c) for e, c in out.items() if c]
+
+
+def _ec_shift(a: MultiPoly, e1: tuple, c1: ExactComplex) -> list:
+    return [(tuple(x + y for x, y in zip(e, e1)), c * c1)
+            for e, c in a.terms.items()]
+
+
+def _same_terms(result: MultiPoly, expected: list) -> None:
+    """Equal terms in equal order, every coefficient canonical and nonzero."""
+    assert list(result.terms.items()) == expected
+    for c in result.terms.values():
+        assert c and c._pqd == ExactComplex(c.re, c.im)._pqd
+
+
+_ONE_TERM_COEFFS = [ExactComplex(1), ExactComplex(-1),
+                    ExactComplex(Fraction(1, 2), 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_sums_match_exact_complex_arithmetic(case):
+    nvars, p, q = case
+    a, b = _to_poly(nvars, p), _to_poly(nvars, q)
+    _same_terms(a + b, _ec_sum(a, b, 1))
+    _same_terms(a - b, _ec_sum(a, b, -1))
+    _same_terms(b - a, _ec_sum(b, a, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs(), st.one_of(st.sampled_from(_ONE_TERM_COEFFS),
+                               coeffs.map(lambda c: ExactComplex(*c))),
+       st.data())
+def test_one_term_products_match_exact_complex_arithmetic(case, c1, data):
+    nvars, p, _ = case
+    a = _to_poly(nvars, p)
+    e1 = data.draw(st.tuples(*[st.integers(0, 2)] * nvars))
+    if not c1:
+        c1 = ExactComplex(1)
+    t = MultiPoly(nvars, {e1: c1})
+    want = _ec_shift(a, e1, c1)
+    _same_terms(a * t, want)
+    _same_terms(t * a, want)
+    if c1 == 1:
+        # the other factor's coefficient objects are reused
+        assert all(x is y for x, y in zip((a * t).terms.values(),
+                                          a.terms.values()))
+
+
+def test_sum_cases():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    zero = MultiPoly.zero(2)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        (x * half, x * third),                       # unequal denominators
+        (x * ExactComplex(1, 2) + y, x * ExactComplex(half, -2)),  # Gaussian
+        (x + y * half, y * half),                    # equal denominators
+        (x * half + y, -(x * half)),                 # a term cancels
+        (x * ExactComplex(half, 1), -(x * ExactComplex(half, 1))),
+        (zero, x * half + 3),                        # zero on either side
+        (x * half + 3, zero),
+        (zero, zero),
+    ]
+    for a, b in cases:
+        _same_terms(a + b, _ec_sum(a, b, 1))
+        _same_terms(a - b, _ec_sum(a, b, -1))
+        _same_terms(b - a, _ec_sum(b, a, -1))
+    assert x * half + x * third == x * Fraction(5, 6)
+    assert (x * ExactComplex(half, 1) + x * ExactComplex(half, -1)) == x
+    assert (x * half + y) + -(x * half) == y
+    assert (x * half + y * 3) - (x * half + y * 3) == zero
+    assert ((x * half + y) - (x * half + y)).terms == {}
+    assert zero + x == x + zero == x and zero - x == -x
+
+
+def test_one_term_product_cases():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    a = x * Fraction(1, 3) + y * ExactComplex(2, -1) + 5
+    for c1 in _ONE_TERM_COEFFS:
+        for e1 in ((0, 0), (1, 0), (2, 1)):
+            t = MultiPoly(2, {e1: c1})
+            _same_terms(a * t, _ec_shift(a, e1, c1))
+            _same_terms(t * a, _ec_shift(a, e1, c1))
+            assert a * t == t * a == a * MultiPoly(2, {e1: 1}) * c1
+    zero = MultiPoly.zero(2)
+    assert (zero * x).terms == (x * zero).terms == {}
+    assert a * 1 == a and a * -1 == -a and 0 * a == zero
+
+
 @settings(max_examples=100, deadline=None)
 @given(poly_pairs(), st.integers(0, 3), st.data())
 def test_pow_diff_embed_match_reference(case, n, data):

@@ -85,9 +85,29 @@ def test_expand_phi_symbolic_entries():
     assert m.d.eval(point) == direct.d
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+_FIBONACCI = {0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377}
+
+
+def _continuant_terms(built, oracle):
+    """The builder's entries equal the oracle's, term order included; each
+    coefficient is 1 and each term count a Fibonacci number."""
+    for p, q in zip(built, oracle):
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert all(c == 1 for c in p.terms.values())
+        assert len(p.terms) in _FIBONACCI
+
+
+@pytest.mark.parametrize("n", range(3, 15))
 def test_middle_recursion_vs_brute(n):
     assert list(middle_Q(n)) == list(middle_Q_brute(n))
+    _continuant_terms(middle_Q(n), middle_Q_brute(n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_expand_phi_vs_eval_word(n):
+    t = PhiTemplate(n)
+    _continuant_terms(expand_phi(t).entries,
+                      eval_word(t.word_symbolic()).entries)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

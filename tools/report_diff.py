@@ -62,6 +62,8 @@ COHN_CORNERS = [
 COMMANDS = [
     ["expand", "--n", "4"],
     ["expand", "--n", "7"],
+    # the largest middle polynomials the benchmark requests
+    ["expand", "--n", "12"],
     ["jacobian", "--n", "4", "--point", "5,0,0,7"],
     ["jacobian", "--n", "4", "--point", "1,2,3,4"],
     ["jacobian", "--n", "5", "--point", "1/2,0,-3,2+i,1"],
