@@ -356,7 +356,9 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionError(_ECHOED_ARG.sub(_cut_long_arg, message))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser with every subcommand and its help registered, but only
+    the subcommand named command given its arguments: a call runs one."""
     parser = _Parser(prog="sl2factor", description="Exact unipotent "
                      "factorization toolkit for SL2")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -364,76 +366,79 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        return p
+        return p if name == command else None
 
     # --input and --approx only where the handler reads them: JSON input
     # carries its own scalar kind, --approx governs command-line scalars
-    p = add("expand", _cmd_expand, help="middle polynomials Q1..Q4")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"word length, 3 to {MAX_EXPAND_N}")
+    if p := add("expand", _cmd_expand, help="middle polynomials Q1..Q4"):
+        p.add_argument("--n", type=int, required=True,
+                       help=f"word length, 3 to {MAX_EXPAND_N}")
 
-    p = add("jacobian", _cmd_jacobian, help="tangent frame and rank")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--approx", action="store_true", help="allow floats")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--point", help="comma-separated scalars z1..zN")
-    g.add_argument("--input", help="JSON point file")
+    if p := add("jacobian", _cmd_jacobian, help="tangent frame and rank"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--approx", action="store_true", help="allow floats")
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--point", help="comma-separated scalars z1..zN")
+        g.add_argument("--input", help="JSON point file")
 
-    p = add("lemma-check", _cmd_lemma_check,
-            help="rank 3 off the singular set, lower on it")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"word length, 4 to {MAX_LEMMA_N}")
-    p.add_argument("--samples", type=int, default=1000,
-                   help=f"at most {MAX_LEMMA_SAMPLES}, and --n x "
-                   f"--samples at most {MAX_LEMMA_WORK}")
-    p.add_argument("--seed", type=int, default=0)
+    if p := add("lemma-check", _cmd_lemma_check,
+                help="rank 3 off the singular set, lower on it"):
+        p.add_argument("--n", type=int, required=True,
+                       help=f"word length, 4 to {MAX_LEMMA_N}")
+        p.add_argument("--samples", type=int, default=1000,
+                       help=f"at most {MAX_LEMMA_SAMPLES}, and --n x "
+                       f"--samples at most {MAX_LEMMA_WORK}")
+        p.add_argument("--seed", type=int, default=0)
 
-    p = add("fiber-solve", _cmd_fiber_solve,
-            help="closed-form fiber completion over a target")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"word length, 4 to {MAX_FIBER_N}")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z1", help="free boundary coordinate (non-generic)")
-    p.add_argument("--approx", action="store_true", help="allow a float --z1")
-    p.add_argument("--input", required=True, help="JSON target file")
+    if p := add("fiber-solve", _cmd_fiber_solve,
+                help="closed-form fiber completion over a target"):
+        p.add_argument("--n", type=int, required=True,
+                       help=f"word length, 4 to {MAX_FIBER_N}")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--z1", help="free boundary coordinate (non-generic)")
+        p.add_argument("--approx", action="store_true",
+                       help="allow a float --z1")
+        p.add_argument("--input", required=True, help="JSON target file")
 
-    p = add("factor-const", _cmd_factor_const,
-            help="at most four factors for one matrix")
-    p.add_argument("--input", required=True, help="JSON matrix file")
+    if p := add("factor-const", _cmd_factor_const,
+                help="at most four factors for one matrix"):
+        p.add_argument("--input", required=True, help="JSON matrix file")
 
-    p = add("pad", _cmd_pad, help="length +2 padding off the singular set")
-    p.add_argument("--input", required=True, help="JSON word file")
+    if p := add("pad", _cmd_pad,
+                help="length +2 padding off the singular set"):
+        p.add_argument("--input", required=True, help="JSON word file")
 
-    p = add("cohn", _cmd_cohn, help="Cohn matrix factorizations")
-    p.add_argument("--z", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--factors", type=int, choices=(4, 5), default=5)
-    p.add_argument("--h3", help="free parameter of the 4-factor family")
-    p.add_argument("--dps", type=int, help="mpmath working precision, >= 15")
-    p.add_argument("--approx", action="store_true", help="allow floats")
+    if p := add("cohn", _cmd_cohn, help="Cohn matrix factorizations"):
+        p.add_argument("--z", required=True)
+        p.add_argument("--w", required=True)
+        p.add_argument("--factors", type=int, choices=(4, 5), default=5)
+        p.add_argument("--h3", help="free parameter of the 4-factor family")
+        p.add_argument("--dps", type=int,
+                       help="mpmath working precision, >= 15")
+        p.add_argument("--approx", action="store_true", help="allow floats")
 
-    p = add("winding", _cmd_winding, help="winding number of a loop")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=256,
-                   help=f"3 to {MAX_LOOP_SAMPLES}")
-    p.add_argument("--input", help="JSON file of loop values")
+    if p := add("winding", _cmd_winding, help="winding number of a loop"):
+        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--samples", type=int, default=256,
+                       help=f"3 to {MAX_LOOP_SAMPLES}")
+        p.add_argument("--input", help="JSON file of loop values")
 
-    p = add("certificate", _cmd_certificate,
-            help="no holomorphic 4-factor Cohn word")
-    p.add_argument("--d", default="1/2", help="fiber probe zw = D")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=256,
-                   help=f"per sampled loop, 3 to {MAX_LOOP_SAMPLES}")
-    p.add_argument("--required", type=int, default=2)
+    if p := add("certificate", _cmd_certificate,
+                help="no holomorphic 4-factor Cohn word"):
+        p.add_argument("--d", default="1/2", help="fiber probe zw = D")
+        p.add_argument("--radius", type=float, default=1.0)
+        p.add_argument("--samples", type=int, default=256,
+                       help=f"per sampled loop, 3 to {MAX_LOOP_SAMPLES}")
+        p.add_argument("--required", type=int, default=2)
 
-    p = add("bound", _cmd_bound, help="composite factor-count bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", required=True, help="comma list i=Ki")
+    if p := add("bound", _cmd_bound, help="composite factor-count bound"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", required=True, help="comma list i=Ki")
 
-    p = add("verify-suite", _cmd_verify_suite,
-            help="run the whole acceptance battery")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", choices=("quick", "full"), default="quick")
+    if p := add("verify-suite", _cmd_verify_suite,
+                help="run the whole acceptance battery"):
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--scale", choices=("quick", "full"), default="quick")
 
     return parser
 
@@ -456,8 +461,14 @@ def main(argv=None) -> int:
     t0 = perf_counter()
     # argparse sets command on a known subcommand, so parse errors name it
     args = argparse.Namespace(command=None)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option values, so the subcommand that
+    # can run is the first argument not starting with "-"; argparse refuses
+    # any earlier one it reads as a command ("-5", "-x y") as unknown
+    named = next((a for a in argv if not a.startswith("-")), "")
     try:
-        build_parser().parse_args(argv, args)
+        build_parser(named).parse_args(argv, args)
         payload, code = args.fn(args)
     except PreconditionError as exc:
         payload, code = {"error": {"code": "precondition",

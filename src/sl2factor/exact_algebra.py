@@ -9,10 +9,16 @@ _poly, or _poly_nonzero when no zero is left (sums merge on coefficient
 triples and drop what cancels; a one-term factor shifts exponents).
 The term map is private; .terms is a read-only view of it.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
-output byte-stable.  Products and the determinant check poly_det_is_one
-share one kernel (_product_table): exponents packed into one int per
-term, coefficients summed as Gaussian-integer numerators, terms in the
-first-seen order of the pair loop.
+output byte-stable.
+
+A product of two dense factors (at least _PACK_MIN terms each) is
+deferred: it holds its pending (sign, left, right) products, sums and
+differences of pending polynomials join those lists, and the first read
+of the terms runs one product table (_product_table) over all of them:
+exponents packed into one int per term, coefficients summed as
+Gaussian-integer numerators, terms in the first-seen order of the pair
+loop.  The determinant check poly_det_is_one is a * d - b * c == 1, so
+it runs that one table too.
 
 The scalars live in their own module, which a call that builds no
 polynomial loads alone; it recognises a MultiPoly (scalars.is_poly)
@@ -39,8 +45,10 @@ from .scalars import (  # noqa: F401
 # polynomials
 
 
-def _grlex_key(exp: tuple) -> tuple:
-    return (sum(exp), exp)
+def _grlex_order(terms) -> list:
+    """The exponents of terms graded-lexicographically, highest first; each
+    sort key (degree, exponent) is built once, with no Python call."""
+    return [e for _, e in sorted(zip(map(sum, terms), terms), reverse=True)]
 
 
 def _check_nvars(nvars) -> None:
@@ -51,7 +59,9 @@ def _check_nvars(nvars) -> None:
 class MultiPoly:
     """Sparse polynomial over ExactComplex in a fixed number of variables."""
 
-    __slots__ = ("nvars", "_terms")
+    # a pending product (see _pending) leaves _terms unset until its
+    # first read, which __getattr__ catches
+    __slots__ = ("nvars", "_terms", "_products")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | Iterable = ()):
         _check_nvars(nvars)
@@ -78,6 +88,18 @@ class MultiPoly:
                 clean[exp] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_products", None)
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails, as it does for the unset
+        # _terms of a pending product
+        if name != "_terms" or not self._products:
+            raise AttributeError(
+                f"'MultiPoly' object has no attribute {name!r}")
+        terms = _sum_of_products(self._products)
+        _set_terms(self, terms)
+        _set_products(self, None)  # the factors are no longer needed
+        return terms
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -122,8 +144,8 @@ class MultiPoly:
         return max((sum(e) for e in self._terms), default=0)
 
     def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]),
-                      reverse=True)
+        terms = self._terms
+        return [(e, terms[e]) for e in _grlex_order(terms)]
 
     # ring operations --------------------------------------------------------
 
@@ -141,6 +163,8 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        if self._products and o._products:
+            return _pending(self.nvars, self._products + o._products)
         return _merge(self, o, 1)
 
     __radd__ = __add__
@@ -149,6 +173,8 @@ class MultiPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        if self._products and o._products:
+            return _pending(self.nvars, self._products + _negated(o))
         return _merge(self, o, -1)
 
     def __rsub__(self, other):
@@ -158,6 +184,8 @@ class MultiPoly:
         return o - self
 
     def __neg__(self):
+        if self._products:
+            return _pending(self.nvars, _negated(self))
         return _poly(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
@@ -165,20 +193,13 @@ class MultiPoly:
         if o is None:
             return NotImplemented
         # terms keep the first-seen order of the pair loop, so float
-        # evaluation sums in a fixed order
+        # evaluation sums in a fixed order; a dense product is deferred
         if len(o._terms) == 1:
             return _shifted(self, o)
         if len(self._terms) == 1:
             return _shifted(o, self)
         if len(self._terms) >= _PACK_MIN and len(o._terms) >= _PACK_MIN:
-            table, den, unpack = _product_table(((1, self, o),))
-            made = {}  # one ExactComplex per distinct numerator
-            for v in set(table.values()):
-                p, q, _ = _triple(v)
-                made[v] = _reduced(p, q, den)
-            keys = [k for k, v in table.items() if v]
-            return _poly_nonzero(self.nvars, dict(zip(
-                unpack(keys), [made[table[k]] for k in keys])))
+            return _pending(self.nvars, [(1, self, o)])
         # a small factor: tuple exponents and raw (p, q, d) sums, one
         # _reduced per output term
         right = [(e2, c2._pqd) for e2, c2 in o._terms.items()]
@@ -278,6 +299,7 @@ class MultiPoly:
 
 _set_nvars = MultiPoly.nvars.__set__
 _set_terms = MultiPoly._terms.__set__
+_set_products = MultiPoly._products.__set__
 
 
 def _poly(nvars: int, terms: dict) -> MultiPoly:
@@ -286,6 +308,7 @@ def _poly(nvars: int, terms: dict) -> MultiPoly:
     x = _new(MultiPoly)
     _set_nvars(x, nvars)
     _set_terms(x, {e: c for e, c in terms.items() if c._pqd != _ZERO})
+    _set_products(x, None)
     return x
 
 
@@ -294,7 +317,21 @@ def _poly_nonzero(nvars: int, terms: dict) -> MultiPoly:
     x = _new(MultiPoly)
     _set_nvars(x, nvars)
     _set_terms(x, terms)
+    _set_products(x, None)
     return x
+
+
+def _pending(nvars: int, products: list) -> MultiPoly:
+    """The sum of sign * l * r over (sign, l, r) in products, not yet
+    computed: its terms are built by one product table on first read."""
+    x = _new(MultiPoly)
+    _set_nvars(x, nvars)
+    _set_products(x, products)
+    return x
+
+
+def _negated(x: MultiPoly) -> list:
+    return [(-sign, l, r) for sign, l, r in x._products]
 
 
 def _merge(x: MultiPoly, y: MultiPoly, sign: int) -> MultiPoly:
@@ -341,9 +378,10 @@ def _shifted(x: MultiPoly, t: MultiPoly) -> MultiPoly:
 # the polynomial product kernel
 
 
-# MultiPoly.__mul__ packs exponents only when both factors have at least
-# this many terms; below that most pairs make a term of their own, and
-# packing each term and unpacking each result costs more than it saves
+# MultiPoly.__mul__ defers a product, and so packs its exponents, only
+# when both factors have at least this many terms; below that most pairs
+# make a term of their own, and packing each term and unpacking each
+# result costs more than it saves
 _PACK_MIN = 4
 
 
@@ -414,22 +452,33 @@ def _product_table(products) -> tuple:
     return table, den, unpack
 
 
+def _sum_of_products(products) -> dict:
+    """The terms of a pending polynomial, as __mul__ built a dense product:
+    one ExactComplex per distinct numerator, zeros dropped, keys in the
+    first-seen order of the pair loop over all the products."""
+    table, den, unpack = _product_table(products)
+    made = {}
+    for v in set(table.values()):
+        p, q, _ = _triple(v)
+        made[v] = _reduced(p, q, den)
+    keys = [k for k, v in table.items() if v]
+    return dict(zip(unpack(keys), [made[table[k]] for k in keys]))
+
+
 def poly_det_is_one(a: MultiPoly, b: MultiPoly, c: MultiPoly,
                     d: MultiPoly) -> bool:
     """Whether a d - b c is literally the constant polynomial 1.
 
-    The products a d and -b c are summed into one table of the product
-    kernel, with one packing width; no ad, bc or difference polynomial is
-    built.  The test is exact: every non-constant term must cancel and the
-    constant term must be 1.
+    When the factors are dense, a d - b c is one pending sum, so the
+    comparison runs one product table for both products.  The test is
+    exact: every non-constant term must cancel and the constant term must
+    be 1.
     """
     if (not all(isinstance(p, MultiPoly) for p in (a, b, c, d))
             or len({a.nvars, b.nvars, c.nvars, d.nvars}) != 1):
         raise PreconditionError(
             "poly_det_is_one needs four polynomials in one variable set")
-    table, den, _ = _product_table(((1, a, d), (-1, b, c)))
-    # the zero exponent packs to key 0
-    return table.pop(0, 0) == den and not any(table.values())
+    return a * d - b * c == 1
 
 
 def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:
@@ -444,12 +493,17 @@ def poly_embed(p: MultiPoly, nvars: int, offset: int = 0) -> MultiPoly:
 
 
 def poly_to_json(p: MultiPoly) -> dict:
-    return {
-        "nvars": p.nvars,
-        "terms": [{"exp": list(exp), "re": _fmt_ratio(c._pqd[0], c._pqd[2]),
-                   "im": _fmt_ratio(c._pqd[1], c._pqd[2])}
-                  for exp, c in p.sorted_terms()],
-    }
+    terms = p._terms
+    # each distinct coefficient is formatted once: a continuant's are all 1
+    text = {}
+    for pqd in {c._pqd for c in terms.values()}:
+        re, im, d = pqd
+        text[pqd] = _fmt_ratio(re, d), _fmt_ratio(im, d)
+    out = []
+    for exp in _grlex_order(terms):
+        re, im = text[terms[exp]._pqd]
+        out.append({"exp": list(exp), "re": re, "im": im})
+    return {"nvars": p.nvars, "terms": out}
 
 
 def _coefficient_part(x):

@@ -41,24 +41,29 @@ class LoopSamples(_Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple):
-        vals = tuple(map(complex, values))
-        if len(vals) < 2:
-            raise PreconditionError("a loop needs at least two samples")
-        if not all(map(cmath.isfinite, vals)):
-            raise PreconditionError("non-finite loop value; winding undefined")
-        if 0 in vals:
-            raise PreconditionError("loop value vanishes; winding undefined")
-        incs = tuple(cmath.phase(b / a)
-                     for a, b in zip(vals, vals[1:] + vals[:1]))
-        if any(abs(t) >= math.pi / 2 for t in incs):
-            raise InadequateSamplingError(
-                "angular step >= pi/2; refine the sampling")
-        _set_loop_values(self, vals)
-        _set_increments(self, incs)
+        _fill_loop(self, tuple(map(complex, values)))
 
 
 _set_loop_values = LoopSamples.values.__set__
 _set_increments = LoopSamples.increments.__set__
+
+
+def _fill_loop(loop: LoopSamples, vals: tuple) -> LoopSamples:
+    """Check the complex values vals as a loop and store them in loop."""
+    if len(vals) < 2:
+        raise PreconditionError("a loop needs at least two samples")
+    if not all(map(cmath.isfinite, vals)):
+        raise PreconditionError("non-finite loop value; winding undefined")
+    if 0 in vals:
+        raise PreconditionError("loop value vanishes; winding undefined")
+    incs = tuple(cmath.phase(b / a)
+                 for a, b in zip(vals, vals[1:] + vals[:1]))
+    if any(abs(t) >= math.pi / 2 for t in incs):
+        raise InadequateSamplingError(
+            "angular step >= pi/2; refine the sampling")
+    _set_loop_values(loop, vals)
+    _set_increments(loop, incs)
+    return loop
 
 
 def winding_number(loop: LoopSamples) -> int:
@@ -70,23 +75,36 @@ def sample_loop(f: Callable[[float], complex],
                 samples: int = DEFAULT_SAMPLES) -> LoopSamples:
     """Sample f on [0, 2pi), doubling the count up to SAMPLE_CAP until
     adequacy holds; a loop still inadequate at the cap raises
-    InadequateSamplingError naming the cap.  At least three samples: the two increments of a two-sample
-    loop are opposite, so its degree would read 0 whatever f is."""
+    InadequateSamplingError naming the cap.  At least three samples: the
+    two increments of a two-sample loop are opposite, so its degree would
+    read 0 whatever f is.
+
+    f must be a function of theta alone: a doubling keeps the values
+    already sampled and evaluates f only at the new odd samples, since
+    sample k of n is bit for bit sample 2k of 2n (TWO_PI * 2k is exactly
+    twice TWO_PI * k).  A last step clipped to SAMPLE_CAP is no doubling
+    and samples afresh."""
     if samples < 3:
         raise PreconditionError("need at least three samples")
     n = samples
+    # each value is converted to complex once, here, not by LoopSamples
+    vals = [complex(f(TWO_PI * k / n)) for k in range(n)]
     while True:
-        # LoopSamples converts each value to complex, once
-        vals = tuple(f(TWO_PI * k / n) for k in range(n))
         try:
-            return LoopSamples(vals)
+            return _fill_loop(object.__new__(LoopSamples), tuple(vals))
         except InadequateSamplingError as exc:
             if n >= SAMPLE_CAP:
                 raise InadequateSamplingError(
                     f"angular step >= pi/2 at every sample count from "
                     f"{samples} to {n}: no sample count up to the cap of "
                     f"{SAMPLE_CAP} resolved the loop") from exc
-            n = min(2 * n, SAMPLE_CAP)
+        if 2 * n <= SAMPLE_CAP:
+            n *= 2
+            odd = [complex(f(TWO_PI * k / n)) for k in range(1, n, 2)]
+            vals = [v for pair in zip(vals, odd) for v in pair]
+        else:
+            n = SAMPLE_CAP
+            vals = [complex(f(TWO_PI * k / n)) for k in range(n)]
 
 
 def circle_winding(f: Callable[[complex], complex], radius: float,

@@ -814,10 +814,18 @@ OPTIONS = {
 
 
 def test_each_subcommand_declares_only_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    declared = {name: {o for a in p._actions for o in a.option_strings
+    declared = {}
+    for command in OPTIONS:
+        # every subcommand is registered; only the named one has options
+        sub = next(a for a in build_parser(command)._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(OPTIONS)
+        for name, p in sub.choices.items():
+            options = {o for a in p._actions for o in a.option_strings
                        if o not in ("-h", "--help")}
-                for name, p in sub.choices.items()}
+            if name == command:
+                declared[name] = options
+            else:
+                assert not options
     assert declared == OPTIONS
     assert sum(map(len, declared.values())) == 32

@@ -19,7 +19,8 @@ from sl2factor.exact_algebra import ExactComplex, parse_exact
 from sl2factor.factorizer import cohn_eval, cohn_family_relations
 from sl2factor.obstruction import (
     CLAIM_NO_HOLO_4, CONTINUOUS_SECTION_EXPONENTS, Certificate,
-    DIVISOR_EXPONENTS, DIVISOR_OPTIONS, LoopSamples, UNIT_E_ZW_EXPONENTS,
+    DIVISOR_EXPONENTS, DIVISOR_OPTIONS, LoopSamples, SAMPLE_CAP, TWO_PI,
+    UNIT_E_ZW_EXPONENTS,
     _fiber_degree_z_param, axis_continuation_degrees, certificate_from_json,
     circle_winding, cohn_continuous_section, continuous_section_h3,
     divisor_degrees, fiber_degree, holo_obstruction_certificate, sample_loop,
@@ -101,14 +102,57 @@ def test_sample_loop_converts_each_sample_once():
             conversions.append(self)
             return self.value
 
-    # w^5 steps by 5 * 2pi/16 > pi/2 on 16 samples, so one doubling to 32
+    # w^5 steps by 5 * 2pi/16 > pi/2 on 16 samples, so one doubling to
+    # 32, which keeps the 16 values it has and samples the 16 between them
     loop = sample_loop(Sample, samples=16)
     assert winding_number(loop) == 5
     assert len(loop.values) == 32
-    assert len(conversions) == 16 + 32
+    assert len(conversions) == 16 + 16
     for f in (lambda th: 1, lambda th: mpmath.mpc(cmath.exp(1j * th))):
         loop = sample_loop(f, samples=8)
         assert all(type(v) is complex for v in loop.values)
+
+
+@pytest.mark.parametrize("start", [3, 5, 7, 16, 100, 256, 1000, 4096])
+def test_doubled_grid_holds_the_old_one_bit_for_bit(start):
+    # what lets a doubling keep its samples: k/n and 2k/2n give one angle
+    n = start
+    while 2 * n <= SAMPLE_CAP:
+        assert all(TWO_PI * k / n == TWO_PI * (2 * k) / (2 * n)
+                   for k in range(n))
+        n *= 2
+
+
+def test_sample_loop_doubling_matches_fresh_sampling():
+    angles = []
+
+    def f(th):
+        angles.append(th)
+        return cmath.exp(5j * th)
+
+    loop = sample_loop(f, samples=7)  # 7 -> 14 -> 28 samples
+    assert len(loop.values) == 28 and winding_number(loop) == 5
+    assert loop.values == tuple(cmath.exp(5j * (TWO_PI * k / 28))
+                                for k in range(28))
+    # every angle is sampled once
+    assert sorted(angles) == [TWO_PI * k / 28 for k in range(28)]
+
+
+def test_sample_loop_clipped_last_step_samples_afresh(monkeypatch):
+    # w^11 needs more than 32 samples: 16 and 32 fail, and the cap of 48
+    # is no doubling of 32, so all 48 are sampled anew
+    angles = []
+
+    def f(th):
+        angles.append(th)
+        return cmath.exp(11j * th)
+
+    monkeypatch.setattr(obstruction, "SAMPLE_CAP", 48)
+    loop = sample_loop(f, samples=16)
+    assert len(loop.values) == 48 and winding_number(loop) == 11
+    assert len(angles) == 16 + 16 + 48
+    assert angles[-48:] == [TWO_PI * k / 48 for k in range(48)]
+    assert loop.values == tuple(map(f, angles[-48:]))
 
 
 def test_sample_loop_cap_exhaustion(monkeypatch):

@@ -4,14 +4,17 @@
 ## term by term.  Every result must also be in canonical form.
 ##
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2factor import exact_algebra
 from sl2factor.errors import PreconditionError
-from sl2factor.exact_algebra import (ExactComplex, MultiPoly, poly_det_is_one,
-                                     poly_embed)
+from sl2factor.exact_algebra import (_PACK_MIN, ExactComplex, MultiPoly,
+                                     poly_det_is_one, poly_embed,
+                                     poly_to_json)
 from sl2factor.word_core import SL2, PhiTemplate, expand_phi, middle_Q
 
 # Gaussian rationals with denominators 1-12, plain integers, pure imaginaries
@@ -374,3 +377,153 @@ def test_poly_det_is_one_refuses_other_operands():
         poly_det_is_one(x, x, x, MultiPoly.variable(2, 0))
     with pytest.raises(PreconditionError):
         poly_det_is_one(x, x, x, 1)
+
+
+## Deferred products: a product of two factors with at least _PACK_MIN
+## terms is pending until its terms are first read, and sums of pending
+## products run one product table.  Against sums built term by term
+## through the validating constructor, in the first-seen order of the
+## pairs; that is the order of the eager product and, when no product
+## cancels a term of its own, of the eager merge.
+
+
+def _pairs(sign: int, l: MultiPoly, r: MultiPoly) -> list:
+    return [(tuple(x + y for x, y in zip(e1, e2)), sign * c1 * c2)
+            for e1, c1 in l.terms.items() for e2, c2 in r.terms.items()]
+
+
+def _term_by_term(nvars: int, *products) -> tuple:
+    """The sum of sign * l * r over products, built pair by pair, and the
+    first-seen order of the exponents that survive."""
+    pairs = [t for p in products for t in _pairs(*p)]
+    built = MultiPoly(nvars, pairs)
+    order = [e for e in dict.fromkeys(e for e, _ in pairs)
+             if e in built.terms]
+    return built, order
+
+
+def _is_pending(p: MultiPoly) -> bool:
+    return bool(p._products)
+
+
+_nonzero_coeffs = coeffs.filter(lambda c: c != (0, 0))
+
+
+@st.composite
+def dense_quads(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    return nvars, [_to_poly(nvars, draw(st.dictionaries(
+        exps, _nonzero_coeffs, min_size=_PACK_MIN, max_size=7)))
+        for _ in range(4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_quads())
+def test_deferred_products_match_term_by_term_sums(case):
+    nvars, (a, b, c, d) = case
+    assert _is_pending(a * d) and _is_pending(a * d - b * c)
+    cases = [
+        (a * d - b * c, [(1, a, d), (-1, b, c)]),
+        (a * d + b * c, [(1, a, d), (1, b, c)]),
+        (-(a * d), [(-1, a, d)]),
+        ((a * d) * b, [(1, a * d, b)]),
+        ((a * d) ** 2, [(1, a * d, a * d)]),
+        (a * d - d * a, [(1, a, d), (-1, d, a)]),
+    ]
+    for result, products in cases:
+        built, order = _term_by_term(nvars, *products)
+        assert result == built
+        _same_terms(result, [(e, built.terms[e]) for e in order])
+    assert (a * d - d * a).terms == {} and not a * d - d * a
+    # the eager product merged with the eager product: the order before
+    # products were deferred, wherever no product cancels a term of its own
+    ad, bc = a * d, b * c
+    if all(len(p.terms) == len(dict.fromkeys(e for e, _ in _pairs(1, l, r)))
+           for p, l, r in ((ad, a, d), (bc, b, c))):
+        _same_terms(a * d - b * c, _ec_sum(ad, bc, -1))
+        _same_terms(a * d + b * c, _ec_sum(ad, bc, 1))
+
+
+def _dense_det_inputs():
+    for q in [middle_Q(n) for n in range(8, 12)] + [
+            expand_phi(PhiTemplate(n)).entries for n in range(4, 8)]:
+        q = list(q)
+        yield q
+        x = MultiPoly.variable(q[0].nvars, 0)
+        for i in range(4):
+            yield q[:i] + [q[i] + x ** 2] + q[i + 1:]
+            yield q[:i] + [q[i] * ExactComplex(1, 1)] + q[i + 1:]
+
+
+def test_poly_det_is_one_agrees_with_the_eager_check():
+    seen = set()
+    for a, b, c, d in _dense_det_inputs():
+        eager = _term_by_term(a.nvars, (1, a, d), (-1, b, c))[0]
+        want = eager == MultiPoly.one(a.nvars)
+        seen.add(want)
+        assert poly_det_is_one(a, b, c, d) is want
+    assert seen == {True, False}
+
+
+def test_pending_polynomial_pickles():
+    a, b, c, d = middle_Q(9)
+    p = a * d + b * c
+    assert _is_pending(p)
+    q = pickle.loads(pickle.dumps(p))
+    built, order = _term_by_term(a.nvars, (1, a, d), (1, b, c))
+    assert q == p == built and list(q.terms) == list(p.terms) == order
+    assert not _is_pending(q)
+
+
+_READS = {
+    "terms": lambda p: dict(p.terms),
+    "eq": lambda p: p == MultiPoly.one(p.nvars),
+    "bool": bool,
+    "json": poly_to_json,
+    "eval": lambda p: p.eval([ExactComplex(k, 1) for k in range(p.nvars)]),
+    "diff": lambda p: p.diff(0),
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "factor": lambda p: p * p,
+    "str": str,
+}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_each_read_builds_the_terms_once(read, monkeypatch):
+    a, b, c, d = middle_Q(10)
+    eager = _term_by_term(a.nvars, (1, a, d), (-1, b, c), (1, b, d))[0]
+    p = a * d - b * c + b * d
+    calls = []
+    real = exact_algebra._product_table
+    monkeypatch.setattr(exact_algebra, "_product_table",
+                        lambda products: calls.append(products) or
+                        real(products))
+    assert _READS[read](p) == _READS[read](eager)
+    assert len(calls[0]) == 3 and not _is_pending(p)
+    count = len(calls)
+    _READS[read](p)
+    assert len(calls) == count
+
+
+def test_sum_of_dense_products_runs_one_table(monkeypatch):
+    q = middle_Q(11)
+    calls = []
+    real = exact_algebra._product_table
+    monkeypatch.setattr(exact_algebra, "_product_table",
+                        lambda products: calls.append(len(products)) or
+                        real(products))
+    k = 5
+    total = q[0] * q[3]
+    for i in range(1, k):
+        total = total - q[i % 4] * q[(i + 1) % 4] if i % 2 else \
+            total + q[i % 4] * q[(i + 1) % 4]
+    assert calls == []
+    products = [(1, q[0], q[3])] + [
+        (-1 if i % 2 else 1, q[i % 4], q[(i + 1) % 4]) for i in range(1, k)]
+    built, order = _term_by_term(q[0].nvars, *products)
+    assert calls == []
+    assert list(total.terms) == order and total == built
+    assert calls == [k]
+    assert total == built and total and poly_to_json(total)
+    assert calls == [k]

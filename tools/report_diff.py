@@ -128,6 +128,13 @@ COMMANDS = [
     # padding a polynomial word; a bound whose --k misses an index
     ["pad", "--input", "{word_poly}"],
     ["bound", "--n", "4", "--k", "2=1,4=2"],
+    # usage text, and the errors argparse raises before a handler runs:
+    # cli adds the arguments of the named subcommand only
+    ["--help"],
+    ["expand", "--help"],
+    ["cohn", "--help"],
+    ["no-such-command", "--n", "4"],
+    ["factor-const"],
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
