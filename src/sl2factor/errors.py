@@ -1,7 +1,11 @@
-"""Shared exception types, and the base class of the package's records.
+"""Shared exception types, and the base classes of the package's values.
 
 The CLI maps these onto exit codes: PreconditionError -> 2,
 VerificationError (and subclasses) -> 3, I/O problems -> 4.
+
+_Frozen is the one immutability protocol: every slotted value type of the
+package (ExactComplex, MultiPoly, SL2 and the records) derives from it.
+_Record adds field semantics on top of it.
 """
 
 from __future__ import annotations
@@ -23,27 +27,36 @@ class SamplingBudgetError(VerificationError):
     """Random drawing hit a degenerate streak and ran out of retries."""
 
 
-class _Record:
-    """Immutable record: what a frozen dataclass gives, without importing
-    dataclasses, which a cold CLI call would pay for.
-
-    A subclass names its slots in __slots__ and its fields, in signature
-    order, in _fields; its __init__ checks the arguments and sets each
-    field through the slot's descriptor, since __setattr__ refuses.  The
-    fields make equality (within one class only), the hash, the repr
-    Name(field=value, ...) and the pickle, which rebuilds the record
-    through __init__, so copy and pickle work.  Lives here because every
-    module that defines a record already imports this one.
+class _Frozen:
+    """Base of every slotted value type: setting or deleting any attribute
+    raises AttributeError.  The package writes a slot only through
+    object.__setattr__(obj, "name", value), which bypasses the refusal:
+    in constructors, and where a pending MultiPoly builds its terms.
+    Lives here because every module that defines a value imports this one.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record(_Frozen):
+    """Immutable record: what a frozen dataclass gives, without importing
+    dataclasses, which a cold CLI call would pay for.
+
+    A subclass names its slots in __slots__ and its fields, in signature
+    order, in _fields; its __init__ checks the arguments and writes each
+    field as _Frozen says.  The fields make equality (within one class
+    only), the hash, the repr Name(field=value, ...) and the pickle, which
+    rebuilds the record through __init__, so copy and pickle work.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -22,8 +22,7 @@ it runs that one table too.
 
 The scalars live in their own module, which a call that builds no
 polynomial loads alone; it recognises a MultiPoly (scalars.is_poly)
-without importing this one.  The public scalar names are re-exported,
-so they stay importable from here.
+without importing this one.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ from math import lcm
 from operator import add as _add
 from types import MappingProxyType
 
-from .errors import PreconditionError
-# the scalar names are re-exported, so they stay importable from here
-from .scalars import (  # noqa: F401
-    EC_I, EC_ONE, EC_ZERO, ExactComplex, _ZERO, _ec, _fmt_ratio,
-    _fraction, _new, _reduced, _triple, digit_limit_error, format_exact,
-    is_exact_scalar, is_exact_text, parse_exact, require_finite,
-    require_scalar, scalar_from_json, scalar_to_json, unify_scalars)
+from .errors import PreconditionError, _Frozen
+from .scalars import (
+    EC_ONE, EC_ZERO, ExactComplex, _ZERO, _ec, _fmt_ratio, _fraction, _new,
+    _reduced, _triple, format_exact, is_exact_scalar, unify_scalars)
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -56,7 +52,7 @@ def _check_nvars(nvars) -> None:
         raise PreconditionError(f"nvars must be a nonnegative int: {nvars!r}")
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Sparse polynomial over ExactComplex in a fixed number of variables."""
 
     # a pending product (see _pending) leaves _terms unset until its
@@ -97,15 +93,10 @@ class MultiPoly:
             raise AttributeError(
                 f"'MultiPoly' object has no attribute {name!r}")
         terms = _sum_of_products(self._products)
-        _set_terms(self, terms)
-        _set_products(self, None)  # the factors are no longer needed
+        object.__setattr__(self, "_terms", terms)
+        # the factors are no longer needed
+        object.__setattr__(self, "_products", None)
         return terms
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MultiPoly is immutable")
 
     @property
     def terms(self) -> Mapping:
@@ -297,27 +288,23 @@ class MultiPoly:
         return _poly, (self.nvars, self._terms)
 
 
-_set_nvars = MultiPoly.nvars.__set__
-_set_terms = MultiPoly._terms.__set__
-_set_products = MultiPoly._products.__set__
-
-
 def _poly(nvars: int, terms: dict) -> MultiPoly:
     """Trusted MultiPoly from canonical exponents and ExactComplex
     coefficients: skips __init__, only drops zeros."""
     x = _new(MultiPoly)
-    _set_nvars(x, nvars)
-    _set_terms(x, {e: c for e, c in terms.items() if c._pqd != _ZERO})
-    _set_products(x, None)
+    object.__setattr__(x, "nvars", nvars)
+    object.__setattr__(x, "_terms",
+                       {e: c for e, c in terms.items() if c._pqd != _ZERO})
+    object.__setattr__(x, "_products", None)
     return x
 
 
 def _poly_nonzero(nvars: int, terms: dict) -> MultiPoly:
     """Trusted MultiPoly whose coefficients are already all nonzero."""
     x = _new(MultiPoly)
-    _set_nvars(x, nvars)
-    _set_terms(x, terms)
-    _set_products(x, None)
+    object.__setattr__(x, "nvars", nvars)
+    object.__setattr__(x, "_terms", terms)
+    object.__setattr__(x, "_products", None)
     return x
 
 
@@ -325,8 +312,8 @@ def _pending(nvars: int, products: list) -> MultiPoly:
     """The sum of sign * l * r over (sign, l, r) in products, not yet
     computed: its terms are built by one product table on first read."""
     x = _new(MultiPoly)
-    _set_nvars(x, nvars)
-    _set_products(x, products)
+    object.__setattr__(x, "nvars", nvars)
+    object.__setattr__(x, "_products", products)
     return x
 
 

@@ -71,19 +71,13 @@ class InteriorPoint(_Record):
     __slots__ = _fields = ("n", "stratum", "level", "values")
 
     def __init__(self, n: int, stratum: str, level: object, values: tuple):
-        _set_ip_n(self, n)
-        _set_stratum(self, stratum)  # "Q1" or "Q2"
-        _set_level(self, level)
-        _set_values(self, values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "stratum", stratum)  # "Q1" or "Q2"
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "values", values)
 
     def q_entries(self):
         return _middle_product(unify_scalars(self.values))
-
-
-_set_ip_n = InteriorPoint.n.__set__
-_set_stratum = InteriorPoint.stratum.__set__
-_set_level = InteriorPoint.level.__set__
-_set_values = InteriorPoint.values.__set__
 
 
 class FiberCompletion(_Record):
@@ -95,26 +89,17 @@ class FiberCompletion(_Record):
     def __init__(self, n: int, branch: str, point: tuple, target: SL2,
                  verified: bool, eq4_residual: object = None,
                  z1_free: object = None):
-        _set_fc_n(self, n)
-        _set_branch(self, branch)
-        _set_point(self, point)
-        _set_target(self, target)
-        _set_verified(self, verified)
-        _set_eq4_residual(self, eq4_residual)
-        _set_z1_free(self, z1_free)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "eq4_residual", eq4_residual)
+        object.__setattr__(self, "z1_free", z1_free)
 
     @property
     def interior(self) -> tuple:
         return self.point[1:-1]
-
-
-_set_fc_n = FiberCompletion.n.__set__
-_set_branch = FiberCompletion.branch.__set__
-_set_point = FiberCompletion.point.__set__
-_set_target = FiberCompletion.target.__set__
-_set_verified = FiberCompletion.verified.__set__
-_set_eq4_residual = FiberCompletion.eq4_residual.__set__
-_set_z1_free = FiberCompletion.z1_free.__set__
 
 
 def interior_sample(n: int, level, stratum: str = "Q1", seed=None,

@@ -44,10 +44,6 @@ class LoopSamples(_Record):
         _fill_loop(self, tuple(map(complex, values)))
 
 
-_set_loop_values = LoopSamples.values.__set__
-_set_increments = LoopSamples.increments.__set__
-
-
 def _fill_loop(loop: LoopSamples, vals: tuple) -> LoopSamples:
     """Check the complex values vals as a loop and store them in loop."""
     if len(vals) < 2:
@@ -61,8 +57,8 @@ def _fill_loop(loop: LoopSamples, vals: tuple) -> LoopSamples:
     if any(abs(t) >= math.pi / 2 for t in incs):
         raise InadequateSamplingError(
             "angular step >= pi/2; refine the sampling")
-    _set_loop_values(loop, vals)
-    _set_increments(loop, incs)
+    object.__setattr__(loop, "values", vals)
+    object.__setattr__(loop, "increments", incs)
     return loop
 
 
@@ -280,11 +276,11 @@ class Certificate(_Record):
         if verdict != (required_degree not in achieved):
             raise VerificationError(
                 "certificate verdict contradicts its own degree lists")
-        _set_claim(self, claim)
-        _set_required_degree(self, required_degree)
-        _set_achieved(self, achieved)
-        _set_verdict(self, verdict)
-        _set_evidence(self, evidence)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "required_degree", required_degree)
+        object.__setattr__(self, "achieved", achieved)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "evidence", evidence)
 
     def to_json(self) -> dict:
         return {
@@ -294,13 +290,6 @@ class Certificate(_Record):
             "verdict": self.verdict,
             "evidence": dict(self.evidence),
         }
-
-
-_set_claim = Certificate.claim.__set__
-_set_required_degree = Certificate.required_degree.__set__
-_set_achieved = Certificate.achieved.__set__
-_set_verdict = Certificate.verdict.__set__
-_set_evidence = Certificate.evidence.__set__
 
 
 def certificate_from_json(data: dict) -> Certificate:

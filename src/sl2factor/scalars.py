@@ -36,7 +36,7 @@ import sys
 from collections.abc import Sequence
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _Frozen
 
 _FRAC = r"\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"^[+-]?{_FRAC}$")
@@ -128,7 +128,7 @@ _ZERO = (0, 0, 1)
 _new = object.__new__
 
 
-class ExactComplex:
+class ExactComplex(_Frozen):
     """Gaussian rational (p + q i)/d with exact field arithmetic.
 
     The triple (p, q, d) is private and canonical (d > 0, gcd 1).
@@ -141,13 +141,7 @@ class ExactComplex:
         n2, d2 = _rational(im)
         p, q, d = n1 * d2, n2 * d1, d1 * d2
         g = gcd(p, q, d)
-        _set_pqd(self, (p // g, q // g, d // g))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ExactComplex is immutable")
+        object.__setattr__(self, "_pqd", (p // g, q // g, d // g))
 
     @staticmethod
     def coerce(x) -> "ExactComplex":
@@ -296,13 +290,10 @@ class ExactComplex:
         return _ec, self._pqd
 
 
-_set_pqd = ExactComplex._pqd.__set__
-
-
 def _ec(p: int, q: int, d: int) -> ExactComplex:
     """ExactComplex from a triple already in canonical form; skips __init__."""
     x = _new(ExactComplex)
-    _set_pqd(x, (p, q, d))
+    object.__setattr__(x, "_pqd", (p, q, d))
     return x
 
 

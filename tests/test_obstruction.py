@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sl2factor import obstruction
 from sl2factor.errors import (InadequateSamplingError, PreconditionError,
                               VerificationError)
-from sl2factor.exact_algebra import ExactComplex, parse_exact
+from sl2factor.scalars import ExactComplex, parse_exact
 from sl2factor.factorizer import cohn_eval, cohn_family_relations
 from sl2factor.obstruction import (
     CLAIM_NO_HOLO_4, CONTINUOUS_SECTION_EXPONENTS, Certificate,

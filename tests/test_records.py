@@ -1,11 +1,14 @@
 ##
 ## The record contract and copying: the package's records are slotted,
 ## immutable and compared field by field, as frozen dataclasses are; every
-## public value survives copy.deepcopy and pickle
+## slotted value type refuses writes through the one base errors._Frozen;
+## every public value survives copy.deepcopy and pickle
 ##
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
@@ -14,6 +17,8 @@ from sl2factor import (SL2, Certificate, ElementaryFactor, ExactComplex,
                        LoopSamples, MultiPoly, PhiTemplate, TangentFrame,
                        VectorFieldSpec, Word, cohn_holo_5, factor_constant,
                        interior_sample, v_field_spec)
+from sl2factor.errors import _Frozen
+from sl2factor.exact_algebra import _PACK_MIN
 
 EC = ExactComplex
 X, Y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
@@ -90,6 +95,67 @@ def test_record_never_equals_one_of_another_class(cls, fields):
 def test_record_repr_has_the_dataclass_form(cls, fields):
     shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
     assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+def _pending_product() -> MultiPoly:
+    left, right = (X + Y + 1) ** 2, (X - Y + 2) ** 2
+    assert len(left.terms) >= _PACK_MIN and len(right.terms) >= _PACK_MIN
+    product = left * right
+    assert MultiPoly._products.__get__(product)  # deferred, no terms yet
+    return product
+
+
+# makers of the non-record value types, each built afresh per call
+FROZEN = [
+    pytest.param(lambda: EC(3, -5) / 7, id="ExactComplex"),
+    pytest.param(lambda: SL2(EC(2), EC(3), EC(1), EC(2)), id="SL2-exact"),
+    pytest.param(lambda: SL2(2.0, 3.0, 1.0, 2.0), id="SL2-float"),
+    pytest.param(lambda: X * Y - EC(1, 1), id="MultiPoly"),
+    pytest.param(_pending_product, id="MultiPoly-pending"),
+]
+UNSET = object()
+
+
+def _slot_contents(value) -> dict:
+    """Each slot's object, read through its descriptor, so a pending
+    product's unset terms read as UNSET and are not built."""
+    out = {}
+    for name in type(value).__slots__:
+        try:
+            out[name] = getattr(type(value), name).__get__(value)
+        except AttributeError:
+            out[name] = UNSET
+    return out
+
+
+@pytest.mark.parametrize("make", FROZEN)
+def test_value_types_refuse_every_write(make):
+    value = make()
+    before = _slot_contents(value)
+    for name in (*before, "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+    for name in before:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    after = _slot_contents(value)
+    assert all(after[name] is slot for name, slot in before.items())
+    assert value == make()  # a pending product builds its terms here
+
+
+def test_every_slotted_class_derives_from_frozen():
+    import sl2factor
+    slotted = []
+    for info in pkgutil.iter_modules(sl2factor.__path__):
+        module = importlib.import_module(f"sl2factor.{info.name}")
+        slotted += [obj for obj in vars(module).values()
+                    if isinstance(obj, type)
+                    and obj.__module__ == module.__name__
+                    and "__slots__" in vars(obj)]
+    names = {cls.__name__ for cls in slotted}
+    assert {"_Frozen", "_Record", "ExactComplex", "MultiPoly", "SL2",
+            *(cls.__name__ for cls, _ in RECORDS)} <= names
+    assert [cls for cls in slotted if not issubclass(cls, _Frozen)] == []
 
 
 def test_loop_increments_stay_out_of_the_fields():

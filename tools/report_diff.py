@@ -1,17 +1,25 @@
 #!/usr/bin/env python3
-"""Compare the CLI reports of two source trees, byte for byte.
+"""Compare the CLI reports of two source trees, byte for byte, or write
+the golden reports that tests/test_golden.py checks.
 
     python3 tools/report_diff.py OLD_SRC NEW_SRC
+    python3 tools/report_diff.py --write-golden SRC
 
-OLD_SRC and NEW_SRC are `src` directories (the ones holding the
+OLD_SRC, NEW_SRC and SRC are `src` directories (the ones holding the
 `sl2factor` package), for instance a checkout of the parent commit and the
 working tree.  Every command of COMMANDS runs once under each tree, as
-`python -m sl2factor.cli ...` with PYTHONPATH set to that tree and
-PYTHONDONTWRITEBYTECODE=1, so neither tree gains __pycache__ files.  The
-`timing_ms` values are masked; the rest of stdout and the exit code must
-match exactly.  For each command that differs, the differing lines of its
-pretty-printed report are shown.  Exits 1 on any difference, 0 otherwise.
-Standard library only; input files go to a temporary directory.
+`python -m sl2factor.cli ...` with PYTHONPATH set to that tree,
+PYTHONDONTWRITEBYTECODE=1 (so no tree gains __pycache__ files) and
+COLUMNS=80 (so help text wraps the same everywhere).  Its record (see
+record) holds the argv, the exit code, stdout and stderr, with the
+`timing_ms` values and the input directory masked.
+
+The first form compares the records of the two trees; for each command
+that differs, the differing lines of its pretty-printed record are shown.
+It exits 1 on any difference, 0 otherwise.  The second form rewrites
+tests/golden/, one file per command (golden_path), from SRC's records; an
+intended report change then shows as a diff of those files.  Standard
+library only; input files go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -138,42 +146,89 @@ COMMANDS = [
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
-def run(src: Path, argv: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-m", "sl2factor.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=600)
-    out = _TIMING.sub('"timing_ms": "*"', done.stdout)
-    return f"exit {done.returncode}\n{out}{done.stderr}"
+def write_inputs(tmp: str) -> None:
+    """Write each of INPUTS to tmp as NAME.json."""
+    for name, data in INPUTS.items():
+        Path(tmp, f"{name}.json").write_text(json.dumps(data))
 
 
-def _readable(report: str) -> list[str]:
+def argv_of(command: list[str], tmp: str) -> list[str]:
+    """command with each {NAME} replaced by the path of tmp/NAME.json."""
+    paths = {name: str(Path(tmp, f"{name}.json")) for name in INPUTS}
+    return [arg.format(**paths) for arg in command]
+
+
+def record(command: list[str], code: int, stdout: str, stderr: str,
+           tmp: str) -> str:
+    """What a run of command is compared by: its argv (with {NAME}
+    unexpanded), exit code, stdout and stderr, with every timing_ms value
+    and the input directory tmp masked."""
+    text = (f"argv: {json.dumps(command)}\nexit: {code}\n"
+            f"stdout:\n{stdout}stderr:\n{stderr}")
+    return _TIMING.sub('"timing_ms": "*"', text).replace(tmp, "{tmp}")
+
+
+def run(src: Path, command: list[str], tmp: str) -> str:
+    """The record of command run under the tree src, in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "sl2factor.cli", *argv_of(command, tmp)],
+        env=env, capture_output=True, timeout=600)
+    return record(command, done.returncode, done.stdout.decode("utf-8"),
+                  done.stderr.decode("utf-8"), tmp)
+
+
+def golden_path(command: list[str]) -> Path:
+    """The golden file of command: its words, each run of characters other
+    than letters, digits and ".+=-" (spaces included) made one "_", cut to
+    60 characters.  tests/test_golden.py checks that the names differ."""
+    name = re.sub(r"[^\w.+=-]+", "_", " ".join(command)).strip("_-")
+    return GOLDEN / f"{name[:60]}.txt"
+
+
+def _readable(text: str) -> list[str]:
     # one JSON line per report: spread it out so a diff names the field
-    head, _, body = report.partition("\n")
-    try:
-        body = json.dumps(json.loads(body), indent=1)
-    except ValueError:
-        pass
-    return [head, *body.splitlines()]
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            try:
+                line = json.dumps(json.loads(line), indent=1)
+            except ValueError:
+                pass
+        lines += line.splitlines()
+    return lines
+
+
+def write_golden(src: Path) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        GOLDEN.mkdir(exist_ok=True)
+        for stale in GOLDEN.glob("*.txt"):
+            stale.unlink()
+        for command in COMMANDS:
+            golden_path(command).write_bytes(
+                run(src, command, tmp).encode("utf-8"))
+    print(f"wrote {len(COMMANDS)} golden reports to {GOLDEN}")
+    return 0
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--write-golden":
+        return write_golden(Path(argv[1]).resolve())
     if len(argv) != 2:
-        print("usage: report_diff.py OLD_SRC NEW_SRC", file=sys.stderr)
+        print("usage: report_diff.py OLD_SRC NEW_SRC\n"
+              "       report_diff.py --write-golden SRC", file=sys.stderr)
         return 2
     old, new = (Path(a).resolve() for a in argv)
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for name, data in INPUTS.items():
-            path = Path(tmp, f"{name}.json")
-            path.write_text(json.dumps(data))
-            paths[name] = str(path)
+        write_inputs(tmp)
         for command in COMMANDS:
-            args = [arg.format(**paths) for arg in command]
-            before, after = run(old, args), run(new, args)
+            before, after = run(old, command, tmp), run(new, command, tmp)
             shown = " ".join(command)
             if before == after:
                 print(f"same  {shown}")
