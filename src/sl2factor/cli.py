@@ -9,15 +9,18 @@ scalars travel as strings like "3/4" or "1/2+5/3 i".  Float syntax on the
 command line needs --approx (jacobian, fiber-solve's --z1, cohn).  --input
 files (jacobian, fiber-solve, factor-const, pad, winding) carry their own
 kind: strings and ints are exact, floats and [re, im] pairs approximate.
+A well-formed command line is parsed directly against the one option table,
+SUBCOMMANDS; argparse, built from the same table, is imported only for
+-h/--help and for a line the direct parse declines, so it alone writes help
+text and parse-error messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from time import perf_counter
+from types import SimpleNamespace
 
 # only what every subcommand needs is imported here; each _cmd_* function
 # imports the rest, so a cold call loads just the modules it runs
@@ -35,6 +38,7 @@ def _parse_scalar(text: str, approx: bool = False):
     if not approx:
         raise PreconditionError(
             f"scalar {text!r} is not exact; pass --approx to allow floats")
+    import re
     try:
         # only the imaginary unit of "1+2i" becomes "j", not the i of "inf"
         value = complex(re.sub(r"(?<![A-Za-z])i(?![A-Za-z])", "j",
@@ -336,10 +340,133 @@ def _cmd_verify_suite(args):
     return rep, 0 if rep["all_pass"] else 3
 
 
+# Every subcommand once: its help, its handler, its options and the options
+# of which exactly one must be given.  Each option maps its flag to the
+# keywords of argparse's add_argument.  parse_direct reads a well-formed
+# command line against this table; build_parser hands it to argparse, which
+# writes the help text and the message for every other line.  --input and
+# --approx only where the handler reads them: JSON input carries its own
+# scalar kind, --approx governs command-line scalars.
+SUBCOMMANDS = {
+    "expand": ("middle polynomials Q1..Q4", _cmd_expand, {
+        "--n": dict(type=int, required=True,
+                    help=f"word length, 3 to {MAX_EXPAND_N}"),
+    }, ()),
+    "jacobian": ("tangent frame and rank", _cmd_jacobian, {
+        "--n": dict(type=int, required=True),
+        "--approx": dict(action="store_true", help="allow floats"),
+        "--point": dict(help="comma-separated scalars z1..zN"),
+        "--input": dict(help="JSON point file"),
+    }, ("--point", "--input")),
+    "lemma-check": ("rank 3 off the singular set, lower on it",
+                    _cmd_lemma_check, {
+        "--n": dict(type=int, required=True,
+                    help=f"word length, 4 to {MAX_LEMMA_N}"),
+        "--samples": dict(type=int, default=1000,
+                          help=f"at most {MAX_LEMMA_SAMPLES}, and --n x "
+                          f"--samples at most {MAX_LEMMA_WORK}"),
+        "--seed": dict(type=int, default=0),
+    }, ()),
+    "fiber-solve": ("closed-form fiber completion over a target",
+                    _cmd_fiber_solve, {
+        "--n": dict(type=int, required=True,
+                    help=f"word length, 4 to {MAX_FIBER_N}"),
+        "--seed": dict(type=int, default=0),
+        "--z1": dict(help="free boundary coordinate (non-generic)"),
+        "--approx": dict(action="store_true", help="allow a float --z1"),
+        "--input": dict(required=True, help="JSON target file"),
+    }, ()),
+    "factor-const": ("at most four factors for one matrix",
+                     _cmd_factor_const, {
+        "--input": dict(required=True, help="JSON matrix file"),
+    }, ()),
+    "pad": ("length +2 padding off the singular set", _cmd_pad, {
+        "--input": dict(required=True, help="JSON word file"),
+    }, ()),
+    "cohn": ("Cohn matrix factorizations", _cmd_cohn, {
+        "--z": dict(required=True),
+        "--w": dict(required=True),
+        "--factors": dict(type=int, choices=(4, 5), default=5),
+        "--h3": dict(help="free parameter of the 4-factor family"),
+        "--dps": dict(type=int, help="mpmath working precision, >= 15"),
+        "--approx": dict(action="store_true", help="allow floats"),
+    }, ()),
+    "winding": ("winding number of a loop", _cmd_winding, {
+        "--radius": dict(type=float, default=1.0),
+        "--samples": dict(type=int, default=256,
+                          help=f"3 to {MAX_LOOP_SAMPLES}"),
+        "--input": dict(help="JSON file of loop values"),
+    }, ()),
+    "certificate": ("no holomorphic 4-factor Cohn word", _cmd_certificate, {
+        "--d": dict(default="1/2", help="fiber probe zw = D"),
+        "--radius": dict(type=float, default=1.0),
+        "--samples": dict(type=int, default=256,
+                          help=f"per sampled loop, 3 to {MAX_LOOP_SAMPLES}"),
+        "--required": dict(type=int, default=2),
+    }, ()),
+    "bound": ("composite factor-count bound", _cmd_bound, {
+        "--n": dict(type=int, required=True),
+        "--k": dict(required=True, help="comma list i=Ki"),
+    }, ()),
+    "verify-suite": ("run the whole acceptance battery", _cmd_verify_suite, {
+        "--seed": dict(type=int, default=7),
+        "--scale": dict(choices=("quick", "full"), default="quick"),
+    }, ()),
+}
+
+
+def parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build from argv, parsed without it, or
+    None.  Only this shape is parsed: a subcommand, then options that match
+    one of its flags exactly, each "--name value", "--name=value" or a bare
+    store-true flag, where a separate value does not start with "-", every
+    value converts and meets its choices, the required options are given,
+    and a repeated option keeps its last value.  Any other line (help, an
+    abbreviation, "--", an extra word, a bad value) is argparse's to parse,
+    so that it alone writes help text and error messages."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, fn, options, one_of = SUBCOMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kw = options.get(flag)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:  # a missing value reads as "-", and is refused
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+            try:
+                value = kw.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given
+           for flag, kw in options.items()):
+        return None
+    if one_of and sum(flag in given for flag in one_of) != 1:
+        return None
+    args = SimpleNamespace(command=argv[0], fn=fn)
+    for flag, kw in options.items():
+        default = False if kw.get("action") == "store_true" else None
+        setattr(args, flag[2:].replace("-", "_"),
+                given.get(flag, kw.get("default", default)))
+    return args
+
+
 # argparse echoes a bad argument whole; one longer than this is echoed as
 # its first ECHO_CHARS characters and its length
 ECHO_CHARS = 40
-_ECHOED_ARG = re.compile(r"(['\"]?)(\S+?)\1(?!\S)")
+_ECHOED_ARG = r"(['\"]?)(\S+?)\1(?!\S)"
 
 
 def _cut_long_arg(m: re.Match) -> str:
@@ -349,97 +476,31 @@ def _cut_long_arg(m: re.Match) -> str:
     return f"{quote}{arg[:ECHO_CHARS]}{quote}... ({len(arg)} characters)"
 
 
-class _Parser(argparse.ArgumentParser):
-    """Sends a malformed command line down the one JSON error path."""
-
-    def error(self, message):
-        raise PreconditionError(_ECHOED_ARG.sub(_cut_long_arg, message))
-
-
 def build_parser(command: str) -> argparse.ArgumentParser:
-    """The parser with every subcommand and its help registered, but only
-    the subcommand named command given its arguments: a call runs one."""
+    """The argparse parser of SUBCOMMANDS, with every subcommand and its help
+    registered, but only the subcommand named command given its arguments:
+    a call runs one.  Its errors raise PreconditionError, so a malformed
+    command line takes the one JSON error path."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise PreconditionError(re.sub(_ECHOED_ARG, _cut_long_arg,
+                                           message))
+
     parser = _Parser(prog="sl2factor", description="Exact unipotent "
                      "factorization toolkit for SL2")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (help_text, fn, options, one_of) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p if name == command else None
-
-    # --input and --approx only where the handler reads them: JSON input
-    # carries its own scalar kind, --approx governs command-line scalars
-    if p := add("expand", _cmd_expand, help="middle polynomials Q1..Q4"):
-        p.add_argument("--n", type=int, required=True,
-                       help=f"word length, 3 to {MAX_EXPAND_N}")
-
-    if p := add("jacobian", _cmd_jacobian, help="tangent frame and rank"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--approx", action="store_true", help="allow floats")
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--point", help="comma-separated scalars z1..zN")
-        g.add_argument("--input", help="JSON point file")
-
-    if p := add("lemma-check", _cmd_lemma_check,
-                help="rank 3 off the singular set, lower on it"):
-        p.add_argument("--n", type=int, required=True,
-                       help=f"word length, 4 to {MAX_LEMMA_N}")
-        p.add_argument("--samples", type=int, default=1000,
-                       help=f"at most {MAX_LEMMA_SAMPLES}, and --n x "
-                       f"--samples at most {MAX_LEMMA_WORK}")
-        p.add_argument("--seed", type=int, default=0)
-
-    if p := add("fiber-solve", _cmd_fiber_solve,
-                help="closed-form fiber completion over a target"):
-        p.add_argument("--n", type=int, required=True,
-                       help=f"word length, 4 to {MAX_FIBER_N}")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--z1", help="free boundary coordinate (non-generic)")
-        p.add_argument("--approx", action="store_true",
-                       help="allow a float --z1")
-        p.add_argument("--input", required=True, help="JSON target file")
-
-    if p := add("factor-const", _cmd_factor_const,
-                help="at most four factors for one matrix"):
-        p.add_argument("--input", required=True, help="JSON matrix file")
-
-    if p := add("pad", _cmd_pad,
-                help="length +2 padding off the singular set"):
-        p.add_argument("--input", required=True, help="JSON word file")
-
-    if p := add("cohn", _cmd_cohn, help="Cohn matrix factorizations"):
-        p.add_argument("--z", required=True)
-        p.add_argument("--w", required=True)
-        p.add_argument("--factors", type=int, choices=(4, 5), default=5)
-        p.add_argument("--h3", help="free parameter of the 4-factor family")
-        p.add_argument("--dps", type=int,
-                       help="mpmath working precision, >= 15")
-        p.add_argument("--approx", action="store_true", help="allow floats")
-
-    if p := add("winding", _cmd_winding, help="winding number of a loop"):
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--samples", type=int, default=256,
-                       help=f"3 to {MAX_LOOP_SAMPLES}")
-        p.add_argument("--input", help="JSON file of loop values")
-
-    if p := add("certificate", _cmd_certificate,
-                help="no holomorphic 4-factor Cohn word"):
-        p.add_argument("--d", default="1/2", help="fiber probe zw = D")
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--samples", type=int, default=256,
-                       help=f"per sampled loop, 3 to {MAX_LOOP_SAMPLES}")
-        p.add_argument("--required", type=int, default=2)
-
-    if p := add("bound", _cmd_bound, help="composite factor-count bound"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", required=True, help="comma list i=Ki")
-
-    if p := add("verify-suite", _cmd_verify_suite,
-                help="run the whole acceptance battery"):
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--scale", choices=("quick", "full"), default="quick")
-
+        if name != command:
+            continue
+        if one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+        for flag, kw in options.items():
+            (group if flag in one_of else p).add_argument(flag, **kw)
     return parser
 
 
@@ -459,16 +520,19 @@ def _emit(payload: dict, command: str | None, t0: float) -> bool:
 
 def main(argv=None) -> int:
     t0 = perf_counter()
-    # argparse sets command on a known subcommand, so parse errors name it
-    args = argparse.Namespace(command=None)
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level parser takes no option values, so the subcommand that
-    # can run is the first argument not starting with "-"; argparse refuses
-    # any earlier one it reads as a command ("-5", "-x y") as unknown
-    named = next((a for a in argv if not a.startswith("-")), "")
+    args = parse_direct(argv)
     try:
-        build_parser(named).parse_args(argv, args)
+        if args is None:
+            # argparse sets command on a known subcommand, so parse errors
+            # name it.  The top-level parser takes no option values, so the
+            # subcommand that can run is the first argument not starting
+            # with "-"; argparse refuses any earlier one it reads as a
+            # command ("-5", "-x y") as unknown
+            args = SimpleNamespace(command=None)
+            named = next((a for a in argv if not a.startswith("-")), "")
+            build_parser(named).parse_args(argv, args)
         payload, code = args.fn(args)
     except PreconditionError as exc:
         payload, code = {"error": {"code": "precondition",

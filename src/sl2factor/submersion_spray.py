@@ -34,8 +34,8 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import PreconditionError, _Record
-from .exact_algebra import MultiPoly, compile_approx, poly_embed
-from .scalars import ExactComplex, _reduced, require_finite, unify_scalars
+from .scalars import (ExactComplex, _reduced, is_poly, require_finite,
+                      unify_scalars)
 from .word_core import (
     LOWER,
     PhiTemplate,
@@ -85,7 +85,7 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
         raise PreconditionError(f"expected {t.n} coordinates")
     vals = unify_scalars([1, 0, *point])
     kind = type(vals[0])
-    approx = kind is not ExactComplex and kind is not MultiPoly
+    approx = kind is not ExactComplex and not is_poly(vals[0])
     if approx:
         vals = [require_finite(x) for x in vals]
     one, zero, *vals = vals
@@ -231,7 +231,7 @@ def frame_rank(f: TangentFrame) -> int:
         rows = [[ExactComplex.coerce(col[i]) for col in f.columns]
                 for i in range(3)]
         return _exact_rank(rows)
-    if isinstance(f.columns[0][0], MultiPoly):
+    if is_poly(f.columns[0][0]):
         raise PreconditionError("rank needs a numeric point")
     sv = _singular_values([[require_finite(col[i]) for col in f.columns]
                           for i in range(3)])
@@ -316,6 +316,7 @@ class VectorFieldSpec(_Record):
     @cached_property
     def pfun(self):
         """Float evaluator of P, which flow_rk4 measures its drift with."""
+        from .exact_algebra import compile_approx
         return compile_approx(self.p)
 
 
@@ -326,6 +327,7 @@ def v_field_spec(n: int, k: int, l: int, level_var: bool = False
     With level_var=True the polynomial becomes Q1 - a in one extra
     variable, the form used for the symbolic tangency identity.
     """
+    from .exact_algebra import MultiPoly, poly_embed
     if not 2 <= k < l <= n - 1:
         raise PreconditionError("need 2 <= k < l <= N-1")
     q1 = middle_Q(n)[0]

@@ -11,7 +11,8 @@ import pytest
 
 from sl2factor.cli import (MAX_EXPAND_N, MAX_FIBER_N, MAX_LEMMA_N,
                            MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK,
-                           MAX_LOOP_SAMPLES, build_parser, main)
+                           MAX_LOOP_SAMPLES, SUBCOMMANDS, build_parser,
+                           main)
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.obstruction import SAMPLE_CAP
 from sl2factor.word_core import middle_Q
@@ -829,3 +830,6 @@ def test_each_subcommand_declares_only_the_options_it_reads():
                 assert not options
     assert declared == OPTIONS
     assert sum(map(len, declared.values())) == 32
+    # the direct parse reads the same table
+    assert {name: set(entry[2]) for name, entry in SUBCOMMANDS.items()} == \
+        OPTIONS

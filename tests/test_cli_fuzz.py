@@ -1,18 +1,21 @@
 ##
 ## The CLI boundary under generated input: whatever the command line and
 ## whatever the --input file, main returns 0, 2, 3 or 4 and prints exactly
-## one JSON object line, never a traceback or a usage text
+## one JSON object line, never a traceback or a usage text; and wherever
+## the direct parse accepts a command line, argparse builds the same
+## namespace from it
 ##
 
 import contextlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from sl2factor.cli import main
+from sl2factor.cli import SUBCOMMANDS, build_parser, main, parse_direct
 
 COMMANDS = ["expand", "jacobian", "lemma-check", "fiber-solve",
             "factor-const", "pad", "cohn", "winding", "certificate", "bound"]
@@ -189,3 +192,58 @@ def test_generated_input_file_gives_one_json_line(input_path, command, n,
     _, report = _run(argv)
     assert report["command"] == command
 
+
+# each generated option written as "--f v", "--f=v" or a bare "--f"
+# (the "--input=" and "--n=" flags are always joined to their value)
+FORMS = ["--f v", "--f=v", "--f"]
+
+
+def _comparable(args) -> dict:
+    # a NaN --radius is not equal to itself
+    return {k: "nan" if isinstance(v, float) and v != v else v
+            for k, v in vars(args).items()}
+
+
+@settings(max_examples=1000, deadline=None, phases=PHASES)
+@given(command=st.sampled_from(COMMANDS + ["verify-suite"]),
+       use_base=st.booleans(), data=st.data())
+def test_direct_parse_is_argparse_or_declines(command, use_base, data):
+    # mostly the subcommand's own flags, so that many lines parse
+    own = sorted(SUBCOMMANDS[command][2])
+    flags = st.one_of(st.sampled_from(own), st.sampled_from(own),
+                      st.sampled_from(FLAGS + SIZE_FLAGS))
+    options = data.draw(st.lists(st.tuples(
+        flags, st.sampled_from(VALUES + SIZES), st.sampled_from(FORMS)),
+        max_size=5))
+    argv = [command]
+    if use_base:
+        argv += [a.format(input="in.json")
+                 for a in BASE.get(command, ["--scale", "quick"])]
+    for flag, value, form in options:
+        if flag.endswith("="):
+            argv.append(flag + value)
+        elif form == "--f":
+            argv.append(flag)
+        elif form == "--f=v":
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    direct = parse_direct(argv)
+    if direct is not None:
+        # argparse is the reference: it accepts the line, and builds the
+        # same namespace
+        expected = build_parser(command).parse_args(
+            argv, SimpleNamespace(command=None))
+        assert _comparable(direct) == _comparable(expected), argv
+
+
+def test_direct_parse_accepts_each_well_formed_call():
+    for command in COMMANDS + ["verify-suite"]:
+        base = BASE.get(command, ["--scale", "quick"])
+        for argv in ([command, *base],
+                     [command, *(f"{a}={b}" for a, b in zip(base[::2],
+                                                            base[1::2]))]):
+            argv = [a.format(input="in.json") for a in argv]
+            expected = build_parser(command).parse_args(
+                argv, SimpleNamespace(command=None))
+            assert parse_direct(argv) == expected, argv

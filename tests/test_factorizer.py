@@ -306,9 +306,15 @@ def test_factorization_to_json():
     assert len(j["word"]) == 3
 
 
+# the replay residual is finite here, but a*d - b*c of the target is not:
+# only the determinant guard refuses this word
+DET_ONLY = (3.0938143528995437e+75 + 4.890713532720105e+74j,
+            -7.354454622408264e+77 - 4.652351260471435e+78j)
+
+
 @pytest.mark.parametrize("z,w", [(100.0, 100.0), (-30.0, 30.0),
                                  (30 + 1j, 30.0), (1e200, 1e-200),
-                                 (1e155, 1e-154), (1e200j, 1e200)])
+                                 (1e155, 1e-154), (1e200j, 1e200), DET_ONLY])
 def test_cohn5_double_overflow_is_verification_error(z, w):
     # e^{+-zw} leaves the float range once |Re zw| passes about 709; at
     # (1e200, 1e-200) w^2 underflows to 0 under h1, at (1e155, 1e-154) the
@@ -316,6 +322,9 @@ def test_cohn5_double_overflow_is_verification_error(z, w):
     with pytest.raises(VerificationError, match="--dps"):
         cohn_holo_5(z, w)
     assert cohn_holo_5(z, w, dps=15).factor_count == 5
+    if (z, w) == DET_ONLY:
+        residual = factorizer._cohn5_full(complex(z), complex(w))[2]
+        assert math.isfinite(residual)
 
 
 def test_cohn5_nan_closing_entry_is_out_of_range():

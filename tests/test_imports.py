@@ -48,10 +48,11 @@ def test_import_package_loads_no_submodule():
 
 SUBCOMMANDS = [
     (["expand", "--n", "5"], POLY),
+    # a Jacobian at a numeric point builds no polynomial
     (["jacobian", "--n", "4", "--point", "5,0,0,7"],
-     POLY | {"submersion_spray"}),
+     CORE | {"submersion_spray"}),
     (["lemma-check", "--n", "4", "--samples", "5"],
-     POLY | {"submersion_spray", "_random"}),
+     CORE | {"submersion_spray", "_random"}),
     (["fiber-solve", "--n", "4", "--input", "{target}"],
      CORE | {"fiber_solver", "_random"}),
     (["factor-const", "--input", "{target}"], CORE | {"factorizer"}),
@@ -65,9 +66,10 @@ SUBCOMMANDS = [
 ]
 
 
-def _run_main(tmp_path, argv, report: str, *flags: str) -> list:
+def _run_main(tmp_path, argv, report: str, *flags: str, code=0) -> list:
     """Run main(argv) in a fresh interpreter, its input files written to
-    tmp_path; what the code `report` prints, as JSON."""
+    tmp_path, and check its exit code; what the code `report` prints, as
+    JSON."""
     files = {"target": {"target": {"a": "2", "b": "3", "c": "1", "d": "2"}},
              "word": {"word": [{"side": "U", "entry": "3"},
                                {"side": "L", "entry": "2"}]}}
@@ -79,7 +81,11 @@ def _run_main(tmp_path, argv, report: str, *flags: str) -> list:
         "import contextlib, io\n"
         "from sl2factor.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n" + report, *flags))
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:  # --help\n"
+        "        code = exc.code\n"
+        f"assert code == {code}\n" + report, *flags))
 
 
 @pytest.mark.parametrize("argv,modules", SUBCOMMANDS,
@@ -92,24 +98,40 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
 # inspect, ast, dis and tokenize; only factorizer.Factorization is still a
 # dataclass.  fractions and the decimal it imports cost about 2 ms; no
 # subcommand but verify-suite loads them, since exact text is parsed to
-# integers.  Under -S no site .pth file runs, and one may import typing
-# before the package does.
+# integers.  argparse and the gettext it imports cost 2-4 ms, and building
+# the parser as much again; a well-formed command line of any subcommand
+# is parsed without them.  Under -S no site .pth file runs, and one may
+# import typing before the package does; verify-suite, which needs mpmath
+# from site-packages, runs without -S and is checked for the parser only.
+PARSER_MODULES = {"argparse", "gettext"}
 STDLIB_LOADED = (
     "import json, sys\n"
-    "print(json.dumps(sorted({'dataclasses', 'decimal', 'fractions',\n"
-    "                         'inspect', 'typing'} & set(sys.modules))))\n")
-STDLIB_CASES = [(argv, {"decimal", "fractions", "typing"}
+    "print(json.dumps(sorted({'argparse', 'dataclasses', 'decimal',\n"
+    "                         'fractions', 'gettext', 'inspect', 'typing'}\n"
+    "                        & set(sys.modules))))\n")
+STDLIB_CASES = [(argv, PARSER_MODULES
+                 | (set() if argv[0] == "verify-suite"
+                    else {"decimal", "fractions", "typing"})
                  | (set() if "factorizer" in modules
                     else {"dataclasses", "inspect"}))
-                for argv, modules in SUBCOMMANDS if argv[0] != "verify-suite"]
+                for argv, modules in SUBCOMMANDS]
 
 
 @pytest.mark.parametrize("argv,refused", STDLIB_CASES,
                          ids=[argv[0] for argv, _ in STDLIB_CASES])
 def test_cold_call_loads_no_dataclasses_inspect_or_typing(tmp_path, argv,
                                                           refused):
-    loaded = set(_run_main(tmp_path, argv, STDLIB_LOADED, "-S"))
+    flags = () if argv[0] == "verify-suite" else ("-S",)
+    loaded = set(_run_main(tmp_path, argv, STDLIB_LOADED, *flags))
     assert not loaded & refused
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0),
+                                       (["cohn", "--z", "1"], 2)],
+                         ids=["help", "malformed"])
+def test_help_and_malformed_line_load_argparse(tmp_path, argv, code):
+    loaded = set(_run_main(tmp_path, argv, STDLIB_LOADED, "-S", code=code))
+    assert PARSER_MODULES <= loaded
 
 
 def test_every_export_resolves_to_its_home_object_and_is_kept():

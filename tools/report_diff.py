@@ -143,6 +143,25 @@ COMMANDS = [
     ["cohn", "--help"],
     ["no-such-command", "--n", "4"],
     ["factor-const"],
+    # command lines at the edge of what cli parses without argparse: the
+    # accepted ones must report as argparse's parse would, and the others
+    # (a missing option, a bad value, an option given as "=" or abbreviated,
+    # a value starting with "-", a clash, an extra word, a leading flag)
+    # keep argparse's message or help text
+    ["expand"],
+    ["expand", "--n", "x"],
+    ["expand", "--n", "-1"],
+    ["cohn", "--z=-1/2", "--w=1/4"],
+    ["cohn", "--z", "1/2", "--w", "1/4", "--factors", "6"],
+    ["cohn", "--approx=1", "--z", "1", "--w", "1"],
+    ["jacobian", "--n", "4"],
+    ["jacobian", "--n", "4", "--point", "1,2,3,4", "--input", "x.json"],
+    ["winding", "--samp", "32"],
+    ["winding", "--approx"],
+    ["bound", "--n", "3", "--k", "2=4,3=5", "extra"],
+    ["verify-suite", "--scale", "medium"],
+    ["certificate", "--radius="],
+    ["--help", "cohn"],
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
