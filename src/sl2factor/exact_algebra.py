@@ -513,20 +513,24 @@ def poly_from_json(data: Mapping) -> MultiPoly:
     return p
 
 
+def approx_terms(p: MultiPoly) -> list:
+    """The terms of p for float evaluation: (exponents, complex
+    coefficient, the (index, exponent) pairs of its nonzero exponents)."""
+    return [(exp, complex(c), tuple((j, e) for j, e in enumerate(exp) if e))
+            for exp, c in p._terms.items()]
+
+
 def compile_approx(p: MultiPoly) -> Callable[[Sequence[complex]], complex]:
     """Bake a polynomial into a fast float evaluator (flow_rk4 measures
     its drift with it)."""
-    data = [(complex(c), exp) for exp, c in p._terms.items()]
+    data = [(c, factors) for _, c, factors in approx_terms(p)]
 
     def run(point: Sequence[complex]) -> complex:
         acc = 0j
-        for c, exp in data:
-            t = c
-            for x, e in zip(point, exp):
-                if e == 1:
-                    t *= x
-                elif e:
-                    t *= x ** e
+        for t, factors in data:
+            for j, e in factors:
+                x = point[j]
+                t *= x if e == 1 else x ** e
             acc += t
         return acc
 

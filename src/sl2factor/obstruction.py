@@ -21,12 +21,14 @@ import cmath
 import math
 from collections.abc import Callable, Sequence
 from math import sqrt
+from operator import truediv
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError, _Record
-from .scalars import require_finite, unify_scalars
+from .scalars import require_finite, to_complex, unify_scalars
 
 TWO_PI = 2.0 * math.pi
+HALF_PI = math.pi / 2
 DEFAULT_SAMPLES = 256
 SAMPLE_CAP = 2 ** 16
 CLAIM_NO_HOLO_4 = "no-holo-4-factorization"
@@ -41,7 +43,7 @@ class LoopSamples(_Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple):
-        _fill_loop(self, tuple(map(complex, values)))
+        _fill_loop(self, tuple(to_complex(values)))
 
 
 def _fill_loop(loop: LoopSamples, vals: tuple) -> LoopSamples:
@@ -52,9 +54,11 @@ def _fill_loop(loop: LoopSamples, vals: tuple) -> LoopSamples:
         raise PreconditionError("non-finite loop value; winding undefined")
     if 0 in vals:
         raise PreconditionError("loop value vanishes; winding undefined")
-    incs = tuple(cmath.phase(b / a)
-                 for a, b in zip(vals, vals[1:] + vals[:1]))
-    if any(abs(t) >= math.pi / 2 for t in incs):
+    # the phase of each value over its predecessor, the last over the
+    # first closing the loop
+    incs = tuple(map(cmath.phase, map(truediv, vals[1:] + vals[:1], vals)))
+    # any, not max: a NaN first would hide a later step of pi/2 from max
+    if any(map(HALF_PI.__le__, map(abs, incs))):
         raise InadequateSamplingError(
             "angular step >= pi/2; refine the sampling")
     object.__setattr__(loop, "values", vals)
@@ -84,7 +88,7 @@ def sample_loop(f: Callable[[float], complex],
         raise PreconditionError("need at least three samples")
     n = samples
     # each value is converted to complex once, here, not by LoopSamples
-    vals = [complex(f(TWO_PI * k / n)) for k in range(n)]
+    vals = to_complex([f(TWO_PI * k / n) for k in range(n)])
     while True:
         try:
             return _fill_loop(object.__new__(LoopSamples), tuple(vals))
@@ -96,11 +100,11 @@ def sample_loop(f: Callable[[float], complex],
                     f"{SAMPLE_CAP} resolved the loop") from exc
         if 2 * n <= SAMPLE_CAP:
             n *= 2
-            odd = [complex(f(TWO_PI * k / n)) for k in range(1, n, 2)]
+            odd = to_complex([f(TWO_PI * k / n) for k in range(1, n, 2)])
             vals = [v for pair in zip(vals, odd) for v in pair]
         else:
             n = SAMPLE_CAP
-            vals = [complex(f(TWO_PI * k / n)) for k in range(n)]
+            vals = to_complex([f(TWO_PI * k / n) for k in range(n)])
 
 
 def circle_winding(f: Callable[[complex], complex], radius: float,

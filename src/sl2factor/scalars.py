@@ -30,6 +30,7 @@ never compiles the polynomial code.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -367,17 +368,44 @@ def parse_exact(s: str) -> ExactComplex:
     return _reduced(n1 * d2, n2 * d1, d1 * d2)
 
 
+_BEYOND_DOUBLE = ("exact scalar beyond the double range; it has no "
+                  "approximate value")
+
+
 def require_finite(x: complex) -> complex:
     """Reject NaN/Inf before they leak into results, and an exact value
     beyond the double range, which complex() cannot convert."""
     try:
         z = complex(x)
     except OverflowError:
-        raise PreconditionError("exact scalar beyond the double range; "
-                                "it has no approximate value") from None
+        raise PreconditionError(_BEYOND_DOUBLE) from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise PreconditionError(f"non-finite approximate scalar: {z!r}")
     return z
+
+
+def to_complex(vals) -> list:
+    """complex(v) of each value; an exact value beyond the double range
+    is refused as require_finite refuses it."""
+    try:
+        return list(map(complex, vals))
+    except OverflowError:
+        raise PreconditionError(_BEYOND_DOUBLE) from None
+
+
+def require_all_finite(vals: Sequence) -> list:
+    """require_finite of each value, checked in one pass of builtins; a
+    value it refuses is refused with require_finite's error for the first
+    such value."""
+    try:
+        zs = list(map(complex, vals))
+    except (ArithmeticError, TypeError, ValueError):
+        zs = None
+    if zs is not None and all(map(cmath.isfinite, zs)):
+        return zs
+    # value by value, so the error raised is the one the first value
+    # require_finite refuses would raise
+    return [require_finite(x) for x in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +474,8 @@ def unify_scalars(vals: Sequence) -> list:
 
     Priority: any MultiPoly -> polynomials; any mpmath number -> mpmath;
     any float/complex -> complex; otherwise ExactComplex.  Anything else,
-    or an approximate scalar next to a polynomial, is refused with
+    an approximate scalar next to a polynomial, or an exact scalar beyond
+    the double range next to an approximate one, is refused with
     PreconditionError.
     """
     rank = EXACT
@@ -458,10 +487,14 @@ def unify_scalars(vals: Sequence) -> list:
         return [v if type(v) is ExactComplex else ExactComplex.coerce(v)
                 for v in vals]
     if rank == APPROX:
-        return [complex(v) for v in vals]
+        return to_complex(vals)
     if rank == MP:
         import mpmath as mp
-        return [v if _is_mp_number(v) else mp.mpc(complex(v)) for v in vals]
+        try:
+            return [v if _is_mp_number(v) else mp.mpc(complex(v))
+                    for v in vals]
+        except OverflowError:
+            raise PreconditionError(_BEYOND_DOUBLE) from None
     # a polynomial is among vals, so exact_algebra is loaded
     from .exact_algebra import MultiPoly
     nvars = {v.nvars for v in vals if isinstance(v, MultiPoly)}

@@ -18,11 +18,13 @@ their flows; flow_rk4 integrates them with the classical fixed-step
 fourth-order scheme and reports the drift in P.  Such a field moves only
 z_k and z_l, so flow_rk4 substitutes the fixed coordinates into P_k and
 P_l once per flow and integrates the two moving ones; the drift is
-measured on the full P.  Every entry of an alternating product is affine
-in each coordinate separately, so for the fields built here the folded
-P_l is C + D z_k and the folded P_k is B + D z_l: two decoupled linear
-ODEs, on which one RK4 step is a single increment per coordinate.  A P
-that does not fold that way runs the four stage evaluations per step.
+measured on the full P.  The float coefficients of P_k and P_l, and the
+nonzero exponents each term multiplies in, are worked out once per field
+(VectorFieldSpec.float_partials).  Every entry of an alternating product
+is affine in each coordinate separately, so for the fields built here the
+folded P_l is C + D z_k and the folded P_k is B + D z_l: two decoupled
+linear ODEs, on which one RK4 step is a single increment per coordinate.
+A P that does not fold that way runs the four stage evaluations per step.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ import math
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from .errors import PreconditionError, _Record
-from .scalars import (ExactComplex, _reduced, is_poly, require_finite,
-                      unify_scalars)
+from .scalars import (ExactComplex, _reduced, is_poly, require_all_finite,
+                      require_finite, unify_scalars)
 from .word_core import (
     LOWER,
     PhiTemplate,
@@ -87,7 +90,7 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     kind = type(vals[0])
     approx = kind is not ExactComplex and not is_poly(vals[0])
     if approx:
-        vals = [require_finite(x) for x in vals]
+        vals = require_all_finite(vals)
     one, zero, *vals = vals
     sides = [t.side_of(j) for j in range(1, t.n + 1)]
     if kind is ExactComplex:
@@ -105,7 +108,7 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
             cols.append((-(ga * ga), al * al, -(al * ga)))
     # finite coordinates can still overflow in the squares; the rank must
     # never see inf or nan
-    if approx and not all(cmath.isfinite(x) for col in cols for x in col):
+    if approx and not all(map(cmath.isfinite, chain.from_iterable(cols))):
         raise PreconditionError(
             "approximate Jacobian entries overflow double precision")
     return TangentFrame(tuple(cols), False)
@@ -181,7 +184,9 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
 
     One-sided (Hestenes) Jacobi: complex rotations of row pairs until
     every pair is orthogonal to JACOBI_TOL relative, or one row of it is
-    negligible; the singular values are then the row norms.  Scaling
+    negligible; the singular values are then the row norms.  Each row's
+    norm is computed once at the start and again after each rotation of
+    that row, never at a visit that leaves the row as it is.  Scaling
     first, as LAPACK does, keeps every entry near or below 1 and sigma_1
     at least 1, so squared norms cannot overflow, and the rows that take
     part in a rotation are too large for their inner products to
@@ -193,19 +198,21 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
     if scale == 0.0:
         return [0.0] * len(rows)
     rows = [[x / scale for x in row] for row in rows]
+    # each row's norm, kept from its last rotation
+    norms = list(map(_norm, rows))
     pairs = [(p, q) for p in range(len(rows)) for q in range(p + 1, len(rows))]
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p, q in pairs:
-            x, y = rows[p], rows[q]
-            nx, ny = _norm(x), _norm(y)
+            nx, ny = norms[p], norms[q]
             # a row below JACOBI_TOL of the other, or of sigma_1 >= 1,
             # moves no singular value beyond JACOBI_TOL sigma_1; rotating
             # it would chase the rounding noise that a rank-deficient
             # frame leaves, sweep after sweep
             if min(nx, ny) <= JACOBI_TOL * max(nx, ny, 1.0):
                 continue
-            cos = sum(u * v.conjugate() for u, v in zip(x, y)) / (nx * ny)
+            x, y = rows[p], rows[q]
+            cos = sum(map(mul, x, map(complex.conjugate, y))) / (nx * ny)
             g = abs(cos)
             if g <= JACOBI_TOL:
                 continue
@@ -217,11 +224,13 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
             c = 1.0 / math.hypot(1.0, t)
             se = (c * t / g) * cos
             sec = se.conjugate()
-            rows[p] = [c * u - se * v for u, v in zip(x, y)]
-            rows[q] = [sec * u + c * v for u, v in zip(x, y)]
+            x, y = ([c * u - se * v for u, v in zip(x, y)],
+                    [sec * u + c * v for u, v in zip(x, y)])
+            rows[p], rows[q] = x, y
+            norms[p], norms[q] = _norm(x), _norm(y)
         if not rotated:
             break
-    return sorted(map(_norm, rows), reverse=True)
+    return sorted(norms, reverse=True)
 
 
 def frame_rank(f: TangentFrame) -> int:
@@ -233,8 +242,9 @@ def frame_rank(f: TangentFrame) -> int:
         return _exact_rank(rows)
     if is_poly(f.columns[0][0]):
         raise PreconditionError("rank needs a numeric point")
-    sv = _singular_values([[require_finite(col[i]) for col in f.columns]
-                          for i in range(3)])
+    n = len(f.columns)
+    flat = require_all_finite([col[i] for i in range(3) for col in f.columns])
+    sv = _singular_values([flat[:n], flat[n:2 * n], flat[2 * n:]])
     if sv[0] == 0.0:
         return 0
     return sum(1 for s in sv if s > APPROX_RANK_TOL * sv[0])
@@ -319,6 +329,20 @@ class VectorFieldSpec(_Record):
         from .exact_algebra import compile_approx
         return compile_approx(self.p)
 
+    @cached_property
+    def float_partials(self) -> tuple:
+        """P_l and P_k as flow_rk4 folds them: per term, the key (exponent
+        of z_k, exponent of z_l), the complex coefficient, and the nonzero
+        (index, exponent) pairs of the other variables."""
+        from .exact_algebra import approx_terms
+        k, l = self.k, self.l
+
+        def fold_input(q: MultiPoly) -> list:
+            return [((exp[k], exp[l]), c,
+                     tuple(f for f in factors if f[0] != k and f[0] != l))
+                    for exp, c, factors in approx_terms(q)]
+        return fold_input(self.pl), fold_input(self.pk)
+
 
 def v_field_spec(n: int, k: int, l: int, level_var: bool = False
                  ) -> VectorFieldSpec:
@@ -370,16 +394,15 @@ class FlowResult(_Record):
         return self.p_end - self.p_start
 
 
-def _fold(p: MultiPoly, point: Sequence[complex], k: int, l: int) -> dict:
-    """p with every coordinate but z_k and z_l fixed at point: a dict from
-    (exponent of z_k, exponent of z_l) to the folded coefficient."""
+def _fold(terms: list, point: Sequence[complex]) -> dict:
+    """A partial from VectorFieldSpec.float_partials with every coordinate
+    but z_k and z_l fixed at point: a dict from (exponent of z_k, exponent
+    of z_l) to the folded coefficient."""
     folded: dict[tuple[int, int], complex] = {}
-    for exp, c in p.terms.items():
-        v = complex(c)
-        for j, (x, e) in enumerate(zip(point, exp)):
-            if e and j != k and j != l:
-                v *= x if e == 1 else x ** e
-        key = exp[k], exp[l]
+    for key, v, factors in terms:
+        for j, e in factors:
+            x = point[j]
+            v *= x if e == 1 else x ** e
         folded[key] = folded.get(key, 0j) + v
     return folded
 
@@ -449,13 +472,13 @@ def flow_rk4(spec: VectorFieldSpec, start: Sequence, t: float, step: float,
         raise PreconditionError(f"t/step = {t / step:.6g} steps is above "
                                 f"the ceiling {MAX_FLOW_STEPS} of one flow")
     d = require_finite(direction)
-    state = [require_finite(complex(x)) for x in start]
+    state = require_all_finite(start)
     if len(state) != spec.p.nvars:
         raise PreconditionError("start point has wrong length")
     k, l = spec.k, spec.l
     # dz_k/dt = d P_l and dz_l/dt = -d P_k, on the moving pair alone
-    pl = _fold(spec.pl, state, k, l)
-    pk = _fold(spec.pk, state, k, l)
+    fl, fk = spec.float_partials
+    pl, pk = _fold(fl, state), _fold(fk, state)
     nd = -d
     pfun = spec.pfun
     p_start = pfun(state)

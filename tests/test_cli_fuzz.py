@@ -61,6 +61,8 @@ good_scalars = st.one_of(
 )
 bad_scalars = st.one_of(
     st.sampled_from(["1/0", "2+1/0 i", "x", "1.5", "i", ""]),
+    # exact, but beyond the double range next to a float
+    st.just("1" + "0" * 400),
     st.integers(-10 ** 30, 10 ** 30),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),

@@ -155,6 +155,21 @@ def test_sample_loop_clipped_last_step_samples_afresh(monkeypatch):
     assert loop.values == tuple(map(f, angles[-48:]))
 
 
+def test_sample_loop_doubling_onto_the_cap_keeps_its_samples(monkeypatch):
+    # w^9 fails at 16 and 32 samples and passes at 64: the doubling from
+    # 32 lands exactly on the cap, so it samples only the 32 new angles
+    angles = []
+
+    def f(th):
+        angles.append(th)
+        return cmath.exp(9j * th)
+
+    monkeypatch.setattr(obstruction, "SAMPLE_CAP", 64)
+    loop = sample_loop(f, samples=16)
+    assert len(loop.values) == 64 and winding_number(loop) == 9
+    assert len(angles) == 16 + 16 + 32
+
+
 def test_sample_loop_cap_exhaustion(monkeypatch):
     # a phase jump no refinement can fix
     def jumpy(th):
@@ -181,6 +196,20 @@ def test_sample_loop_needs_three_samples():
     assert winding_number(LoopSamples((1, 1 + 0.1j))) == 0
     assert winding_number(sample_loop(lambda th: cmath.exp(2j * th),
                                       samples=3)) == 2
+
+
+def test_exact_value_beyond_double_range_is_refused():
+    # complex() of this value overflows; it is refused as require_finite
+    # refuses it, not left to raise OverflowError
+    big = EC(10 ** 400)
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        LoopSamples((big, 1, -1))
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        sample_loop(lambda th: big)
+    # a value beyond the range that only a doubling samples
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        sample_loop(lambda th: big if th == TWO_PI * 5 / 32
+                    else cmath.exp(5j * th), samples=16)
 
 
 def test_zero_sample_propagates_not_retried():

@@ -151,8 +151,9 @@ def test_singular_frame_converges_in_a_few_sweeps(monkeypatch):
             norms.clear()
             point = [ends[0]] + [0.0] * (n - 2) + [ends[1]]
             assert frame_rank(sl2_jacobian(PhiTemplate(n), point)) == 2
-            # two norms per pair and sweep, three for the singular values
-            assert len(norms) <= 6 * 6 + 3
+            # three norms to start, then two per rotation: at most three
+            # rotations a sweep, in four sweeps
+            assert len(norms) <= 3 + 2 * 3 * 4
 
 
 def test_rank_near_overflow():
@@ -402,8 +403,8 @@ def test_flow_matches_reference_on_a_field_not_affine_in_its_pair():
 
 
 def _folded_pair(spec, start):
-    return _affine_pair(_fold(spec.pl, start, spec.k, spec.l),
-                        _fold(spec.pk, start, spec.k, spec.l))
+    pl, pk = spec.float_partials
+    return _affine_pair(_fold(pl, start), _fold(pk, start))
 
 
 def _library_fields():
@@ -434,6 +435,12 @@ def test_every_library_field_takes_the_affine_path():
     z = [MultiPoly.variable(3, i) for i in range(3)]
     p = z[0] ** 2 * z[1] ** 2 + z[0] ** 3 + z[1] * z[2]
     assert _folded_pair(VectorFieldSpec(p, 0, 1), [0.3, 0.4, 0.5]) is None
+
+
+def test_flow_refuses_exact_start_beyond_double_range():
+    spec = v_field_spec(6, 2, 4)
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        flow_rk4(spec, [ExactComplex(10 ** 400), 0, 0, 0], t=0.1, step=0.01)
 
 
 def test_affine_flow_overflow_is_refused():

@@ -33,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+BIG = "1" + "0" * 400  # an exact integer past the largest double
+
 # JSON files the commands read, by name.
 INPUTS = {
     "generic": {"target": {"a": "2", "b": "3", "c": "1", "d": "2"}},
@@ -52,6 +54,13 @@ INPUTS = {
                    {"side": "U", "entry": 0.5}, {"side": "L", "entry": "-3"}],
     "loop": {"values": [[1, 0], [0.5, 0.8], [-0.6, 0.7], [-1, 0],
                         [-0.5, -0.8], [0.6, -0.7]]},
+    # an exact value beyond the double range where the call needs complex
+    # values: in a loop, or next to a float
+    "loop_big": {"values": [BIG, "1", "-1"]},
+    "point_big": {"point": [BIG, 0.5, 1, 2]},
+    "m_big": {"a": BIG, "b": 0.5, "c": "1", "d": "2"},
+    "target_big": {"target": {"a": BIG, "b": 0.5, "c": "1", "d": "2"}},
+    "word_big": [{"side": "L", "entry": BIG}, {"side": "U", "entry": 0.5}],
     "word_poly": {"word": [
         {"side": "U", "entry": {"nvars": 2, "terms": [
             {"exp": [1, 0], "re": "1", "im": "0"},
@@ -117,8 +126,16 @@ COMMANDS = [
     # is not strict JSON, refused with exit 3
     ["cohn", "--approx", "--z", "30", "--w", "30", "--dps", "820"],
     # an exact z, or probe D, beyond the double range: refused with exit 2
-    ["cohn", "--z", "1" + "0" * 400, "--w", "1"],
-    ["certificate", "--d", "1" + "0" * 400],
+    ["cohn", "--z", BIG, "--w", "1"],
+    ["certificate", "--d", BIG],
+    # the same in a loop or next to a float, where the call needs complex
+    # values: refused with exit 2, not an OverflowError
+    ["winding", "--input", "{loop_big}"],
+    ["jacobian", "--n", "4", "--approx", "--point", BIG + ",0.5,1,2"],
+    ["jacobian", "--n", "4", "--input", "{point_big}"],
+    ["factor-const", "--input", "{m_big}"],
+    ["pad", "--input", "{word_big}"],
+    ["fiber-solve", "--n", "4", "--input", "{target_big}"],
     # two samples read degree 0 whatever the loop, so fewer than three are
     # refused with exit 2; three still read the section's degree 2
     ["winding", "--samples", "2"],
