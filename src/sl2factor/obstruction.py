@@ -25,7 +25,8 @@ from operator import truediv
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError, _Record
-from .scalars import require_finite, to_complex, unify_scalars
+from .scalars import _BEYOND_DOUBLE, require_finite, to_complex, \
+    unify_scalars
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
@@ -120,14 +121,20 @@ def section_degree_on_fiber(h3: Callable[[complex, complex], complex], D,
                             radius: float = 1.0,
                             samples: int = DEFAULT_SAMPLES) -> int:
     """Winding of theta -> h3(D/w, w) along w = radius e^{i theta}."""
-    Dc = complex(D)
+    try:
+        Dc = complex(D)
+    except OverflowError:
+        raise PreconditionError(_BEYOND_DOUBLE) from None
     if Dc == 0:
         raise PreconditionError("fiber parameter D must be nonzero")
     return circle_winding(lambda w: h3(Dc / w, w), radius, samples)
 
 
 def _fiber_degree_z_param(h3, D, radius: float, samples: int) -> int:
-    Dc = complex(D)
+    try:
+        Dc = complex(D)
+    except OverflowError:
+        raise PreconditionError(_BEYOND_DOUBLE) from None
     return circle_winding(lambda z: h3(z, Dc / z), radius, samples)
 
 
@@ -143,7 +150,10 @@ def cohn_continuous_section(z, w) -> tuple:
     does.  A section with a component (or 1 - zw) outside double range
     is refused, not returned as inf or nan.
     """
-    zc, wc = complex(z), complex(w)
+    try:
+        zc, wc = complex(z), complex(w)
+    except OverflowError:
+        raise PreconditionError(_BEYOND_DOUBLE) from None
     zw = zc * wc
     if zw == 1:
         raise PreconditionError("section needs zw != 1")
@@ -168,7 +178,10 @@ def continuous_section_h3(z, w) -> complex:
     wherever w does; w^2 underflows below |w| = 1e-162 and overflows
     above 1e154.  A w whose modulus overflows is refused.
     """
-    wc = complex(w)
+    try:
+        wc = complex(w)
+    except OverflowError:
+        raise PreconditionError(_BEYOND_DOUBLE) from None
     if wc == 0:
         return 0j
     try:
@@ -246,7 +259,11 @@ def axis_continuation_degrees(d_values: Sequence, radius: float = 1.0,
     fn = continuous_section_h3 if h3 is None else h3
     pairs = set()
     for D in d_values:
-        if complex(D) == 0:
+        try:
+            Dc = complex(D)
+        except OverflowError:
+            raise PreconditionError(_BEYOND_DOUBLE) from None
+        if Dc == 0:
             raise PreconditionError("fiber parameters must be nonzero")
         pairs.add((section_degree_on_fiber(fn, D, radius, samples),
                    _fiber_degree_z_param(fn, D, radius, samples)))

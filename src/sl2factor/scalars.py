@@ -299,14 +299,18 @@ def _ec(p: int, q: int, d: int) -> ExactComplex:
 
 
 def _reduced(p: int, q: int, d: int) -> ExactComplex:
-    """ExactComplex (p + q i)/d for d > 0, after one gcd (none when d == 1)."""
+    """ExactComplex (p + q i)/d for d > 0, after one gcd (none when d == 1).
+    Builds the value itself, as _ec does, which saves a call per exact
+    operation."""
     if d != 1:
         g = gcd(p, q, d)
         if g != 1:
             p //= g
             q //= g
             d //= g
-    return _ec(p, q, d)
+    x = _new(ExactComplex)
+    object.__setattr__(x, "_pqd", (p, q, d))
+    return x
 
 
 EC_ZERO = ExactComplex(0)

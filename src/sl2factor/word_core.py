@@ -30,10 +30,12 @@ denominator (_exact_partials), with one reduction per entry kept.
 Validation stays at the boundary: a user-built ElementaryFactor checks
 its entry's kind (words the library computes itself are built unchecked
 by _word, as matrices by _sl2), a user-built SL2 checks its determinant
-(polynomials by exact_algebra.poly_det_is_one, approximate entries within
-SL2_DET_ULPS units of rounding), eval_word checks only approximate
-products, where rounding drifts, and replay multiplies a returned word
-back out against its target.
+(exact entries on their Gaussian-integer numerators, polynomials by
+exact_algebra.poly_det_is_one, approximate entries within SL2_DET_ULPS
+units of rounding), eval_word checks only approximate products, where
+rounding drifts, and replay multiplies a returned word back out against
+its target, an exact one on numerators too.  The exact checks
+cross-multiply and reduce nothing.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
 Cohn flag and the SL2 boundary: exact and polynomial values must be
@@ -142,7 +144,14 @@ def _check_det(vals, *sizes) -> None:
     against sizes."""
     a, b, c, d = vals
     if type(a) is ExactComplex:
-        unimodular = a * d - b * c == 1
+        # ad - bc = 1 on numerators: with ad = X/e and bc = Y/f, that is
+        # X f - Y e = e f, real and imaginary parts, with nothing reduced
+        (pa, qa, da), (pb, qb, db) = a._pqd, b._pqd
+        (pc, qc, dc), (pd, qd, dd) = c._pqd, d._pqd
+        e, f = da * dd, db * dc
+        unimodular = ((pa * pd - qa * qd) * f - (pb * pc - qb * qc) * e
+                      == e * f
+                      and (pa * qd + qa * pd) * f == (pb * qc + qb * pc) * e)
     elif is_poly(a):
         from .exact_algebra import poly_det_is_one
         unimodular = poly_det_is_one(a, b, c, d)
@@ -357,7 +366,10 @@ def replay(word: Word, target: SL2):
     """Multiply a returned word back out and check it against its target.
 
     Exact and polynomial products must equal the target literally (residual
-    0).  Otherwise the residual, the largest entrywise distance, must be
+    0); an exact word against an exact target is compared on numerators,
+    each product entry (x_re + x_im i)/den against the target's (p + q i)/d
+    as x_re d == p den and x_im d == q den, with no entry reduced.
+    Otherwise the residual, the largest entrywise distance, must be
     negligible relative to the largest |entry| of the target.  Returns the
     residual; a miss raises VerificationError.
 
@@ -366,7 +378,17 @@ def replay(word: Word, target: SL2):
     product with large entries further than |ad| + |bc| allows while every
     entry stays on its target.
     """
-    prod = _product(word)
+    sides = [f.side for f in word.factors]
+    vals = unify_scalars([f.entry for f in word])
+    if vals and type(vals[0]) is type(target.a) is ExactComplex:
+        for last in _exact_partials(sides, vals):
+            pass
+        *nums, den = last
+        if all(xr * d == p * den and xi * d == q * den for xr, xi, (p, q, d)
+               in zip(nums[::2], nums[1::2], (x._pqd for x in target.entries))):
+            return 0
+        raise VerificationError("replayed word does not reproduce its target")
+    prod = _sl2(*word_product(sides, vals)) if vals else SL2.identity()
     if prod.is_exact and target.is_exact:
         if prod.entries == target.entries:
             return 0

@@ -212,6 +212,25 @@ def test_exact_value_beyond_double_range_is_refused():
                     else cmath.exp(5j * th), samples=16)
 
 
+_BIG = EC(10 ** 400)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: section_degree_on_fiber(continuous_section_h3, _BIG),
+    lambda: _fiber_degree_z_param(continuous_section_h3, _BIG, 1.0, 16),
+    lambda: axis_continuation_degrees([0.1, _BIG]),
+    lambda: cohn_continuous_section(_BIG, 0.5),
+    lambda: cohn_continuous_section(0.5, _BIG),
+    lambda: continuous_section_h3(0, _BIG),
+], ids=["section_degree_on_fiber", "_fiber_degree_z_param",
+        "axis_continuation_degrees", "cohn_continuous_section_z",
+        "cohn_continuous_section_w", "continuous_section_h3"])
+def test_winding_helpers_refuse_exact_values_beyond_double_range(call):
+    # each converts its scalar arguments with complex(), which overflows
+    with pytest.raises(PreconditionError, match="beyond the double range"):
+        call()
+
+
 def test_zero_sample_propagates_not_retried():
     with pytest.raises(PreconditionError):
         sample_loop(lambda th: cmath.exp(1j * th) - cmath.exp(2j * math.pi

@@ -186,6 +186,77 @@ def test_replay_polynomial_products():
         replay(other, m)
 
 
+def test_replay_of_the_empty_word():
+    assert replay(Word(()), SL2.identity()) == 0
+    with pytest.raises(VerificationError, match="does not reproduce"):
+        replay(Word(()), SL2.upper(ExactComplex(Fraction(1, 10 ** 10))))
+
+
+def test_exact_replay_compares_unreduced_numerators():
+    # L(1/D) U(0) L(-1/D) is the identity, but its numerators run over the
+    # common denominator D^2, so numerators and denominator share D^2
+    big = 10 ** 10
+    word = Word.of((LOWER, ExactComplex(Fraction(1, big))),
+                   (UPPER, ExactComplex(0)),
+                   (LOWER, ExactComplex(Fraction(-1, big))))
+    assert replay(word, SL2.identity()) == 0
+    # U(1/D) L(D + i) U(1/D), against its product and against a matrix of
+    # det 1 whose b is moved by i/D^2
+    word = Word.of((UPPER, ExactComplex(Fraction(1, big))),
+                   (LOWER, ExactComplex(big, 1)),
+                   (UPPER, ExactComplex(Fraction(1, big))))
+    m = eval_word(word)
+    assert replay(word, m) == 0
+    eps = ExactComplex(0, Fraction(1, big * big))
+    off = SL2(m.a, m.b + eps, m.c, m.d + eps * m.c / m.a)
+    with pytest.raises(VerificationError, match="does not reproduce"):
+        replay(word, off)
+
+
+def test_exact_word_against_approximate_target_takes_the_residual():
+    word = Word.of((LOWER, ExactComplex(2)), (UPPER, ExactComplex(1, 1)))
+    m = eval_word(word)
+    approx = SL2(*map(complex, m.entries))
+    residual = replay(word, approx)
+    assert type(residual) is float and residual == 0.0
+    nudged = SL2(approx.a, approx.b + 1e-6, approx.c, approx.d + 2e-6)
+    with pytest.raises(VerificationError, match="residual"):
+        replay(word, nudged)
+
+
+def test_polynomial_word_against_exact_target_is_literal():
+    # a polynomial word is compared as polynomials, even where its product
+    # is constant and the target exact
+    x = MultiPoly.variable(1, 0)
+    assert replay(Word.of((LOWER, x), (LOWER, -x)), SL2.identity()) == 0
+    assert replay(Word.of((LOWER, x), (LOWER, 1 - x)),
+                  SL2.lower(ExactComplex(1))) == 0
+    with pytest.raises(VerificationError, match="does not reproduce"):
+        replay(Word.of((LOWER, x), (LOWER, 1 - x)), SL2.identity())
+
+
+def test_exact_replay_and_det_check_reduce_nothing(monkeypatch):
+    from sl2factor import scalars, word_core
+    word = Word.of((UPPER, ExactComplex(Fraction(1, 7), 3)),
+                   (LOWER, ExactComplex(Fraction(2, 9))),
+                   (UPPER, ExactComplex(-5, Fraction(1, 11))))
+    m = eval_word(word)
+    calls = []
+
+    def counting(p, q, d, reduced=scalars._reduced):
+        calls.append((p, q, d))
+        return reduced(p, q, d)
+
+    monkeypatch.setattr(scalars, "_reduced", counting)
+    monkeypatch.setattr(word_core, "_reduced", counting)
+    assert replay(word, m) == 0
+    assert SL2(*m.entries) == m
+    assert calls == []
+    # the counter does count: a product reduces each entry once
+    eval_word(word)
+    assert len(calls) == 4
+
+
 def test_negligible_is_literal_or_relative():
     assert negligible(ExactComplex(0))
     assert not negligible(ExactComplex(Fraction(1, 10 ** 30)))
