@@ -42,6 +42,15 @@ INPUTS = {
                     "d": "700/407407403733+763/135802467911 i"},
     "a_zero": {"a": "0", "b": "3", "c": "-1/3", "d": "2+i"},
     "b_zero": {"a": "2", "b": "0", "c": "3", "d": "1/2"},
+    # the non-generic branches on 10-digit entries
+    "a_zero_big": {"a": "0", "b": "9876543211/1234567890+2/3 i",
+                   "c": "-12193263112498094790/98223509298758658121"
+                        "+1016105250012701400/98223509298758658121 i",
+                   "d": "5555555557/3333333331-1/7 i"},
+    "b_zero_big": {"a": "8765432101/3579111317-4 i", "b": "0",
+                   "c": "-2718281828/3141592653+1 i",
+                   "d": "31372457231084187017/281793405028880866025"
+                        "+51240151277909897956/281793405028880866025 i"},
     "m_lower_pivot": {"a": "2", "b": "3", "c": "1", "d": "2"},
     "m_upper_pivot": {"a": "2", "b": "1/3", "c": "0", "d": "1/2"},
     "m_diagonal": {"a": "3+i", "b": "0", "c": "0", "d": "3/10-1/10 i"},
@@ -96,6 +105,13 @@ COMMANDS = [
     ["fiber-solve", "--n", "5", "--input", "{b_zero}", "--z1", "7"],
     ["fiber-solve", "--n", "6", "--input", "{b_zero}"],
     ["fiber-solve", "--n", "1024", "--input", "{generic_big}", "--seed", "5"],
+    # every exact branch on 10-digit entries: generic odd, and the free z_1
+    # of the non-generic ones
+    ["fiber-solve", "--n", "7", "--input", "{generic_big}", "--seed", "5"],
+    *(["fiber-solve", "--n", str(n), "--input", "{%s}" % name, "--seed", "9",
+       "--z1", "2718281828/3141592653-1 i"]
+      for name, ns in (("a_zero_big", (6, 8)), ("b_zero_big", (5, 7)))
+      for n in ns),
     *(["factor-const", "--input", "{%s}" % name]
       for name in ("m_lower_pivot", "m_upper_pivot", "m_diagonal",
                    "m_identity", "m_float", "m_singular")),
