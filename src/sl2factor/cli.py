@@ -309,10 +309,13 @@ def _cmd_bound(args):
     for part in args.k.split(","):
         try:
             key, value = part.split("=")
-            counts[int(key)] = int(value)
+            i, k = int(key), int(value)
         except ValueError as exc:
             raise PreconditionError(
                 f"malformed --k entry {part!r}; expected i=Ki") from exc
+        if i in counts:
+            raise PreconditionError(f"--k repeats index {i}")
+        counts[i] = k
     # count the gaps first: a huge --n must not build a huge list
     n_missing = args.n - 1 - sum(1 for i in counts if 2 <= i <= args.n)
     if n_missing > 0:

@@ -20,7 +20,11 @@ non-generic branch (b = 0, hence ad = 1) the interior satisfies Q1 = a and
 Q2 = 0 with z_1 free and z_N = a (c - Q3 - a z_1).
 
 Every completion is verified by multiplying the word back out
-(word_core.replay); exact inputs verify by literal equality.  Approximate
+(word_core.replay); exact inputs verify by literal equality.  Exact solves
+run on the middle product's Gaussian-integer numerators over one common
+denominator (word_core._exact_partials), kept as unreduced triples: each
+level and zero test is a cross-multiplication, and each coordinate or
+residual they return is reduced once.  Approximate
 level and pivot tests use the one tolerance rule of word_core.negligible:
 a middle-product entry is on its level when it is within APPROX_TOL
 max(1, |level|), and a pivot counts as zero below APPROX_TOL max(1,
@@ -33,11 +37,15 @@ from collections.abc import Sequence
 
 from .errors import (PreconditionError, SamplingBudgetError,
                      VerificationError, _Record)
-from .scalars import unify_scalars
+from .scalars import ExactComplex, _reduced, unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import SL2, _word, negligible, replay, word_product
+from .word_core import (SL2, _exact_product, _raw_add, _raw_div, _raw_eq,
+                        _raw_is_zero, _raw_mul, _raw_sub, _word, negligible,
+                        replay, word_product)
 
 MAX_SAMPLE_TRIES = 64
+_WRONG_LEVEL = "interior solve produced wrong level"
+_RAW_IDENTITY = (1, 0, 1), (0, 0, 1), (0, 0, 1), (1, 0, 1)
 
 
 def _middle_product(values: Sequence) -> tuple:
@@ -46,6 +54,38 @@ def _middle_product(values: Sequence) -> tuple:
     if not values:
         return 1, 0, 0, 1
     return word_product("UL" * len(values), values)
+
+
+def _middle(values: Sequence, exact: bool) -> tuple:
+    """_middle_product, as raw triples (word_core) for exact values."""
+    if not exact:
+        return _middle_product(values)
+    return _exact_product("UL" * len(values), values) if values \
+        else _RAW_IDENTITY
+
+
+def _on_level(x, level, exact: bool) -> bool:
+    """Whether the entry x is on its level: equal as raw triples when
+    exact, else within negligible's tolerance at the level's scale."""
+    return _raw_eq(x, level) if exact else negligible(x - level, level)
+
+
+def _exact_interior(draws: list, level: tuple, even: bool, generic: bool):
+    """interior_sample's solve and level check for exact draws, on raw
+    triples: the values, or None when the linear coefficient vanishes."""
+    r1, r2, _, _ = _middle(draws, True)
+    # the solved entry of R, and the rest of its level equation
+    lin, rest = (r2, r1) if even == generic else (r1, r2)
+    if _raw_is_zero(lin):
+        return None
+    values = (*draws, _reduced(*_raw_div(_raw_sub(level, rest), lin)))
+    if not generic:
+        values += (-_reduced(*_raw_div(lin, level)),)
+    q1, q2, _, _ = _middle(values, True)
+    on, off = (q1, q2) if even == generic else (q2, q1)
+    if not (_raw_eq(on, level) and (generic or _raw_is_zero(off))):
+        raise VerificationError(_WRONG_LEVEL)
+    return values
 
 
 def pivot_is_zero(target: SL2, n: int) -> bool:
@@ -128,8 +168,14 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         raise PreconditionError(
             "non-generic stratum needs a nonzero level (unimodularity)")
     n_draws = n - 3 if generic else n - 4
+    exact = type(level) is ExactComplex
     for _ in range(MAX_SAMPLE_TRIES):
         draws = [random_exact(rng) for _ in range(n_draws)]
+        if exact:
+            values = _exact_interior(draws, level._pqd, even, generic)
+            if values is None:
+                continue
+            return InteriorPoint(n, stratum, level, values)
         # exact draws, in the level's kind
         *draws, _ = unify_scalars([*draws, level])
         if generic:
@@ -170,7 +216,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         else:
             target_ok = negligible(q1 - level, level) and negligible(q2, level)
         if not target_ok:
-            raise VerificationError("interior solve produced wrong level")
+            raise VerificationError(_WRONG_LEVEL)
         return InteriorPoint(n, stratum, level, values)
     raise SamplingBudgetError(
         f"no usable draw in {MAX_SAMPLE_TRIES} tries (N={n}, {stratum})")
@@ -185,13 +231,25 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     a, b, c, d, *values = unify_scalars([*target.entries, *interior.values])
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
-    q1, q2, q3, q4 = _middle_product(values)
-    if not negligible(q1 - a, a):
+    exact = type(a) is ExactComplex
+    if exact:
+        a, b, c, d = a._pqd, b._pqd, c._pqd, d._pqd
+    q1, q2, q3, q4 = _middle(values, exact)
+    if not _on_level(q1, a, exact):
         raise PreconditionError("interior is off the level set Q1 = a")
-    z1 = (c - q3) / a
-    zn = (b - q2) / a
-    # the d-equation comes for free; its cleared residual must vanish
-    eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
+    if exact:
+        z1 = _reduced(*_raw_div(_raw_sub(c, q3), a))
+        zn = _reduced(*_raw_div(_raw_sub(b, q2), a))
+        x1, xn = z1._pqd, zn._pqd
+        sum4 = _raw_add(_raw_add(q4, _raw_mul(q2, x1)),
+                        _raw_add(_raw_mul(q3, xn),
+                                 _raw_mul(_raw_mul(q1, x1), xn)))
+        eq4 = _reduced(*_raw_mul(a, _raw_sub(sum4, d)))
+    else:
+        z1 = (c - q3) / a
+        zn = (b - q2) / a
+        # the d-equation comes for free; its cleared residual must vanish
+        eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
     point = (z1, *values, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
@@ -210,13 +268,22 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
         raise PreconditionError("non-generic branch needs a = 0")
     if not b:
         raise PreconditionError("a = 0 forces b != 0")
-    r1, r2, _, _ = _middle_product(prefix)
-    if not negligible(r2 - b, b):
+    exact = type(a) is ExactComplex
+    if exact:
+        b, c, d = b._pqd, c._pqd, d._pqd
+    r1, r2, _, _ = _middle(prefix, exact)
+    if not _on_level(r2, b, exact):
         raise PreconditionError("prefix is off the level set R2 = b")
-    zn1 = -r1 / b
-    interior = (*prefix, zn1)
-    q4 = _middle_product(interior)[3]
-    zn = (d - q4 - b * z1) / c
+    if exact:
+        interior = (*prefix, -_reduced(*_raw_div(r1, b)))
+        q4 = _middle(interior, exact)[3]
+        zn = _reduced(*_raw_div(
+            _raw_sub(_raw_sub(d, q4), _raw_mul(b, z1._pqd)), c))
+    else:
+        zn1 = -r1 / b
+        interior = (*prefix, zn1)
+        q4 = _middle_product(interior)[3]
+        zn = (d - q4 - b * z1) / c
     point = (z1, *interior, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "nongeneric", point, target, True, z1_free=z1)
@@ -232,24 +299,36 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     # one scalar kind for all: a float free z1 makes an exact target float
     a, b, c, d, z1, *values = unify_scalars([*target.entries, z1,
                                              *interior.values])
-    q1, q2, q3, q4 = _middle_product(values)
+    exact = type(a) is ExactComplex
+    if exact:
+        a, b, c, d = a._pqd, b._pqd, c._pqd, d._pqd
+    q1, q2, q3, q4 = _middle(values, exact)
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
-        if not negligible(q2 - b, b):
+        if not _on_level(q2, b, exact):
             raise PreconditionError("interior is off the level set Q2 = b")
-        z1s = (d - q4) / b
-        zn = (a - q1) / b
+        if exact:
+            z1s = _reduced(*_raw_div(_raw_sub(d, q4), b))
+            zn = _reduced(*_raw_div(_raw_sub(a, q1), b))
+        else:
+            z1s = (d - q4) / b
+            zn = (a - q1) / b
         point = (z1s, *values, zn)
         _replay_phi(point, target)
         return FiberCompletion(n, "generic", point, target, True)
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
-        if not (negligible(q1 - a, a) and negligible(q2, a)):
+        if not (_on_level(q1, a, exact) and (
+                _raw_is_zero(q2) if exact else negligible(q2, a))):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
-        zn = a * (c - q3 - a * z1)
+        if exact:
+            zn = _reduced(*_raw_mul(a, _raw_sub(_raw_sub(c, q3),
+                                                _raw_mul(a, z1._pqd))))
+        else:
+            zn = a * (c - q3 - a * z1)
         point = (z1, *values, zn)
         _replay_phi(point, target)
         return FiberCompletion(n, "nongeneric", point, target, True,

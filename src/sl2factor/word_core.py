@@ -329,16 +329,61 @@ def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
         yield ar, ai, br, bi, cr, ci, dr, di, den
 
 
+def _exact_product(sides: Sequence[str], vals: Sequence) -> tuple:
+    """The entries of a non-empty exact word's product as raw triples
+    (p, q, den), one per entry, over the common denominator of
+    _exact_partials."""
+    for last in _exact_partials(sides, vals):
+        pass
+    ar, ai, br, bi, cr, ci, dr, di, den = last
+    return (ar, ai, den), (br, bi, den), (cr, ci, den), (dr, di, den)
+
+
+# Raw triples (p, q, d) stand for (p + q i)/d with d > 0 and no gcd taken.
+# Exact solves combine them with these and reduce (_reduced) only the
+# values they return; a raw triple equals a value when the cross products
+# agree, as replay compares a product with its target.
+
+def _raw_add(x: tuple, y: tuple) -> tuple:
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+
+
+def _raw_sub(x: tuple, y: tuple) -> tuple:
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
+
+
+def _raw_mul(x: tuple, y: tuple) -> tuple:
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+
+
+def _raw_div(x: tuple, y: tuple) -> tuple:
+    """x / y, as ExactComplex.__truediv__ computes it before its gcd."""
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    n2 = p2 * p2 + q2 * q2
+    if not n2:
+        raise ZeroDivisionError("division by exact zero")
+    return (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n2
+
+
+def _raw_eq(x: tuple, y: tuple) -> bool:
+    (p1, q1, d1), (p2, q2, d2) = x, y
+    return p1 * d2 == p2 * d1 and q1 * d2 == q2 * d1
+
+
+def _raw_is_zero(x: tuple) -> bool:
+    return not x[0] and not x[1]
+
+
 def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     """Entries (a, b, c, d) of the whole product; see word_partials.  An
-    exact word is multiplied on numerators (_exact_partials) and each
+    exact word is multiplied on numerators (_exact_product) and each
     entry reduced once."""
     if type(vals[0]) is ExactComplex:
-        for last in _exact_partials(sides, vals):
-            pass
-        ar, ai, br, bi, cr, ci, dr, di, den = last
-        return (_reduced(ar, ai, den), _reduced(br, bi, den),
-                _reduced(cr, ci, den), _reduced(dr, di, den))
+        a, b, c, d = _exact_product(sides, vals)
+        return _reduced(*a), _reduced(*b), _reduced(*c), _reduced(*d)
     for entries in word_partials(sides, vals):
         pass
     return entries
@@ -381,11 +426,8 @@ def replay(word: Word, target: SL2):
     sides = [f.side for f in word.factors]
     vals = unify_scalars([f.entry for f in word])
     if vals and type(vals[0]) is type(target.a) is ExactComplex:
-        for last in _exact_partials(sides, vals):
-            pass
-        *nums, den = last
-        if all(xr * d == p * den and xi * d == q * den for xr, xi, (p, q, d)
-               in zip(nums[::2], nums[1::2], (x._pqd for x in target.entries))):
+        if all(map(_raw_eq, _exact_product(sides, vals),
+                   (x._pqd for x in target.entries))):
             return 0
         raise VerificationError("replayed word does not reproduce its target")
     prod = _sl2(*word_product(sides, vals)) if vals else SL2.identity()

@@ -260,6 +260,16 @@ def test_bound(capsys):
     assert code == 2
 
 
+def test_bound_refuses_a_repeated_index(capsys):
+    # the last entry for an index used to replace the earlier ones silently
+    code, rep = run(capsys, "bound", "--n", "4", "--k", "2=1,3=2,4=2,4=3")
+    assert code == 2
+    assert rep["error"] == {"code": "precondition",
+                            "message": "--k repeats index 4"}
+    code, rep = run(capsys, "bound", "--n", "2", "--k", "2=1,02=1")
+    assert code == 2 and rep["error"]["message"] == "--k repeats index 2"
+
+
 def test_bound_huge_n_refused_at_once(capsys):
     t0 = perf_counter()
     code = main(["bound", "--n", "100000000", "--k", "2=1"])

@@ -268,6 +268,16 @@ def test_random_exact_matches_the_fraction_draw(num, den):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("num,den", [(6, 4), (4, 3)])
+def test_random_exact_draws_as_randint_does(num, den):
+    # random_exact draws its integers by rejection on getrandbits; 10^5
+    # draws against randint's, and the generators go on alike
+    rng, ref = random.Random(7), random.Random(7)
+    draws = [random_exact(rng, num, den) for _ in range(10 ** 5)]
+    assert draws == [_fraction_draw(ref, num, den) for _ in range(10 ** 5)]
+    assert rng.random() == ref.random()
+
+
 # Exact text is parsed straight to integer triples.  The reference is the
 # Fraction route: ExactComplex(Fraction(re), Fraction(im)) of the parts the
 # text was drawn from.

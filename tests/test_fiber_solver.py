@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2factor.errors import PreconditionError
+from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.exact_algebra import ExactComplex, is_exact_scalar
 from sl2factor.factorizer import factor_constant
 from sl2factor.fiber_solver import (
@@ -132,6 +132,152 @@ def test_branch_preconditions():
                      "sideways")
 
 
+# 10-digit targets, one per branch (even N: a != 0, a = 0; odd N: b != 0,
+# b = 0), built with det 1 from three free entries
+BIG_A = EC(Fraction(12345678901, 7), Fraction(-3, 9876543211))
+BIG_B = EC(Fraction(9876543211, 1234567890), Fraction(2, 3))
+BIG_C = EC(Fraction(-2718281828, 3141592653), 1)
+Z1 = EC(Fraction(5555555557, 3333333331), Fraction(-1, 7))
+
+
+def _generic_even(a, b=BIG_B, c=BIG_C):
+    return SL2(a, b, c, (1 + b * c) / a)
+
+
+def _nongeneric_even(b, d=BIG_C):
+    return SL2(EC(0), b, -1 / b, d)
+
+
+def _generic_odd(b, a=BIG_A, d=BIG_C):
+    return SL2(a, b, (a * d - 1) / b, d)
+
+
+def _nongeneric_odd(a, c=BIG_C):
+    return SL2(a, EC(0), c, 1 / a)
+
+
+def _solve(target, n, seed, z1=0):
+    """interior_sample and the completion of target's branch at N = n, as
+    the CLI runs them; the free z_1 defaults to the CLI's 0."""
+    even = n % 2 == 0
+    a, b = target.a, target.b
+    if not pivot_is_zero(target, n):
+        ip = interior_sample(n, a if even else b, "Q1" if even else "Q2",
+                             seed=seed)
+        return complete_generic_even(target, ip) if even \
+            else complete_odd(target, ip, "generic")
+    ip = interior_sample(n, b if even else a, "Q2" if even else "Q1",
+                         seed=seed)
+    return complete_nongeneric_even(target, z1, ip.values[:-1]) if even \
+        else complete_odd(target, ip, "nongeneric", z1=z1)
+
+
+def _one_unit_off(x, part):
+    """x = (p + q i)/d moved by one unit of p, of q or of d."""
+    p, q, d = x._pqd
+    dp, dq, dd = {"re": (1, 0, 0), "im": (0, 1, 0), "den": (0, 0, 1)}[part]
+    moved = EC(Fraction(p + dp, d + dd), Fraction(q + dq, d + dd))
+    assert moved != x
+    return moved
+
+
+@pytest.mark.parametrize("part", ["re", "im", "den"])
+@pytest.mark.parametrize("n,make,level,message", [
+    (8, _generic_even, BIG_A, "interior is off the level set Q1 = a"),
+    (8, _nongeneric_even, BIG_B, "prefix is off the level set R2 = b"),
+    (7, _generic_odd, BIG_B, "interior is off the level set Q2 = b"),
+    (7, _nongeneric_odd, BIG_A, "interior must satisfy Q1 = a and Q2 = 0"),
+])
+def test_exact_solvers_refuse_an_interior_one_unit_off_its_level(
+        n, make, level, message, part):
+    # the interior is solved on `level`, the target's pivot-side entry is
+    # one unit away from it
+    assert _solve(make(level), n, seed=5, z1=Z1).verified
+    moved = make(_one_unit_off(level, part))
+    even = n % 2 == 0
+    generic = make in (_generic_even, _generic_odd)
+    stratum = "Q1" if even == generic else "Q2"
+    ip = interior_sample(n, level, stratum, seed=5)
+    with pytest.raises(PreconditionError) as info:
+        if make is _nongeneric_even:
+            complete_nongeneric_even(moved, Z1, ip.values[:-1])
+        elif even:
+            complete_generic_even(moved, ip)
+        else:
+            complete_odd(moved, ip, "generic" if generic else "nongeneric",
+                         z1=Z1)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("unit", [EC(Fraction(1, 10 ** 10)),
+                                  EC(0, Fraction(1, 10 ** 10))])
+def test_exact_odd_nongeneric_refuses_q2_one_unit_off_zero(unit):
+    # an interior with Q2 = unit and Q1 = a: on the a-level, off Q2 = 0
+    ip = interior_sample(7, unit, "Q2", seed=5)
+    a = ip.q_entries()[0]
+    assert a
+    with pytest.raises(PreconditionError,
+                       match=r"^interior must satisfy Q1 = a and Q2 = 0$"):
+        complete_odd(_nongeneric_odd(a), ip, "nongeneric", z1=Z1)
+
+
+@pytest.mark.parametrize("n,stratum,moved", [
+    (8, "Q1", 0), (7, "Q2", 0), (8, "Q2", 0), (8, "Q2", 1), (7, "Q1", 0),
+    (7, "Q1", 1), (4, "Q2", 0), (4, "Q2", 1), (5, "Q1", 1)])
+def test_exact_interior_sample_checks_its_solved_level(monkeypatch, n,
+                                                       stratum, moved):
+    # one solved coordinate (t, or s then t on a non-generic stratum)
+    # moved by one unit must fail the level check, the zero level included
+    from sl2factor import fiber_solver
+    reduced, solved = fiber_solver._reduced, []
+
+    def moving(p, q, d):
+        solved.append(None)
+        return reduced(p + (len(solved) == moved + 1), q, d)
+
+    monkeypatch.setattr(fiber_solver, "_reduced", moving)
+    with pytest.raises(VerificationError,
+                       match="interior solve produced wrong level"):
+        interior_sample(n, BIG_A, stratum, seed=5)
+
+
+# the returned values of each branch: t (and s) in the interior, then z_1
+# and z_N with the eq4 residual (generic even), z_{N-1} and z_N
+# (non-generic even), z_1 and z_N (generic odd) or z_N (non-generic odd)
+@pytest.mark.parametrize("n,make,level,returned,total", [
+    (8, _generic_even, BIG_A, 1 + 3, 9),
+    (8, _nongeneric_even, BIG_B, 2 + 2, 8),
+    (7, _generic_odd, BIG_B, 1 + 2, 7),
+    (7, _nongeneric_odd, BIG_A, 2 + 1, 6),
+    (4, _generic_even, BIG_A, 1 + 3, None),
+    (4, _nongeneric_even, BIG_B, 2 + 2, None),
+    (5, _generic_odd, BIG_B, 1 + 2, None),
+    (5, _nongeneric_odd, BIG_A, 2 + 1, None),
+])
+def test_exact_solves_reduce_only_draws_and_returned_values(
+        monkeypatch, n, make, level, returned, total):
+    from sl2factor import _random, fiber_solver, scalars, word_core
+    target = make(level)
+    calls, draws = [], []
+
+    def counting(p, q, d, reduced=scalars._reduced):
+        calls.append((p, q, d))
+        return reduced(p, q, d)
+
+    def drawing(rng, draw=fiber_solver.random_exact):
+        draws.append(None)
+        return draw(rng)
+
+    for module in (_random, fiber_solver, scalars, word_core):
+        monkeypatch.setattr(module, "_reduced", counting)
+    monkeypatch.setattr(fiber_solver, "random_exact", drawing)
+    comp = _solve(target, n, seed=5, z1=Z1)
+    assert comp.verified and len(comp.point) == n
+    assert len(calls) == len(draws) + returned
+    if total is not None:  # no draw was rejected at this seed
+        assert len(calls) == total
+
+
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -150,20 +296,6 @@ def test_generic_even_roundtrip(vals):
     assert comp.eq4_residual.is_zero
 
 
-def _solve_as_the_cli_does(target, n):
-    even = n % 2 == 0
-    a, b = target.a, target.b
-    if not pivot_is_zero(target, n):
-        ip = interior_sample(n, a if even else b, "Q1" if even else "Q2",
-                             seed=n)
-        return complete_generic_even(target, ip) if even \
-            else complete_odd(target, ip, "generic")
-    ip = interior_sample(n, b if even else a, "Q2" if even else "Q1", seed=n)
-    # the free z_1 at its CLI default, 0
-    return complete_nongeneric_even(target, 0.0, ip.values[:-1]) if even \
-        else complete_odd(target, ip, "nongeneric")
-
-
 moduli = st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
                             allow_nan=False, allow_infinity=False)
 
@@ -178,7 +310,7 @@ def test_float_targets_verify_at_every_scale(k, x, y, v):
     target = SL2(a, y, v, (1 + y * v) / a)
     assert factor_constant(target).verified
     for n in range(4, 8):
-        assert _solve_as_the_cli_does(target, n).verified
+        assert _solve(target, n, seed=n).verified
 
 
 def test_transport_dim1_carries_level():

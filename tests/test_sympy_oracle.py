@@ -1,8 +1,9 @@
 ##
-## The exact determinant check and the exact replay decide against
-## sympy's Gaussian rationals, an oracle that shares no code with the
-## library: near-misses one unit of a 10-digit denominator away from the
-## truth must be refused, and the truth accepted
+## The exact determinant check, the exact replay and the exact fiber
+## solves decide against sympy's Gaussian rationals, an oracle that shares
+## no code with the library: near-misses one unit of a 10-digit
+## denominator away from the truth must be refused, the truth accepted,
+## and every solved fiber point must satisfy the fiber equations
 ##
 
 from fractions import Fraction
@@ -13,6 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from sl2factor.errors import PreconditionError, VerificationError
+from sl2factor.fiber_solver import (complete_generic_even,
+                                    complete_nongeneric_even, complete_odd,
+                                    interior_sample)
 from sl2factor.scalars import ExactComplex
 from sl2factor.word_core import LOWER, SL2, UPPER, Word, _sl2, replay
 
@@ -104,3 +108,68 @@ def test_replay_refuses_a_target_one_unit_off(entries, lower_first, which,
     assert accepted == same
     # the true product itself always replays
     assert replay(word, _sl2(*map(_exact, truth))) == 0
+
+
+def _sympy(x) -> "QQ_I":
+    return QQ_I(QQ(x.re.numerator, x.re.denominator),
+                QQ(x.im.numerator, x.im.denominator))
+
+
+nonzero = gaussians.filter(bool)
+
+
+@given(st.sampled_from(["generic even", "nongeneric even", "generic odd",
+                        "nongeneric odd"]),
+       st.integers(2, 4), nonzero, gaussians, gaussians, gaussians,
+       st.integers(0, 2 ** 16))
+@settings(max_examples=200, deadline=None)
+def test_exact_fiber_points_satisfy_the_fiber_equations(branch, half, x, y,
+                                                        w, z1, seed):
+    even = branch.endswith("even")
+    n = 2 * half + (0 if even else 1)
+    # a target of the branch with det 1, its pivot x when generic
+    if branch == "generic even":
+        a, b, c = x, y, w
+        d = (1 + b * c) / a
+    elif branch == "nongeneric even":
+        a, b, c, d = QQ_I.zero, x, -1 / x, w
+    elif branch == "generic odd":
+        a, b, d = y, x, w
+        c = (a * d - 1) / b
+    else:
+        a, b, c, d = x, QQ_I.zero, w, 1 / x
+    target = SL2(*map(_exact, (a, b, c, d)))
+    generic = branch.startswith("generic")
+    level = (a if even else b) if generic else (b if even else a)
+    stratum = "Q1" if even == generic else "Q2"
+    ip = interior_sample(n, _exact(level), stratum, seed=seed)
+    if branch == "generic even":
+        fc = complete_generic_even(target, ip)
+    elif branch == "nongeneric even":
+        fc = complete_nongeneric_even(target, _exact(z1), ip.values[:-1])
+    else:
+        fc = complete_odd(target, ip, branch.split()[0], z1=_exact(z1))
+    point = [_sympy(v) for v in fc.point]
+    assert len(point) == n and fc.verified
+    if not generic:
+        assert point[0] == z1
+    # Q = M_2(z_2) ... M_{N-1}(z_{N-1}), upper factor first
+    one, zero = QQ_I.one, QQ_I.zero
+    m = (one, zero), (zero, one)
+    for j, g in enumerate(point[1:-1]):
+        m = _times(m, ((one, g), (zero, one)) if j % 2 == 0
+                   else ((one, zero), (g, one)))
+    (q1, q2), (q3, q4) = m
+    first, last = point[0], point[-1]
+    if even:  # Phi_N = L(z_1) Q U(z_N)
+        assert (a, b, c, d) == (q1, q2 + q1 * last, q3 + q1 * first,
+                                q4 + q2 * first + q3 * last
+                                + q1 * first * last)
+    else:  # Phi_N = L(z_1) Q L(z_N)
+        assert (a, b, c, d) == (q1 + q2 * last, q2,
+                                q3 + q1 * first + (q4 + q2 * first) * last,
+                                q4 + q2 * first)
+    if branch == "generic even":
+        assert _sympy(fc.eq4_residual) == zero
+    else:
+        assert fc.eq4_residual is None

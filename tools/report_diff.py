@@ -169,6 +169,8 @@ COMMANDS = [
     # padding a polynomial word; a bound whose --k misses an index
     ["pad", "--input", "{word_poly}"],
     ["bound", "--n", "4", "--k", "2=1,4=2"],
+    # a --k that names an index twice
+    ["bound", "--n", "4", "--k", "2=1,3=2,4=2,4=3"],
     # usage text, and the errors argparse raises before a handler runs:
     # cli adds the arguments of the named subcommand only
     ["--help"],
