@@ -325,6 +325,9 @@ def _cmd_bound(args):
                 if n_missing > len(first) else "")
         raise PreconditionError(f"--k misses indices {first}{more}")
     value = factor_count_bound(args.n, counts)
+    stray = next((i for i in counts if not 2 <= i <= args.n), None)
+    if stray is not None:
+        raise PreconditionError(f"--k index {stray} is outside 2..{args.n}")
     # each K(i) is within the digit limit, but their sum can carry past it
     try:
         str(value)

@@ -31,7 +31,7 @@ class _Frozen:
     """Base of every slotted value type: setting or deleting any attribute
     raises AttributeError.  The package writes a slot only through
     object.__setattr__(obj, "name", value), which bypasses the refusal:
-    in constructors, and where a pending MultiPoly builds its terms.
+    in constructors, and where a pending MultiPoly or TangentFrame fills in.
     Lives here because every module that defines a value imports this one.
     """
 

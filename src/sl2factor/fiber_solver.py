@@ -78,11 +78,14 @@ def _exact_interior(draws: list, level: tuple, even: bool, generic: bool):
     lin, rest = (r2, r1) if even == generic else (r1, r2)
     if _raw_is_zero(lin):
         return None
-    values = (*draws, _reduced(*_raw_div(_raw_sub(level, rest), lin)))
+    s = _reduced(*_raw_div(_raw_sub(level, rest), lin))
+    # R's row after the solved factors: on = rest + lin s, off = lin + on t
+    on = _raw_add(rest, _raw_mul(lin, s._pqd))
+    values = (*draws, s)
     if not generic:
-        values += (-_reduced(*_raw_div(lin, level)),)
-    q1, q2, _, _ = _middle(values, True)
-    on, off = (q1, q2) if even == generic else (q2, q1)
+        t = -_reduced(*_raw_div(lin, level))
+        values += (t,)
+        off = _raw_add(lin, _raw_mul(on, t._pqd))
     if not (_raw_eq(on, level) and (generic or _raw_is_zero(off))):
         raise VerificationError(_WRONG_LEVEL)
     return values
@@ -271,18 +274,16 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     exact = type(a) is ExactComplex
     if exact:
         b, c, d = b._pqd, c._pqd, d._pqd
-    r1, r2, _, _ = _middle(prefix, exact)
+    # appending L(z_{N-1}) leaves R's second column alone: Q4 = R4
+    r1, r2, _, q4 = _middle(prefix, exact)
     if not _on_level(r2, b, exact):
         raise PreconditionError("prefix is off the level set R2 = b")
     if exact:
         interior = (*prefix, -_reduced(*_raw_div(r1, b)))
-        q4 = _middle(interior, exact)[3]
         zn = _reduced(*_raw_div(
             _raw_sub(_raw_sub(d, q4), _raw_mul(b, z1._pqd)), c))
     else:
-        zn1 = -r1 / b
-        interior = (*prefix, zn1)
-        q4 = _middle_product(interior)[3]
+        interior = (*prefix, -r1 / b)
         zn = (d - q4 - b * z1) / c
     point = (z1, *interior, zn)
     _replay_phi(point, target)

@@ -8,9 +8,9 @@ e12*U(x) = e12).  Columns are stored in sl2 coordinates (e21, e12, d12):
 the element [[p, q], [r, -p]] has coordinates (r, q, p).
 
 Phi_N is submersive exactly where some interior coordinate is nonzero; the
-rank computations here make that a checkable statement, exactly over the
-Gaussian rationals, or numerically from singular values computed by a
-one-sided Jacobi sweep in pure Python.
+rank computations here make that a checkable statement, exactly by a
+fraction-free elimination on Gaussian-integer numerators, or numerically
+from singular values computed by a one-sided Jacobi sweep in pure Python.
 
 Vector fields V = P_l d/dz_k - P_k d/dz_l (P_j the partial of P) are
 tangent to every level set of P, which makes P a conserved quantity of
@@ -43,6 +43,7 @@ from .word_core import (
     LOWER,
     PhiTemplate,
     _exact_partials,
+    _one_zero_like,
     expand_phi,
     in_singular_set,
     middle_Q,
@@ -69,13 +70,25 @@ MAX_FLOW_STEPS = 100_000
 
 
 class TangentFrame(_Record):
-    """N tangent columns of Phi_N in the (e21, e12, d12) basis."""
+    """N tangent columns of Phi_N in the (e21, e12, d12) basis.  An exact
+    frame from sl2_jacobian keeps them unreduced (_exact_columns) until
+    the first read of `columns`."""
 
-    __slots__ = _fields = ("columns", "exact")
+    __slots__ = ("_columns", "exact", "_numerators")
+    _fields = ("columns", "exact")
 
     def __init__(self, columns: tuple, exact: bool):
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_numerators", None)
+
+    @property
+    def columns(self) -> tuple:
+        if self._columns is None:
+            object.__setattr__(self, "_columns", tuple(
+                (_reduced(*u, den), _reduced(*v, den), _reduced(*w, den))
+                for den, u, v, w in self._numerators))
+        return self._columns
 
 
 def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
@@ -86,15 +99,16 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
     """
     if len(point) != t.n:
         raise PreconditionError(f"expected {t.n} coordinates")
-    vals = unify_scalars([1, 0, *point])
-    kind = type(vals[0])
-    approx = kind is not ExactComplex and not is_poly(vals[0])
+    vals = unify_scalars(point)
+    sides = [t.side_of(j) for j in range(1, t.n + 1)]
+    if type(vals[0]) is ExactComplex:
+        frame = TangentFrame(None, True)
+        object.__setattr__(frame, "_numerators", _exact_columns(sides, vals))
+        return frame
+    approx = not is_poly(vals[0])
     if approx:
         vals = require_all_finite(vals)
-    one, zero, *vals = vals
-    sides = [t.side_of(j) for j in range(1, t.n + 1)]
-    if kind is ExactComplex:
-        return TangentFrame(_exact_columns(sides, vals), True)
+    one, zero = _one_zero_like(vals[0])
     # A_1 is the identity, A_{j+1} the j-th partial product; the last
     # partial (the whole word) is never needed, so zip stops before it
     prefixes = chain([(one, zero, zero, one)], word_partials(sides, vals))
@@ -115,14 +129,13 @@ def sl2_jacobian(t: PhiTemplate, point: Sequence) -> TangentFrame:
 
 
 def _exact_columns(sides: Sequence[str], vals: Sequence) -> tuple:
-    """sl2_jacobian's columns at an exact point: the same Ad formulas on
-    the prefix numerators of _exact_partials, the squares over D^2, with
-    one reduction per entry."""
+    """sl2_jacobian's columns at an exact point, unreduced: the same Ad
+    formulas on the prefix numerators of _exact_partials, each column as
+    (D^2, u, v, w), u, v and w its entries' numerators (re, im) over D^2."""
     prefixes = chain([(1, 0, 0, 0, 0, 0, 1, 0, 1)],
                      _exact_partials(sides, vals))
     cols = []
     for side, (ar, ai, br, bi, cr, ci, dr, di, den) in zip(sides, prefixes):
-        den2 = den * den
         if side == LOWER:
             # (d^2, -b^2, bd)
             u = (dr * dr - di * di, 2 * dr * di)
@@ -133,8 +146,7 @@ def _exact_columns(sides: Sequence[str], vals: Sequence) -> tuple:
             u = (ci * ci - cr * cr, -2 * cr * ci)
             v = (ar * ar - ai * ai, 2 * ar * ai)
             w = (ai * ci - ar * cr, -(ar * ci + ai * cr))
-        cols.append((_reduced(*u, den2), _reduced(*v, den2),
-                     _reduced(*w, den2)))
+        cols.append((den * den, u, v, w))
     return tuple(cols)
 
 
@@ -146,31 +158,35 @@ def frame_minor_det(f: TangentFrame, js: tuple[int, int, int]):
             + c[2][0] * (c[0][1] * c[1][2] - c[0][2] * c[1][1]))
 
 
-def _exact_rank(rows: list[list[ExactComplex]]) -> int:
-    # Gaussian elimination over the Gaussian rationals
-    rows = [list(r) for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if not rows[r][col].is_zero:
-                pivot = r
+def _column_numerators(col: Sequence) -> tuple:
+    """A hand-built exact column as (den, u, v, w), den the lcm."""
+    pqds = [ExactComplex.coerce(x)._pqd for x in col]
+    den = math.lcm(*[d for _, _, d in pqds])
+    return (den, *[(p * (den // d), q * (den // d)) for p, q, d in pqds])
+
+
+def _numerator_rank(columns) -> int:
+    """Rank of numerator columns (den, u, v, w) by fraction-free
+    elimination: a pivot p in row k turns each row r with x != 0 in the
+    pivot column into p row_r - x row_k, no division and no gcd, applied
+    to each column as it is reached, so it stops once the rank is 3."""
+    steps, free = [], [0, 1, 2]  # free: the rows without a pivot
+    for _, *col in columns:
+        for k, (pr, pi), xs in steps:
+            br, bi = col[k]
+            for r, (xr, xi) in xs:
+                ar, ai = col[r]
+                col[r] = (pr * ar - pi * ai - xr * br + xi * bi,
+                          pr * ai + pi * ar - xr * bi - xi * br)
+        for k in free:
+            if col[k] != (0, 0):
+                free.remove(k)
+                if not free:
+                    return 3
+                steps.append((k, col[k], [(r, col[r]) for r in free
+                                          if col[r] != (0, 0)]))
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            if rows[r][col].is_zero:
-                continue
-            factor = rows[r][col] / pv
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return 3 - len(free)
 
 
 def _norm(row: list[complex]) -> float:
@@ -234,12 +250,12 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
 
 
 def frame_rank(f: TangentFrame) -> int:
-    """Rank of the frame: exact elimination, or the number of singular
-    values above APPROX_RANK_TOL times the largest."""
+    """Rank of the frame: _numerator_rank (a column scaled by its
+    denominator keeps the rank), or the number of singular values above
+    APPROX_RANK_TOL times the largest."""
     if f.exact:
-        rows = [[ExactComplex.coerce(col[i]) for col in f.columns]
-                for i in range(3)]
-        return _exact_rank(rows)
+        return _numerator_rank(f._numerators
+                               or map(_column_numerators, f.columns))
     if is_poly(f.columns[0][0]):
         raise PreconditionError("rank needs a numeric point")
     n = len(f.columns)

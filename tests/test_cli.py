@@ -270,6 +270,17 @@ def test_bound_refuses_a_repeated_index(capsys):
     assert code == 2 and rep["error"]["message"] == "--k repeats index 2"
 
 
+@pytest.mark.parametrize("k,stray", [
+    ("2=1,3=1,9=-5", 9), ("2=1,3=1,4=0", 4), ("1=0,2=1,3=1", 1),
+    ("2=1,3=1,-4=2", -4)])
+def test_bound_refuses_an_index_outside_2_to_n(capsys, k, stray):
+    # K(i) is read for i = 2..n only; others used to be echoed back
+    code, rep = run(capsys, "bound", "--n", "3", "--k", k)
+    assert code == 2
+    assert rep["error"] == {"code": "precondition",
+                            "message": f"--k index {stray} is outside 2..3"}
+
+
 def test_bound_huge_n_refused_at_once(capsys):
     t0 = perf_counter()
     code = main(["bound", "--n", "100000000", "--k", "2=1"])

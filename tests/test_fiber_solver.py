@@ -227,18 +227,28 @@ def test_exact_odd_nongeneric_refuses_q2_one_unit_off_zero(unit):
 def test_exact_interior_sample_checks_its_solved_level(monkeypatch, n,
                                                        stratum, moved):
     # one solved coordinate (t, or s then t on a non-generic stratum)
-    # moved by one unit must fail the level check, the zero level included
+    # moved by one unit must fail the level check, the zero level included,
+    # whether its reduction or the solve itself moves it
     from sl2factor import fiber_solver
-    reduced, solved = fiber_solver._reduced, []
+    reduced, divide, solved = fiber_solver._reduced, fiber_solver._raw_div, []
 
     def moving(p, q, d):
         solved.append(None)
         return reduced(p + (len(solved) == moved + 1), q, d)
 
-    monkeypatch.setattr(fiber_solver, "_reduced", moving)
-    with pytest.raises(VerificationError,
-                       match="interior solve produced wrong level"):
-        interior_sample(n, BIG_A, stratum, seed=5)
+    def solving(x, y):
+        p, q, d = divide(x, y)
+        solved.append(None)
+        return p + d * (len(solved) == moved + 1), q, d
+
+    for name, patch in (("_reduced", moving), ("_raw_div", solving)):
+        solved.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(fiber_solver, name, patch)
+            with pytest.raises(VerificationError,
+                               match="interior solve produced wrong level"):
+                interior_sample(n, BIG_A, stratum, seed=5)
+        assert len(solved) > moved
 
 
 # the returned values of each branch: t (and s) in the interior, then z_1

@@ -5,6 +5,7 @@
 import cmath
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -41,6 +42,57 @@ def test_rank_three_off_singular_set():
     frame = sl2_jacobian(PhiTemplate(4), [ExactComplex(v)
                                           for v in (1, 1, 1, 1)])
     assert frame_rank(frame) == 3
+
+
+# a 10-digit point off S_6, and one on it
+BIG_POINTS = [
+    [ExactComplex(12345678901, 7), ExactComplex(3, 11) + ExactComplex(0, 2),
+     ExactComplex(-2718281828, 3141592653), ExactComplex(0, 9876543211),
+     ExactComplex(5, 1234567891), ExactComplex(-1, 3)],
+    [ExactComplex(12345678901, 7)] + [ExactComplex(0)] * 4
+    + [ExactComplex(-2718281828, 3141592653) + ExactComplex(0, 1)],
+]
+
+
+def _count_reductions(monkeypatch) -> list:
+    from sl2factor import scalars, word_core
+    calls = []
+
+    def counting(p, q, d, reduced=scalars._reduced):
+        calls.append((p, q, d))
+        return reduced(p, q, d)
+
+    for module in (scalars, word_core, submersion_spray):
+        monkeypatch.setattr(module, "_reduced", counting)
+    return calls
+
+
+@pytest.mark.parametrize("point,rank", zip(BIG_POINTS, (3, 2)),
+                         ids=["off", "on"])
+def test_exact_frame_reduces_only_when_its_columns_are_read(
+        monkeypatch, point, rank):
+    calls = _count_reductions(monkeypatch)
+    frame = sl2_jacobian(PhiTemplate(6), point)
+    assert frame_rank(frame) == rank and frame.exact
+    assert calls == []
+    columns = frame.columns
+    assert len(calls) == 3 * 6
+    assert frame.columns is columns and len(calls) == 3 * 6
+    assert frame_rank(frame) == rank and len(calls) == 3 * 6
+
+
+@pytest.mark.parametrize("point", BIG_POINTS, ids=["off", "on"])
+def test_lazy_exact_frame_keeps_the_record_contract(point):
+    lazy = sl2_jacobian(PhiTemplate(6), point)
+    built = TangentFrame(sl2_jacobian(PhiTemplate(6), point).columns, True)
+    assert repr(lazy) == repr(built)
+    assert lazy == built and built == lazy and hash(lazy) == hash(built)
+    for frame in (sl2_jacobian(PhiTemplate(6), point), built):
+        copied = pickle.loads(pickle.dumps(frame))
+        assert copied == lazy and hash(copied) == hash(lazy)
+        assert copied.columns == built.columns and copied.exact
+    with pytest.raises(AttributeError, match="immutable"):
+        lazy.columns = built.columns
 
 
 def test_symbolic_minor_det():

@@ -1,9 +1,10 @@
 ##
-## The exact determinant check, the exact replay and the exact fiber
-## solves decide against sympy's Gaussian rationals, an oracle that shares
-## no code with the library: near-misses one unit of a 10-digit
-## denominator away from the truth must be refused, the truth accepted,
-## and every solved fiber point must satisfy the fiber equations
+## The exact determinant check, the exact replay, the exact fiber solves
+## and the exact frame rank decide against sympy's Gaussian rationals, an
+## oracle that shares no code with the library: near-misses one unit of a
+## 10-digit denominator away from the truth must be refused, the truth
+## accepted, every solved fiber point must satisfy the fiber equations,
+## and every rank must be sympy's
 ##
 
 from fractions import Fraction
@@ -18,7 +19,9 @@ from sl2factor.fiber_solver import (complete_generic_even,
                                     complete_nongeneric_even, complete_odd,
                                     interior_sample)
 from sl2factor.scalars import ExactComplex
-from sl2factor.word_core import LOWER, SL2, UPPER, Word, _sl2, replay
+from sl2factor.submersion_spray import TangentFrame, frame_rank, sl2_jacobian
+from sl2factor.word_core import (LOWER, SL2, UPPER, PhiTemplate, Word, _sl2,
+                                 replay)
 
 QQ, QQ_I = sympy.QQ, sympy.QQ_I
 I = QQ_I(0, 1)
@@ -173,3 +176,83 @@ def test_exact_fiber_points_satisfy_the_fiber_equations(branch, half, x, y,
         assert _sympy(fc.eq4_residual) == zero
     else:
         assert fc.eq4_residual is None
+
+
+def _oracle_rank(columns) -> int:
+    """sympy's rank of the 3 x N matrix with these QQ_I columns."""
+    matrix = sympy.Matrix([[QQ_I.to_sympy(col[i]) for col in columns]
+                           for i in range(3)])
+    return matrix.rank()
+
+
+@given(st.integers(4, 8), st.lists(gaussians, min_size=8, max_size=8),
+       st.sampled_from(["off", "on", "sparse"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_frame_rank_is_sympys(n, coords, where, data):
+    point = coords[:n]
+    if where == "on":  # S_N: every interior coordinate zero
+        point[1:-1] = [QQ_I.zero] * (n - 2)
+    elif where == "sparse":  # off S_N unless every interior one is zero
+        zeros = data.draw(st.sets(st.integers(0, n - 1)))
+        point = [QQ_I.zero if j in zeros else x for j, x in enumerate(point)]
+    # column j is A_j E_j A_j^-1 in (e21, e12, d12), A_j = M_1...M_{j-1}
+    one, zero = QQ_I.one, QQ_I.zero
+    (a, b), (c, d) = (one, zero), (zero, one)
+    columns = []
+    for j, x in enumerate(point):
+        if j % 2 == 0:  # lower factor
+            columns.append((d * d, -b * b, b * d))
+            (a, b), (c, d) = _times(((a, b), (c, d)), ((one, zero), (x, one)))
+        else:
+            columns.append((-c * c, a * a, -a * c))
+            (a, b), (c, d) = _times(((a, b), (c, d)), ((one, x), (zero, one)))
+    frame = sl2_jacobian(PhiTemplate(n), [_exact(x) for x in point])
+    rank = _oracle_rank(columns)
+    assert frame_rank(frame) == rank
+    assert rank == (2 if all(x == zero for x in point[1:-1]) else 3)
+    assert [tuple(map(_sympy, col)) for col in frame.columns] == columns
+
+
+@given(st.integers(0, 3), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_hand_built_exact_frame_rank_is_sympys(rank, n, data):
+    # columns drawn from the span of `rank` vectors: mixed denominators
+    # within a column and across columns
+    basis = data.draw(st.lists(st.lists(gaussians, min_size=3, max_size=3),
+                               min_size=rank, max_size=rank))
+    columns = []
+    for _ in range(n):
+        weights = data.draw(st.lists(st.one_of(st.just(QQ_I.zero), small),
+                                     min_size=rank, max_size=rank))
+        columns.append(tuple(sum((w * v[i] for w, v in zip(weights, basis)),
+                                 QQ_I.zero) for i in range(3)))
+    frame = TangentFrame(tuple(tuple(map(_exact, col)) for col in columns),
+                         True)
+    expected = _oracle_rank(columns)
+    assert frame_rank(frame) == expected <= min(rank, n)
+
+
+# ranks 0 to 3, each entry over its own denominator, ints and Fractions
+# among them (frame_rank coerces a hand-built frame's entries)
+F = Fraction
+HAND_BUILT = {
+    0: [(0, F(0), ExactComplex(0))] * 3,
+    1: [(F(1, 3), ExactComplex(F(2, 7)), ExactComplex(0, 5)),
+        (F(-1, 6), ExactComplex(F(-1, 7)), ExactComplex(0, F(-5, 2))),
+        (0, 0, 0)],
+    2: [(F(1, 3), 0, ExactComplex(F(1, 2))),
+        (0, ExactComplex(F(5, 9), 1), 0),
+        (F(2, 3), ExactComplex(F(5, 9), 1), 1)],
+    3: [(ExactComplex(F(10 ** 10 + 1, 7)), 0, 0),
+        (F(1, 11), ExactComplex(0, F(3, 13)), 0),
+        (1, F(2, 17), ExactComplex(F(-4, 19), 1))],
+}
+
+
+@pytest.mark.parametrize("rank", sorted(HAND_BUILT))
+def test_hand_built_frames_of_each_rank(rank):
+    columns = HAND_BUILT[rank]
+    frame = TangentFrame(tuple(columns), True)
+    oracle = [tuple(_sympy(ExactComplex.coerce(x)) for x in col)
+              for col in columns]
+    assert frame_rank(frame) == _oracle_rank(oracle) == rank

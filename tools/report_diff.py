@@ -97,6 +97,14 @@ COMMANDS = [
     ["jacobian", "--n", "4", "--point", "0.5,1,1,1", "--approx"],
     ["lemma-check", "--n", "4", "--samples", "200", "--seed", "1"],
     ["lemma-check", "--n", "7", "--samples", "100", "--seed", "2"],
+    # the exact frame and its rank on 10-digit points off S_6 (rank 3) and
+    # on it (rank 2), and the lemma check one past criterion 3's largest N
+    ["jacobian", "--n", "6", "--point",
+     "12345678901/7,3/11+2 i,-2718281828/3141592653,9876543211/13 i,"
+     "5/1234567891,-1/3+8765432101/3579111317 i"],
+    ["jacobian", "--n", "6", "--point",
+     "12345678901/7,0,0,0,0,-2718281828/3141592653+i"],
+    ["lemma-check", "--n", "8", "--samples", "100", "--seed", "3"],
     *(["fiber-solve", "--n", str(n), "--input", "{generic}"]
       for n in range(4, 9)),
     *(["fiber-solve", "--n", str(n), "--input", "{a_zero}", "--seed", "3"]
@@ -171,6 +179,8 @@ COMMANDS = [
     ["bound", "--n", "4", "--k", "2=1,4=2"],
     # a --k that names an index twice
     ["bound", "--n", "4", "--k", "2=1,3=2,4=2,4=3"],
+    # a --k index outside 2..n
+    ["bound", "--n", "3", "--k", "2=1,3=1,9=-5"],
     # usage text, and the errors argparse raises before a handler runs:
     # cli adds the arguments of the named subcommand only
     ["--help"],
