@@ -20,15 +20,16 @@ non-generic branch (b = 0, hence ad = 1) the interior satisfies Q1 = a and
 Q2 = 0 with z_1 free and z_N = a (c - Q3 - a z_1).
 
 Every completion is verified by multiplying the word back out
-(word_core.replay); exact inputs verify by literal equality.  Exact solves
-run on the middle product's Gaussian-integer numerators over one common
-denominator (word_core._exact_partials), kept as unreduced triples: each
-level and zero test is a cross-multiplication, and each coordinate or
-residual they return is reduced once.  Approximate
-level and pivot tests use the one tolerance rule of word_core.negligible:
-a middle-product entry is on its level when it is within APPROX_TOL
-max(1, |level|), and a pivot counts as zero below APPROX_TOL max(1,
-largest |entry| of the target).
+(word_core.replay); exact inputs verify by literal equality.  Each formula
+is written once, for every scalar kind; _working is the one place that
+tells the kinds apart.  An exact value enters the formulas as an
+unreduced _Raw triple (the middle product as word_core._exact_product
+gives it, over one common denominator), so no gcd runs until each
+coordinate or residual returned is reduced once.  Level and zero tests
+use the one rule of word_core.negligible: literal for exact values; for
+approximate ones a middle-product entry is on its level when it is
+within APPROX_TOL max(1, |level|), and a pivot counts as zero below
+APPROX_TOL max(1, largest |entry| of the target).
 """
 
 from __future__ import annotations
@@ -37,58 +38,36 @@ from collections.abc import Sequence
 
 from .errors import (PreconditionError, SamplingBudgetError,
                      VerificationError, _Record)
-from .scalars import ExactComplex, _reduced, unify_scalars
+from .scalars import ExactComplex, _Raw, _reduced, unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import (SL2, _exact_product, _raw_add, _raw_div, _raw_eq,
-                        _raw_is_zero, _raw_mul, _raw_sub, _word, negligible,
-                        replay, word_product)
+from .word_core import (SL2, _exact_product, _word, negligible, replay,
+                        word_product)
 
 MAX_SAMPLE_TRIES = 64
 _WRONG_LEVEL = "interior solve produced wrong level"
-_RAW_IDENTITY = (1, 0, 1), (0, 0, 1), (0, 0, 1), (1, 0, 1)
 
 
-def _middle_product(values: Sequence) -> tuple:
-    """Entries of M_2(v_1) M_3(v_2) ... (values of one kind), upper factor
-    first; the identity, in ints that combine with any kind, for none."""
-    if not values:
-        return 1, 0, 0, 1
-    return word_product("UL" * len(values), values)
+def _working(x) -> tuple:
+    """The solvers' one kind test: for values of x's kind, how a value
+    enters the formulas, how a result leaves them, and the product of a
+    word (see word_product) in the form the formulas run on.  Exact values
+    run as unreduced _Raw triples and leave through one _reduced each;
+    approximate ones run and leave as they are."""
+    if type(x) is ExactComplex:
+        return _exact_in, _exact_out, _exact_product
+    return _as_is, _as_is, word_product
 
 
-def _middle(values: Sequence, exact: bool) -> tuple:
-    """_middle_product, as raw triples (word_core) for exact values."""
-    if not exact:
-        return _middle_product(values)
-    return _exact_product("UL" * len(values), values) if values \
-        else _RAW_IDENTITY
+def _exact_in(x: ExactComplex) -> _Raw:
+    return _Raw(x._pqd)
 
 
-def _on_level(x, level, exact: bool) -> bool:
-    """Whether the entry x is on its level: equal as raw triples when
-    exact, else within negligible's tolerance at the level's scale."""
-    return _raw_eq(x, level) if exact else negligible(x - level, level)
+def _exact_out(x: _Raw) -> ExactComplex:
+    return _reduced(*x)
 
 
-def _exact_interior(draws: list, level: tuple, even: bool, generic: bool):
-    """interior_sample's solve and level check for exact draws, on raw
-    triples: the values, or None when the linear coefficient vanishes."""
-    r1, r2, _, _ = _middle(draws, True)
-    # the solved entry of R, and the rest of its level equation
-    lin, rest = (r2, r1) if even == generic else (r1, r2)
-    if _raw_is_zero(lin):
-        return None
-    s = _reduced(*_raw_div(_raw_sub(level, rest), lin))
-    # R's row after the solved factors: on = rest + lin s, off = lin + on t
-    on = _raw_add(rest, _raw_mul(lin, s._pqd))
-    values = (*draws, s)
-    if not generic:
-        t = -_reduced(*_raw_div(lin, level))
-        values += (t,)
-        off = _raw_add(lin, _raw_mul(on, t._pqd))
-    if not (_raw_eq(on, level) and (generic or _raw_is_zero(off))):
-        raise VerificationError(_WRONG_LEVEL)
-    return values
+def _as_is(x):
+    return x
 
 
 def pivot_is_zero(target: SL2, n: int) -> bool:
@@ -120,7 +99,8 @@ class InteriorPoint(_Record):
         object.__setattr__(self, "values", values)
 
     def q_entries(self):
-        return _middle_product(unify_scalars(self.values))
+        vals = unify_scalars(self.values)
+        return word_product("UL" * len(vals), vals)
 
 
 class FiberCompletion(_Record):
@@ -171,54 +151,29 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
         raise PreconditionError(
             "non-generic stratum needs a nonzero level (unimodularity)")
     n_draws = n - 3 if generic else n - 4
-    exact = type(level) is ExactComplex
+    enter, leave, product = _working(level)
+    lev = enter(level)
     for _ in range(MAX_SAMPLE_TRIES):
         draws = [random_exact(rng) for _ in range(n_draws)]
-        if exact:
-            values = _exact_interior(draws, level._pqd, even, generic)
-            if values is None:
-                continue
-            return InteriorPoint(n, stratum, level, values)
         # exact draws, in the level's kind
         *draws, _ = unify_scalars([*draws, level])
-        if generic:
-            r1, r2, _, _ = _middle_product(draws)
-            if even:
-                # append L(t): Q1 = R1 + t R2
-                if not r2:
-                    continue
-                t = (level - r1) / r2
-            else:
-                # append U(t): Q2 = R1 t + R2
-                if not r1:
-                    continue
-                t = (level - r2) / r1
-            values = tuple(draws) + (t,)
-        else:
-            rp1, rp2, _, _ = _middle_product(draws)
-            if even:
-                # solve z_{N-2} (upper): R2 = R'1 s + R'2 = level
-                if not rp1:
-                    continue
-                s = (level - rp2) / rp1
-                t = -rp1 / level  # then Q1 = R1 + t level = 0
-            else:
-                # solve z_{N-2} (lower): R1 = R'1 + s R'2 = level
-                if not rp2:
-                    continue
-                s = (level - rp1) / rp2
-                t = -rp2 / level  # then Q2 = level t + R2 = 0
-            values = tuple(draws) + (s, t)
-        q1, q2, _, _ = _middle_product(values)
-        # the zero level of a non-generic stratum is checked at the scale
-        # of its nonzero one
-        if generic:
-            target_ok = negligible((q1 if even else q2) - level, level)
-        elif even:
-            target_ok = negligible(q1, level) and negligible(q2 - level, level)
-        else:
-            target_ok = negligible(q1 - level, level) and negligible(q2, level)
-        if not target_ok:
+        r1, r2, _, _ = product("UL" * n_draws, draws)
+        # the solved entry of R = M_2 ..., and the rest of its level equation
+        lin, rest = (r2, r1) if even == generic else (r1, r2)
+        if not lin:
+            continue
+        s = leave((lev - rest) / lin)
+        # R's row after the solved factors: on = rest + lin s, off = lin + on t
+        on = rest + lin * enter(s)
+        values = (*draws, s)
+        if not generic:
+            t = leave(-lin / lev)
+            values += (t,)
+            off = lin + on * enter(t)
+        # a non-generic stratum's zero level is checked at its nonzero one's
+        # scale
+        if not (negligible(on - lev, lev)
+                and (generic or negligible(off, lev))):
             raise VerificationError(_WRONG_LEVEL)
         return InteriorPoint(n, stratum, level, values)
     raise SamplingBudgetError(
@@ -234,25 +189,16 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     a, b, c, d, *values = unify_scalars([*target.entries, *interior.values])
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
-    exact = type(a) is ExactComplex
-    if exact:
-        a, b, c, d = a._pqd, b._pqd, c._pqd, d._pqd
-    q1, q2, q3, q4 = _middle(values, exact)
-    if not _on_level(q1, a, exact):
+    enter, leave, product = _working(a)
+    a, b, c, d = map(enter, (a, b, c, d))
+    q1, q2, q3, q4 = product("UL" * len(values), values)
+    if not negligible(q1 - a, a):
         raise PreconditionError("interior is off the level set Q1 = a")
-    if exact:
-        z1 = _reduced(*_raw_div(_raw_sub(c, q3), a))
-        zn = _reduced(*_raw_div(_raw_sub(b, q2), a))
-        x1, xn = z1._pqd, zn._pqd
-        sum4 = _raw_add(_raw_add(q4, _raw_mul(q2, x1)),
-                        _raw_add(_raw_mul(q3, xn),
-                                 _raw_mul(_raw_mul(q1, x1), xn)))
-        eq4 = _reduced(*_raw_mul(a, _raw_sub(sum4, d)))
-    else:
-        z1 = (c - q3) / a
-        zn = (b - q2) / a
-        # the d-equation comes for free; its cleared residual must vanish
-        eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
+    z1 = leave((c - q3) / a)
+    zn = leave((b - q2) / a)
+    x1, xn = enter(z1), enter(zn)
+    # the d-equation comes for free; its cleared residual must vanish
+    eq4 = leave(a * (q4 + q2 * x1 + q3 * xn + q1 * x1 * xn - d))
     point = (z1, *values, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
@@ -271,20 +217,14 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
         raise PreconditionError("non-generic branch needs a = 0")
     if not b:
         raise PreconditionError("a = 0 forces b != 0")
-    exact = type(a) is ExactComplex
-    if exact:
-        b, c, d = b._pqd, c._pqd, d._pqd
+    enter, leave, product = _working(a)
+    b, c, d = map(enter, (b, c, d))
     # appending L(z_{N-1}) leaves R's second column alone: Q4 = R4
-    r1, r2, _, q4 = _middle(prefix, exact)
-    if not _on_level(r2, b, exact):
+    r1, r2, _, q4 = product("UL" * len(prefix), prefix)
+    if not negligible(r2 - b, b):
         raise PreconditionError("prefix is off the level set R2 = b")
-    if exact:
-        interior = (*prefix, -_reduced(*_raw_div(r1, b)))
-        zn = _reduced(*_raw_div(
-            _raw_sub(_raw_sub(d, q4), _raw_mul(b, z1._pqd)), c))
-    else:
-        interior = (*prefix, -r1 / b)
-        zn = (d - q4 - b * z1) / c
+    interior = (*prefix, leave(-r1 / b))
+    zn = leave((d - q4 - b * enter(z1)) / c)
     point = (z1, *interior, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "nongeneric", point, target, True, z1_free=z1)
@@ -300,37 +240,24 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     # one scalar kind for all: a float free z1 makes an exact target float
     a, b, c, d, z1, *values = unify_scalars([*target.entries, z1,
                                              *interior.values])
-    exact = type(a) is ExactComplex
-    if exact:
-        a, b, c, d = a._pqd, b._pqd, c._pqd, d._pqd
-    q1, q2, q3, q4 = _middle(values, exact)
+    enter, leave, product = _working(a)
+    a, b, c, d = map(enter, (a, b, c, d))
+    q1, q2, q3, q4 = product("UL" * len(values), values)
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
-        if not _on_level(q2, b, exact):
+        if not negligible(q2 - b, b):
             raise PreconditionError("interior is off the level set Q2 = b")
-        if exact:
-            z1s = _reduced(*_raw_div(_raw_sub(d, q4), b))
-            zn = _reduced(*_raw_div(_raw_sub(a, q1), b))
-        else:
-            z1s = (d - q4) / b
-            zn = (a - q1) / b
-        point = (z1s, *values, zn)
+        point = (leave((d - q4) / b), *values, leave((a - q1) / b))
         _replay_phi(point, target)
         return FiberCompletion(n, "generic", point, target, True)
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
-        if not (_on_level(q1, a, exact) and (
-                _raw_is_zero(q2) if exact else negligible(q2, a))):
+        if not (negligible(q1 - a, a) and negligible(q2, a)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
-        if exact:
-            zn = _reduced(*_raw_mul(a, _raw_sub(_raw_sub(c, q3),
-                                                _raw_mul(a, z1._pqd))))
-        else:
-            zn = a * (c - q3 - a * z1)
-        point = (z1, *values, zn)
+        point = (z1, *values, leave(a * (c - q3 - a * enter(z1))))
         _replay_phi(point, target)
         return FiberCompletion(n, "nongeneric", point, target, True,
                                z1_free=z1)

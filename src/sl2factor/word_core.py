@@ -26,15 +26,16 @@ Every internal product applies the same elementary updates, each
 unimodular, so exact and polynomial products have det 1 by construction.
 word_partials runs them on complex, mpmath and polynomial entries;
 exact words run them on Gaussian-integer numerators over one common
-denominator (_exact_partials), with one reduction per entry kept.
+denominator (_exact_partials), and _exact_product hands the entries on as
+unreduced scalars._Raw triples, reduced once each where they are kept.
 Validation stays at the boundary: a user-built ElementaryFactor checks
 its entry's kind (words the library computes itself are built unchecked
 by _word, as matrices by _sl2), a user-built SL2 checks its determinant
-(exact entries on their Gaussian-integer numerators, polynomials by
+(exact entries as ad - bc == 1 on _Raw triples, polynomials by
 exact_algebra.poly_det_is_one, approximate entries within SL2_DET_ULPS
 units of rounding), eval_word checks only approximate products, where
 rounding drifts, and replay multiplies a returned word back out against
-its target, an exact one on numerators too.  The exact checks
+its target, an exact one on _Raw triples too.  The exact checks
 cross-multiply and reduce nothing.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
@@ -55,6 +56,7 @@ from .scalars import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
+    _Raw,
     _reduced,
     is_literal,
     is_poly,
@@ -78,6 +80,8 @@ DRIFT_CAP = 1e-6
 # rounds by a few units of |ad| + |bc|, while APPROX_TOL times that grows
 # past 1 from |ad| + |bc| = 1e10 on and let singular matrices through.
 SL2_DET_ULPS = 64
+# the identity as _exact_partials writes a product: 1, 0, 0, 1 over 1
+_EXACT_IDENTITY = 1, 0, 0, 0, 0, 0, 1, 0, 1
 
 
 def negligible(x, *sizes) -> bool:
@@ -144,14 +148,9 @@ def _check_det(vals, *sizes) -> None:
     against sizes."""
     a, b, c, d = vals
     if type(a) is ExactComplex:
-        # ad - bc = 1 on numerators: with ad = X/e and bc = Y/f, that is
-        # X f - Y e = e f, real and imaginary parts, with nothing reduced
-        (pa, qa, da), (pb, qb, db) = a._pqd, b._pqd
-        (pc, qc, dc), (pd, qd, dd) = c._pqd, d._pqd
-        e, f = da * dd, db * dc
-        unimodular = ((pa * pd - qa * qd) * f - (pb * pc - qb * qc) * e
-                      == e * f
-                      and (pa * qd + qa * pd) * f == (pb * qc + qb * pc) * e)
+        # on _Raw triples: cross-multiplied, with nothing reduced
+        unimodular = (_Raw(a._pqd) * d._pqd - _Raw(b._pqd) * c._pqd
+                      == (1, 0, 1))
     elif is_poly(a):
         from .exact_algebra import poly_det_is_one
         unimodular = poly_det_is_one(a, b, c, d)
@@ -299,7 +298,7 @@ def word_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
 
 
 def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
-    """Each partial product of a non-empty exact word, as Gaussian-integer
+    """Each partial product of an exact word, as Gaussian-integer
     numerators over one common denominator: (ar, ai, br, bi, cr, ci, dr,
     di, den) for the entries (ar + ai i)/den, ..., (dr + di i)/den.
 
@@ -308,14 +307,8 @@ def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
     E m)/(D m), and U(x) is its mirror image.  Nothing is reduced, so no
     gcd runs; callers reduce each entry they keep once (_reduced).
     """
-    p, q, m = vals[0]._pqd
-    if sides[0] == LOWER:
-        ar, ai, br, bi, cr, ci, dr, di = m, 0, 0, 0, p, q, m, 0
-    else:
-        ar, ai, br, bi, cr, ci, dr, di = m, 0, p, q, 0, 0, m, 0
-    den = m
-    yield ar, ai, br, bi, cr, ci, dr, di, den
-    for side, x in zip(sides[1:], vals[1:]):
+    ar, ai, br, bi, cr, ci, dr, di, den = _EXACT_IDENTITY
+    for side, x in zip(sides, vals):
         p, q, m = x._pqd
         if side == LOWER:
             ar, ai = ar * m + br * p - bi * q, ai * m + br * q + bi * p
@@ -330,60 +323,31 @@ def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
 
 
 def _exact_product(sides: Sequence[str], vals: Sequence) -> tuple:
-    """The entries of a non-empty exact word's product as raw triples
-    (p, q, den), one per entry, over the common denominator of
-    _exact_partials."""
+    """The entries of an exact word's product as _Raw triples over the
+    common denominator of _exact_partials, with nothing reduced; the
+    identity's for an empty word."""
+    last = _EXACT_IDENTITY
     for last in _exact_partials(sides, vals):
         pass
     ar, ai, br, bi, cr, ci, dr, di, den = last
-    return (ar, ai, den), (br, bi, den), (cr, ci, den), (dr, di, den)
-
-
-# Raw triples (p, q, d) stand for (p + q i)/d with d > 0 and no gcd taken.
-# Exact solves combine them with these and reduce (_reduced) only the
-# values they return; a raw triple equals a value when the cross products
-# agree, as replay compares a product with its target.
-
-def _raw_add(x: tuple, y: tuple) -> tuple:
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    return p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
-
-
-def _raw_sub(x: tuple, y: tuple) -> tuple:
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    return p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
-
-
-def _raw_mul(x: tuple, y: tuple) -> tuple:
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    return p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
-
-
-def _raw_div(x: tuple, y: tuple) -> tuple:
-    """x / y, as ExactComplex.__truediv__ computes it before its gcd."""
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    n2 = p2 * p2 + q2 * q2
-    if not n2:
-        raise ZeroDivisionError("division by exact zero")
-    return (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n2
-
-
-def _raw_eq(x: tuple, y: tuple) -> bool:
-    (p1, q1, d1), (p2, q2, d2) = x, y
-    return p1 * d2 == p2 * d1 and q1 * d2 == q2 * d1
-
-
-def _raw_is_zero(x: tuple) -> bool:
-    return not x[0] and not x[1]
+    return (_Raw((ar, ai, den)), _Raw((br, bi, den)), _Raw((cr, ci, den)),
+            _Raw((dr, di, den)))
 
 
 def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     """Entries (a, b, c, d) of the whole product; see word_partials.  An
-    exact word is multiplied on numerators (_exact_product) and each
-    entry reduced once."""
+    exact word is multiplied on numerators (_exact_partials) and each
+    entry reduced once; an empty word gives the identity in ints, which
+    combine with any kind."""
+    if not vals:
+        return 1, 0, 0, 1
     if type(vals[0]) is ExactComplex:
-        a, b, c, d = _exact_product(sides, vals)
-        return _reduced(*a), _reduced(*b), _reduced(*c), _reduced(*d)
+        # the last partial itself: no _Raw is built only to be reduced
+        for last in _exact_partials(sides, vals):
+            pass
+        ar, ai, br, bi, cr, ci, dr, di, den = last
+        return (_reduced(ar, ai, den), _reduced(br, bi, den),
+                _reduced(cr, ci, den), _reduced(dr, di, den))
     for entries in word_partials(sides, vals):
         pass
     return entries
@@ -411,9 +375,8 @@ def replay(word: Word, target: SL2):
     """Multiply a returned word back out and check it against its target.
 
     Exact and polynomial products must equal the target literally (residual
-    0); an exact word against an exact target is compared on numerators,
-    each product entry (x_re + x_im i)/den against the target's (p + q i)/d
-    as x_re d == p den and x_im d == q den, with no entry reduced.
+    0); an exact word against an exact target is compared as _Raw triples
+    (_exact_product), cross-multiplied, with no entry reduced.
     Otherwise the residual, the largest entrywise distance, must be
     negligible relative to the largest |entry| of the target.  Returns the
     residual; a miss raises VerificationError.
@@ -426,8 +389,8 @@ def replay(word: Word, target: SL2):
     sides = [f.side for f in word.factors]
     vals = unify_scalars([f.entry for f in word])
     if vals and type(vals[0]) is type(target.a) is ExactComplex:
-        if all(map(_raw_eq, _exact_product(sides, vals),
-                   (x._pqd for x in target.entries))):
+        a, b, c, d = target.entries
+        if _exact_product(sides, vals) == (a._pqd, b._pqd, c._pqd, d._pqd):
             return 0
         raise VerificationError("replayed word does not reproduce its target")
     prod = _sl2(*word_product(sides, vals)) if vals else SL2.identity()

@@ -230,7 +230,8 @@ def test_exact_interior_sample_checks_its_solved_level(monkeypatch, n,
     # moved by one unit must fail the level check, the zero level included,
     # whether its reduction or the solve itself moves it
     from sl2factor import fiber_solver
-    reduced, divide, solved = fiber_solver._reduced, fiber_solver._raw_div, []
+    from sl2factor.scalars import _Raw
+    reduced, divide, solved = fiber_solver._reduced, _Raw.__truediv__, []
 
     def moving(p, q, d):
         solved.append(None)
@@ -239,12 +240,13 @@ def test_exact_interior_sample_checks_its_solved_level(monkeypatch, n,
     def solving(x, y):
         p, q, d = divide(x, y)
         solved.append(None)
-        return p + d * (len(solved) == moved + 1), q, d
+        return _Raw((p + d * (len(solved) == moved + 1), q, d))
 
-    for name, patch in (("_reduced", moving), ("_raw_div", solving)):
+    for owner, name, patch in ((fiber_solver, "_reduced", moving),
+                               (_Raw, "__truediv__", solving)):
         solved.clear()
         with monkeypatch.context() as patched:
-            patched.setattr(fiber_solver, name, patch)
+            patched.setattr(owner, name, patch)
             with pytest.raises(VerificationError,
                                match="interior solve produced wrong level"):
                 interior_sample(n, BIG_A, stratum, seed=5)

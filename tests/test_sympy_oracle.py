@@ -18,7 +18,7 @@ from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.fiber_solver import (complete_generic_even,
                                     complete_nongeneric_even, complete_odd,
                                     interior_sample)
-from sl2factor.scalars import ExactComplex
+from sl2factor.scalars import ExactComplex, _Raw, _reduced
 from sl2factor.submersion_spray import TangentFrame, frame_rank, sl2_jacobian
 from sl2factor.word_core import (LOWER, SL2, UPPER, PhiTemplate, Word, _sl2,
                                  replay)
@@ -256,3 +256,65 @@ def test_hand_built_frames_of_each_rank(rank):
     oracle = [tuple(_sympy(ExactComplex.coerce(x)) for x in col)
               for col in columns]
     assert frame_rank(frame) == _oracle_rank(oracle) == rank
+
+
+# the four field operations on the two exact forms: ExactComplex, whose
+# result must be the canonical triple of sympy's value, and the unreduced
+# _Raw, scaled by a random factor so that no triple it sees is canonical
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@given(st.sampled_from(sorted(OPS)), gaussians, gaussians)
+@settings(max_examples=300, deadline=None)
+def test_exact_complex_arithmetic_is_sympys(op, x, y):
+    assume(op != "/" or y)
+    got = OPS[op](_exact(x), _exact(y))
+    assert got._pqd == _canonical(OPS[op](x, y))
+
+
+def _raw(x, scale):
+    p, q, d = _canonical(x)
+    return _Raw((p * scale, q * scale, d * scale))
+
+
+scales = st.integers(1, BIG)
+
+
+@given(st.sampled_from(sorted(OPS)), gaussians, gaussians, scales, scales)
+@settings(max_examples=300, deadline=None)
+def test_raw_arithmetic_is_sympys(op, x, y, k, m):
+    rx, ry = _raw(x, k), _raw(y, m)
+    assert type(-rx) is _Raw and _reduced(*-rx)._pqd == _canonical(-x)
+    if op == "/" and not y:
+        with pytest.raises(ZeroDivisionError):
+            rx / ry
+        return
+    got = OPS[op](rx, ry)
+    assert type(got) is _Raw and got[2] > 0
+    assert _reduced(*got)._pqd == _canonical(OPS[op](x, y))
+    # a plain triple, as an ExactComplex's _pqd, serves as right operand
+    assert OPS[op](rx, _exact(y)._pqd) == got
+
+
+@given(gaussians, gaussians, scales, scales, st.sampled_from([0, 1, -1]),
+       st.sampled_from(["re", "im", "den"]))
+@settings(max_examples=300, deadline=None)
+def test_raw_equality_and_truth_are_sympys(x, y, k, m, step, part):
+    rx = _raw(x, k)
+    # the same value under another scale, and a value one unit away
+    p, q, d = _canonical(x)
+    if part == "re":
+        p += step
+    elif part == "im":
+        q += step
+    else:
+        d = d + step or 2
+    moved = QQ_I(QQ(p, d), QQ(q, d))
+    assert (rx == _raw(moved, m)) is (moved == x)
+    assert (rx != _raw(moved, m)) is (moved != x)
+    assert (rx == _raw(y, m)) is (x == y)
+    assert rx == _exact(x)._pqd and _exact(x)._pqd == rx
+    assert bool(rx) is bool(x)
+    assert bool(_raw(QQ_I.zero, k)) is False
