@@ -49,14 +49,18 @@ class _Record(_Frozen):
     dataclasses, which a cold CLI call would pay for.
 
     A subclass names its slots in __slots__ and its fields, in signature
-    order, in _fields; its __init__ checks the arguments and writes each
-    field as _Frozen says.  The fields make equality (within one class
-    only), the hash, the repr Name(field=value, ...) and the pickle, which
-    rebuilds the record through __init__, so copy and pickle work.
+    order, in _fields; its __init__ checks the arguments and writes the
+    fields as _Frozen says (_set).  The fields make equality (within one
+    class only), the hash, the repr Name(field=value, ...) and the pickle,
+    which rebuilds the record through __init__, so copy and pickle work.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -297,11 +297,7 @@ class Certificate(_Record):
         if verdict != (required_degree not in achieved):
             raise VerificationError(
                 "certificate verdict contradicts its own degree lists")
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "required_degree", required_degree)
-        object.__setattr__(self, "achieved", achieved)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "evidence", evidence)
+        self._set(claim, required_degree, achieved, verdict, evidence)
 
     def to_json(self) -> dict:
         return {

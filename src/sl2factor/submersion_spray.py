@@ -401,9 +401,7 @@ class FlowResult(_Record):
     __slots__ = _fields = ("end", "p_start", "p_end")
 
     def __init__(self, end: tuple, p_start: complex, p_end: complex):
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "p_start", p_start)
-        object.__setattr__(self, "p_end", p_end)
+        self._set(end, p_start, p_end)
 
     @property
     def drift(self) -> complex:

@@ -105,8 +105,7 @@ class ElementaryFactor(_Record):
         if side not in (LOWER, UPPER):
             raise PreconditionError(f"side must be 'L' or 'U', got {side!r}")
         require_scalar(entry)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "entry", entry)
+        self._set(side, entry)
 
 
 class Word(_Record):
