@@ -158,7 +158,7 @@ def _cmd_fiber_solve(args):
     _refuse_above(f"--n {args.n}", args.n, MAX_FIBER_N)
     target = sl2_from_json(_load_input(args, "target"))
     n = args.n
-    z1 = _parse_scalar(args.z1, args.approx) if args.z1 is not None else 0
+    z1 = None if args.z1 is None else _parse_scalar(args.z1, args.approx)
     a, b = target.a, target.b
     if n % 2 == 0:
         if not pivot_is_zero(target, n):
@@ -378,7 +378,8 @@ SUBCOMMANDS = {
         "--n": dict(type=int, required=True,
                     help=f"word length, 4 to {MAX_FIBER_N}"),
         "--seed": dict(type=int, default=0),
-        "--z1": dict(help="free boundary coordinate (non-generic)"),
+        "--z1": dict(help="free boundary coordinate (non-generic; "
+                     "default: the one that makes z_N = 0)"),
         "--approx": dict(action="store_true", help="allow a float --z1"),
         "--input": dict(required=True, help="JSON target file"),
     }, ()),

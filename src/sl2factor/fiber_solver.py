@@ -88,15 +88,13 @@ def _replay_phi(point: tuple, target: SL2) -> None:
 
 
 class InteriorPoint(_Record):
-    """Values of z_2..z_{N-1} lying exactly on a Q-level set."""
+    """Values of z_2..z_{N-1} lying exactly on a Q-level set; stratum is
+    "Q1" or "Q2"."""
 
     __slots__ = _fields = ("n", "stratum", "level", "values")
 
     def __init__(self, n: int, stratum: str, level: object, values: tuple):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "stratum", stratum)  # "Q1" or "Q2"
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "values", values)
+        self._set(n, stratum, level, values)
 
     def q_entries(self):
         vals = unify_scalars(self.values)
@@ -112,13 +110,7 @@ class FiberCompletion(_Record):
     def __init__(self, n: int, branch: str, point: tuple, target: SL2,
                  verified: bool, eq4_residual: object = None,
                  z1_free: object = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "eq4_residual", eq4_residual)
-        object.__setattr__(self, "z1_free", z1_free)
+        self._set(n, branch, point, target, verified, eq4_residual, z1_free)
 
     @property
     def interior(self) -> tuple:
@@ -204,15 +196,18 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
 
 
-def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
+def complete_nongeneric_even(target: SL2, z1=None, prefix: Sequence = ()
                              ) -> FiberCompletion:
     """Non-generic branch (a = 0): z_{N-1} = -R1/b, z_1 free,
-    z_N = (d - Q4 - b z_1)/c."""
+    z_N = (d - Q4 - b z_1)/c.  z1=None (centred) takes z_1 = (d - Q4)/b,
+    so that z_N = 0 and no coordinate grows like a product of entries."""
     n = len(prefix) + 3
     if n % 2 != 0 or n < 4:
         raise PreconditionError("prefix must cover z_2..z_{N-2}, N even")
     # one scalar kind for all: a float free z1 makes an exact target float
-    a, b, c, d, z1, *prefix = unify_scalars([*target.entries, z1, *prefix])
+    centred = z1 is None
+    a, b, c, d, z1, *prefix = unify_scalars([*target.entries,
+                                             0 if centred else z1, *prefix])
     if not pivot_is_zero(target, n):
         raise PreconditionError("non-generic branch needs a = 0")
     if not b:
@@ -223,6 +218,8 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
     r1, r2, _, q4 = product("UL" * len(prefix), prefix)
     if not negligible(r2 - b, b):
         raise PreconditionError("prefix is off the level set R2 = b")
+    if centred:
+        z1 = leave((d - q4) / b)
     interior = (*prefix, leave(-r1 / b))
     zn = leave((d - q4 - b * enter(z1)) / c)
     point = (z1, *interior, zn)
@@ -231,14 +228,17 @@ def complete_nongeneric_even(target: SL2, z1, prefix: Sequence
 
 
 def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
-                 z1=0) -> FiberCompletion:
+                 z1=None) -> FiberCompletion:
     """Odd-length analogs: graph over {Q2 = b} when b != 0, else z_1 free
-    on the {Q1 = a, Q2 = 0} interior."""
+    on the {Q1 = a, Q2 = 0} interior, z_N = a (c - Q3 - a z_1); there
+    z1=None (centred) takes z_1 = (c - Q3)/a, so that z_N = 0."""
     n = interior.n
     if n % 2 == 0 or n < 5:
         raise PreconditionError("odd-length branch needs N odd >= 5")
     # one scalar kind for all: a float free z1 makes an exact target float
-    a, b, c, d, z1, *values = unify_scalars([*target.entries, z1,
+    centred = z1 is None
+    a, b, c, d, z1, *values = unify_scalars([*target.entries,
+                                             0 if centred else z1,
                                              *interior.values])
     enter, leave, product = _working(a)
     a, b, c, d = map(enter, (a, b, c, d))
@@ -257,6 +257,8 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
         if not (negligible(q1 - a, a) and negligible(q2, a)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
+        if centred:
+            z1 = leave((c - q3) / a)
         point = (z1, *values, leave(a * (c - q3 - a * enter(z1))))
         _replay_phi(point, target)
         return FiberCompletion(n, "nongeneric", point, target, True,

@@ -156,9 +156,9 @@ def _nongeneric_odd(a, c=BIG_C):
     return SL2(a, EC(0), c, 1 / a)
 
 
-def _solve(target, n, seed, z1=0):
+def _solve(target, n, seed, z1=None):
     """interior_sample and the completion of target's branch at N = n, as
-    the CLI runs them; the free z_1 defaults to the CLI's 0."""
+    the CLI runs them; the free z_1 defaults to the CLI's centred one."""
     even = n % 2 == 0
     a, b = target.a, target.b
     if not pivot_is_zero(target, n):
@@ -323,6 +323,47 @@ def test_float_targets_verify_at_every_scale(k, x, y, v):
     assert factor_constant(target).verified
     for n in range(4, 8):
         assert _solve(target, n, seed=n).verified
+
+
+scales = st.sampled_from([1e2, 1e4, 1e6, 1e8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(scales, moduli, moduli)
+def test_nongeneric_float_targets_verify_with_the_centred_z1(scale, y, v):
+    # a = 0 and b = 0 targets with entries scaled up: with z_1 = 0 the
+    # point holds z_N ~ scale^2 and its replay misses by rounding alone;
+    # the default z_1 makes z_N = 0, up to rounding
+    b, d = y * scale, v * scale
+    for target in (SL2(0, b, -1 / b, d), SL2(b, 0, d, 1 / b)):
+        for n in range(4, 8):
+            comp = _solve(target, n, seed=n)
+            assert comp.verified
+            assert comp.z1_free in (None, comp.point[0])
+
+
+@pytest.mark.parametrize("n,entries,residual", [
+    (6, (0, 2e6, -5e-7, 1), "6.061e-04"),
+    (5, (2e6, 0, 3e6, 5e-7), "5.703e-03")])
+def test_centred_z1_verifies_where_z1_zero_fails(n, entries, residual):
+    target = SL2(*entries)
+    assert _solve(target, n, seed=1).verified
+    with pytest.raises(VerificationError, match=f"residual {residual}"):
+        _solve(target, n, seed=1, z1=0)
+
+
+@pytest.mark.parametrize("n,make,level", [
+    (4, _nongeneric_even, BIG_B), (8, _nongeneric_even, BIG_B),
+    (5, _nongeneric_odd, BIG_A), (7, _nongeneric_odd, BIG_A)])
+def test_exact_centred_z1_makes_zn_zero(n, make, level):
+    comp = _solve(make(level), n, seed=5)
+    assert comp.branch == "nongeneric" and comp.point[-1] == EC(0)
+    assert comp.z1_free == comp.point[0] != EC(0)
+    # the default is None, and an explicit z_1 is kept
+    assert _solve(make(level), n, seed=5, z1=Z1).point[0] == Z1
+    if n % 2:
+        ip = interior_sample(n, level, "Q1", seed=5)
+        assert complete_odd(make(level), ip, "nongeneric") == comp
 
 
 def test_transport_dim1_carries_level():

@@ -51,6 +51,10 @@ INPUTS = {
                    "c": "-2718281828/3141592653+1 i",
                    "d": "31372457231084187017/281793405028880866025"
                         "+51240151277909897956/281793405028880866025 i"},
+    # float non-generic targets whose point, with z_1 = 0, holds a z_N
+    # too large for its replay in doubles
+    "a_zero_float": {"a": 0, "b": 2e6, "c": -5e-7, "d": 1},
+    "b_zero_float": {"a": 2e6, "b": 0, "c": 3e6, "d": 5e-7},
     "m_lower_pivot": {"a": "2", "b": "3", "c": "1", "d": "2"},
     "m_upper_pivot": {"a": "2", "b": "1/3", "c": "0", "d": "1/2"},
     "m_diagonal": {"a": "3+i", "b": "0", "c": "0", "d": "3/10-1/10 i"},
@@ -120,6 +124,11 @@ COMMANDS = [
        "--z1", "2718281828/3141592653-1 i"]
       for name, ns in (("a_zero_big", (6, 8)), ("b_zero_big", (5, 7)))
       for n in ns),
+    # the default z_1 makes z_N = 0 and verifies; --z1 0 exits 3
+    *(["fiber-solve", "--approx", "--n", str(n), "--input", "{%s}" % name,
+       "--seed", "1", *z1]
+      for n, name in ((6, "a_zero_float"), (5, "b_zero_float"))
+      for z1 in ((), ("--z1", "0"))),
     *(["factor-const", "--input", "{%s}" % name]
       for name in ("m_lower_pivot", "m_upper_pivot", "m_diagonal",
                    "m_identity", "m_float", "m_singular")),
