@@ -59,8 +59,9 @@ class _Record(_Frozen):
     _fields: tuple[str, ...] = ()
 
     def _set(self, *values) -> None:
+        setattr_ = object.__setattr__  # a local: one lookup per record
         for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+            setattr_(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -162,8 +162,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
             t = leave(-lin / lev)
             values += (t,)
             off = lin + on * enter(t)
-        # a non-generic stratum's zero level is checked at its nonzero one's
-        # scale
+        # a zero level is measured at the scale of the nonzero one
         if not (negligible(on - lev, lev)
                 and (generic or negligible(off, lev))):
             raise VerificationError(_WRONG_LEVEL)
