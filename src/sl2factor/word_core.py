@@ -105,7 +105,8 @@ class ElementaryFactor(_Record):
         if side not in (LOWER, UPPER):
             raise PreconditionError(f"side must be 'L' or 'U', got {side!r}")
         require_scalar(entry)
-        self._set(side, entry)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "entry", entry)
 
 
 class Word(_Record):
@@ -147,7 +148,6 @@ def _check_det(vals, *sizes) -> None:
     against sizes."""
     a, b, c, d = vals
     if type(a) is ExactComplex:
-        # on _Raw triples: cross-multiplied, with nothing reduced
         unimodular = (_Raw(a._pqd) * d._pqd - _Raw(b._pqd) * c._pqd
                       == (1, 0, 1))
     elif is_poly(a):
