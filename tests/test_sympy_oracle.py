@@ -1,10 +1,12 @@
 ##
-## The exact determinant check, the exact replay, the exact fiber solves
-## and the exact frame rank decide against sympy's Gaussian rationals, an
-## oracle that shares no code with the library: near-misses one unit of a
+## The exact determinant check, the exact replay, the exact fiber solves,
+## the exact frame rank and the scalar arithmetic (ExactComplex and the
+## unreduced _Raw) decide against sympy's Gaussian rationals, an oracle
+## that shares no code with the library: near-misses one unit of a
 ## 10-digit denominator away from the truth must be refused, the truth
 ## accepted, every solved fiber point must satisfy the fiber equations,
-## and every rank must be sympy's
+## every rank must be sympy's, and every sum, difference, product and
+## quotient must be sympy's value
 ##
 
 from fractions import Fraction
