@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
 from .scalars import require_finite, unify_scalars
-from .word_core import (APPROX_TOL, LOWER, SL2, Word, _sl2, _word,
-                        negligible, replay, sl2_to_json, word_to_json)
+from .word_core import (APPROX_TOL, SL2, Word, _sl2, _word, negligible,
+                        replay, sl2_to_json, word_to_json)
 
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
@@ -198,13 +198,11 @@ def _cohn5_mp(z: complex, w: complex, dps: int):
     w = (libmp.from_float(w.real), libmp.from_float(w.imag))
     zw, w2 = mul(z, w, prec, rnd), mul(w, w, prec, rnd)
     zz = mul(z, z, prec, rnd)
-    # 0 * z and 1 + 0 * z, which are _h1_series' first terms and h4
-    zero_z = libmp.mpc_mul_int(z, 0, prec, rnd)
-    h4 = add_f(zero_z, fone, prec, rnd)
+    h4 = one  # 1 + 0 z, as 0 z is zero: libmp has one zero
     h3 = sub_f(exp(zw, prec, rnd), fone, prec, rnd)
     if abs(libmp.mpc_to_complex(zw, rnd=rnd)) < SERIES_CUTOFF:
         # _h1_series
-        acc, power, fact = zero_z, h4, 2
+        acc, power, fact = zero, one, 2
         for k in range(SERIES_TERMS):
             acc = add(acc, libmp.mpc_div_mpf(power, libmp.from_int(fact),
                                              prec, rnd), prec, rnd)
@@ -217,21 +215,20 @@ def _cohn5_mp(z: complex, w: complex, dps: int):
              exp(neg(zw, prec, rnd), prec, rnd), prec, rnd)
     target = (add_f(zw, fone, prec, rnd), zz, neg(w2, prec, rnd),
               sub(one, zw, prec, rnd))
-    # the prefix-inverse row, then the replay, as in _cohn5_full
-    a, b = one, zero
-    b = add(b, mul(a, neg(h3, prec, rnd), prec, rnd), prec, rnd)
-    a = add(a, mul(b, neg(h2, prec, rnd), prec, rnd), prec, rnd)
-    b = add(b, mul(a, neg(h1, prec, rnd), prec, rnd), prec, rnd)
+    # the prefix-inverse row, then the replay, as in _cohn5_full, less the
+    # exact steps on 0 and 1; b + a (-x) rounds to the bits of b - a x
+    b = neg(h3, prec, rnd)
+    a = sub(one, mul(b, h2, prec, rnd), prec, rnd)
+    b = sub(b, mul(a, h1, prec, rnd), prec, rnd)
     big_h2 = add(mul(a, target[1], prec, rnd), mul(b, target[3], prec, rnd),
                  prec, rnd)
-    a, b, c, d = one, h1, zero, one
-    for side, x in zip("LULU", (h2, h3, h4, big_h2)):
-        if side == LOWER:
-            a = add(a, mul(b, x, prec, rnd), prec, rnd)
-            c = add(c, mul(d, x, prec, rnd), prec, rnd)
-        else:
-            b = add(b, mul(a, x, prec, rnd), prec, rnd)
-            d = add(d, mul(c, x, prec, rnd), prec, rnd)
+    # from (1, h1; 0, 1): L(h2), U(h3), L(1), U(H2)
+    a, c = add(one, mul(h1, h2, prec, rnd), prec, rnd), h2
+    b = add(h1, mul(a, h3, prec, rnd), prec, rnd)
+    d = add(one, mul(c, h3, prec, rnd), prec, rnd)
+    a, c = add(a, b, prec, rnd), add(c, d, prec, rnd)
+    b = add(b, mul(a, big_h2, prec, rnd), prec, rnd)
+    d = add(d, mul(c, big_h2, prec, rnd), prec, rnd)
     diffs = [libmp.to_float(libmp.mpc_abs(sub(x, y, prec, rnd), prec, rnd),
                             rnd=rnd)
              for x, y in zip((a, b, c, d), target)]

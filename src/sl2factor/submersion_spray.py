@@ -9,8 +9,10 @@ the element [[p, q], [r, -p]] has coordinates (r, q, p).
 
 Phi_N is submersive exactly where some interior coordinate is nonzero; the
 rank computations here make that a checkable statement, exactly by a
-fraction-free elimination on Gaussian-integer numerators, or numerically
-from singular values computed by a one-sided Jacobi sweep in pure Python.
+fraction-free elimination on Gaussian-integer numerators, or numerically:
+minors on consecutive columns (the 3x3 ones are z_j) bound the singular
+values and prove rank 3 off S_N, rank 2 on it, with a factor 2 to spare
+over rounding; a one-sided Jacobi sweep in pure Python does the rest.
 
 Vector fields V = P_l d/dz_k - P_k d/dz_l (P_j the partial of P) are
 tangent to every level set of P, which makes P a conserved quantity of
@@ -249,18 +251,59 @@ def _singular_values(rows: list[list[complex]]) -> list[float]:
     return sorted(norms, reverse=True)
 
 
+def _certified_rank(rows: list[list[complex]]) -> int | None:
+    """3 or 2 when bounds on the singular values of the 3 x n matrix A
+    with these rows clear tol sigma_1 (tol = APPROX_RANK_TOL) by a factor
+    2 or more; else None.  Rank 3: sigma_3 >= 2 |det M| / |M|_F^2 for
+    columns M (interlacing; sigma_1 sigma_2 <= |M|_F^2 / 2 on M) and
+    sigma_1 <= |A|_F.  Rank 2: sigma_2 >= |u x v| / |(u, v)|_F for columns
+    u, v, and sigma_3 <= |x^H A|, x = conj(u x v) / |u x v|, while sigma_1
+    is at least each column norm.  Consecutive columns are tried.  After
+    scaling by the largest column norm, with norms from math.hypot, an
+    underflow can only shrink det M or u x v; rounding moves the bounds by
+    about 10u/tol (1e-7) relative, far inside the factor 2."""
+    norms = [math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+             for a, b, c in zip(*rows)]
+    scale = max(norms, default=0.0)
+    if not 0.0 < scale < math.inf:
+        return None
+    cols = [(a / scale, b / scale, c / scale) for a, b, c in zip(*rows)]
+    norms = [x / scale for x in norms]  # the largest is 1
+    limit = 2.0 * APPROX_RANK_TOL * math.hypot(*norms)
+    crosses = []  # of columns (j, j + 1)
+    for j, ((a, b, c), (d, e, f)) in enumerate(zip(cols, cols[1:])):
+        if crosses:  # the triple (j - 1, j, j + 1)
+            p, q, r = crosses[-1]
+            det = p * d + q * e + r * f
+            if det and 2.0 * abs(det) / math.hypot(*norms[j - 1:j + 2]) ** 2 \
+                    > limit:
+                return 3
+        crosses.append((b * f - c * e, c * d - a * f, a * e - b * d))
+    for j, y in enumerate(crosses):
+        ny = _norm(y)
+        if ny and ny / math.hypot(*norms[j:j + 2]) > limit:
+            p, q, r = [t / ny for t in y]
+            xa = math.hypot(*[abs(p * a + q * b + r * c) for a, b, c in cols])
+            return 2 if xa < 0.5 * APPROX_RANK_TOL else None
+    return None
+
+
 def frame_rank(f: TangentFrame) -> int:
     """Rank of the frame: _numerator_rank (a column scaled by its
-    denominator keeps the rank), or the number of singular values above
-    APPROX_RANK_TOL times the largest."""
+    denominator keeps the rank), or the count of singular values above
+    APPROX_RANK_TOL sigma_1: _certified_rank's, else _singular_values'."""
     if f.exact:
         return _numerator_rank(f._numerators
                                or map(_column_numerators, f.columns))
-    if is_poly(f.columns[0][0]):
+    if f.columns and is_poly(f.columns[0][0]):
         raise PreconditionError("rank needs a numeric point")
     n = len(f.columns)
     flat = require_all_finite([col[i] for i in range(3) for col in f.columns])
-    sv = _singular_values([flat[:n], flat[n:2 * n], flat[2 * n:]])
+    rows = [flat[:n], flat[n:2 * n], flat[2 * n:]]
+    rank = _certified_rank(rows)
+    if rank is not None:
+        return rank
+    sv = _singular_values(rows)
     if sv[0] == 0.0:
         return 0
     return sum(1 for s in sv if s > APPROX_RANK_TOL * sv[0])

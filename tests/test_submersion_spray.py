@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -21,7 +22,7 @@ from sl2factor.errors import PreconditionError
 from sl2factor.exact_algebra import ExactComplex, MultiPoly, compile_approx
 from sl2factor.submersion_spray import (
     APPROX_RANK_TOL, MAX_FLOW_STEPS, TangentFrame, VectorFieldSpec,
-    _affine_pair, _fold, _singular_values,
+    _affine_pair, _certified_rank, _fold, _singular_values,
     check_lemma_submersive, flow_rk4, frame_minor_det, frame_rank,
     sl2_jacobian, v_field_spec, vfield_apply, w_field_spec)
 from sl2factor.word_core import PhiTemplate, middle_Q
@@ -99,8 +100,7 @@ def test_symbolic_minor_det():
     z2 = MultiPoly.variable(1, 0)
     zero = MultiPoly.zero(1)
     frame = sl2_jacobian(PhiTemplate(3), (zero, z2, zero))
-    det = frame_minor_det(frame, (0, 1, 2))
-    assert det == z2 or det == -1 * z2
+    assert frame_minor_det(frame, (0, 1, 2)) == z2
 
 
 def test_approx_rank():
@@ -109,6 +109,28 @@ def test_approx_rank():
     assert frame_rank(frame) == 3
     singular = sl2_jacobian(PhiTemplate(5), [2.0, 0.0, 0.0, 0.0, 3.0])
     assert frame_rank(singular) < 3
+
+
+@pytest.mark.parametrize("columns,rank", [
+    ((), 0),
+    (((0j, 0j, 0j),), 0),
+    (((1.0, 2j, -0.5),), 1),
+    (((1.0, 2j, -0.5), (-2.0, -4j, 1.0)), 1),
+    (((1.0, 2j, -0.5), (0.5j, 3.0, 1.0)), 2),
+], ids=["empty", "zero column", "one column", "parallel", "two columns"])
+def test_frames_of_fewer_than_three_columns(columns, rank):
+    frame = TangentFrame(columns, False)
+    assert frame_rank(frame) == rank
+    if rank:
+        assert _oracle_rank(frame)[0] == rank
+    # the bounds decide only the independent pair; the rest is Jacobi's
+    rows = [[col[i] for col in columns] for i in range(3)]
+    assert _certified_rank(rows) == (2 if rank == 2 else None)
+    exact = TangentFrame(tuple(tuple(ExactComplex(Fraction(x.real),
+                                                  Fraction(x.imag))
+                                     for x in map(complex, col))
+                               for col in columns), True)
+    assert frame_rank(exact) == rank
 
 
 def _oracle_rank(frame) -> tuple[int, bool]:
@@ -123,13 +145,9 @@ def _oracle_rank(frame) -> tuple[int, bool]:
     return int(np.sum(sv > APPROX_RANK_TOL * sv[0])), near
 
 
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
-       log_s2=st.floats(-10, 0), log_s3=st.floats(-10, -6),
-       log_scale=st.floats(-100, 100))
-def test_rank_matches_svd_near_threshold(n, seed, log_s2, log_s3, log_scale):
-    # U diag(sigma) V^H with random unitary U (3x3) and orthonormal V
-    # (N x 3); sigma_3/sigma_1 spans the threshold 1e-8
+def _svd_matrix(n: int, seed: int, sigma: list[float], scale: float):
+    """U diag(sigma) V^H times scale, with a random unitary U (3 x 3)
+    and orthonormal V (N x 3), and sigma sorted largest first."""
     np = pytest.importorskip("numpy")
     rng = np.random.default_rng(seed)
 
@@ -137,17 +155,87 @@ def test_rank_matches_svd_near_threshold(n, seed, log_s2, log_s3, log_scale):
         z = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
         return np.linalg.qr(z)[0]
 
-    sigma = np.array(sorted([1.0, 10 ** log_s2, 10 ** log_s3], reverse=True))
-    mat = orthonormal(3) @ np.diag(sigma * 10 ** log_scale) \
-        @ orthonormal(n).conj().T
+    sigma = np.array(sorted(sigma, reverse=True))
+    return orthonormal(3) @ np.diag(sigma * scale) @ orthonormal(n).conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(4, 9), seed=st.integers(0, 2**32 - 1),
+       log_s2=st.floats(-10, 0), log_s3=st.floats(-10, -6),
+       log_scale=st.floats(-100, 100))
+def test_rank_matches_svd_near_threshold(n, seed, log_s2, log_s3, log_scale):
+    # sigma_3/sigma_1 spans the threshold 1e-8
+    np = pytest.importorskip("numpy")
+    sigma = [1.0, 10 ** log_s2, 10 ** log_s3]
+    mat = _svd_matrix(n, seed, sigma, 10 ** log_scale)
     frame = TangentFrame(tuple(tuple(complex(x) for x in mat[:, j])
                                for j in range(n)), False)
     oracle, near = _oracle_rank(frame)
     assume(not near)
-    assert frame_rank(frame) == oracle == int(np.sum(sigma > APPROX_RANK_TOL))
+    assert frame_rank(frame) == oracle \
+        == sum(s > APPROX_RANK_TOL for s in sigma)
     ref = np.linalg.svd(mat, compute_uv=False)
     got = _singular_values([list(row) for row in mat.tolist()])
     assert max(abs(g / got[0] - r / ref[0]) for g, r in zip(got, ref)) < 1e-13
+
+
+# log10 of sigma_k / sigma_1 within a factor 8 of the threshold, where the
+# bounds must leave the rank to the Jacobi sweep or agree with it
+NEAR = st.floats(math.log10(APPROX_RANK_TOL / 8),
+                 math.log10(8 * APPROX_RANK_TOL))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(3, 9), seed=st.integers(0, 2**32 - 1),
+       log_s2=st.one_of(st.floats(-10, 0), NEAR),
+       log_s3=st.one_of(st.floats(-12, -6), NEAR),
+       log_scale=st.sampled_from([-100, 0, 100]), spread=st.booleans())
+def test_certified_rank_is_the_jacobi_count(n, seed, log_s2, log_s3,
+                                            log_scale, spread):
+    mat = _svd_matrix(n, seed, [1.0, 10 ** log_s2, 10 ** log_s3],
+                      10.0 ** log_scale)
+    rows = [[complex(x) for x in row] for row in mat.tolist()]
+    if spread:  # column norms far apart, as in frames of Phi_N
+        exps = random.Random(seed).choices(range(-3, 4), k=n)
+        rows = [[x * 10.0 ** k for x, k in zip(row, exps)] for row in rows]
+    rank = _certified_rank(rows)
+    if rank is not None:
+        sv = _singular_values(rows)
+        assert rank == sum(s > APPROX_RANK_TOL * sv[0] for s in sv)
+
+
+def _unit_complex(rng, lo: float, hi: float) -> complex:
+    return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+
+def test_bounds_decide_frames_away_from_the_threshold(monkeypatch):
+    # frames of Phi_N off S_N and on it never run the sweep; one with
+    # sigma_3 / sigma_1 at 1.5 tol, inside the factor 2, must
+    swept = []
+
+    def counted(rows):
+        swept.append(rows)
+        return _singular_values(rows)
+
+    monkeypatch.setattr(submersion_spray, "_singular_values", counted)
+    rng = random.Random(11)
+    for n in range(4, 10):
+        t = PhiTemplate(n)
+        for _ in range(50):
+            point = [_unit_complex(rng, 0.2, 2.0) for _ in range(n)]
+            assert frame_rank(sl2_jacobian(t, point)) == 3
+            point[1:-1] = [0j] * (n - 2)
+            assert frame_rank(sl2_jacobian(t, point)) == 2
+    assert swept == []
+    mat = _svd_matrix(6, 5, [1.0, 0.5, 1.5 * APPROX_RANK_TOL], 1.0)
+    frame = TangentFrame(tuple(tuple(complex(x) for x in mat[:, j])
+                               for j in range(6)), False)
+    assert frame_rank(frame) == 3 and len(swept) == 1
+    # columns far apart in norm, sigma_3 / sigma_1 = 0.35 tol: the bound
+    # of a minor must count the norm of each of its columns
+    skew = TangentFrame(((1.0, 0.0, 0.0), (0.0, 1e-3, 0.0),
+                         (1e-3, 1e-3, 5e-9)), False)
+    assert frame_rank(skew) == _oracle_rank(skew)[0] == 2 and len(swept) == 2
 
 
 coords = st.one_of(st.floats(-4, 4), st.complex_numbers(max_magnitude=4))
@@ -189,7 +277,9 @@ def test_rank_at_extreme_scales(scale):
 
 def test_singular_frame_converges_in_a_few_sweeps(monkeypatch):
     # on S_N the third row becomes rounding noise that stays nearly
-    # parallel to the others; chasing it would run to the sweep cap
+    # parallel to the others; chasing it would run to the sweep cap.
+    # frame_rank decides these frames without the sweep, so it runs here
+    # on the frame's rows
     norms = []
     norm = submersion_spray._norm
 
@@ -200,9 +290,12 @@ def test_singular_frame_converges_in_a_few_sweeps(monkeypatch):
     monkeypatch.setattr(submersion_spray, "_norm", counted)
     for n in (4, 6, 9):
         for ends in ((2.0, 3.0), (0.5 - 1.5j, 1.2 + 0.3j), (7j, -1.0)):
-            norms.clear()
             point = [ends[0]] + [0.0] * (n - 2) + [ends[1]]
-            assert frame_rank(sl2_jacobian(PhiTemplate(n), point)) == 2
+            columns = sl2_jacobian(PhiTemplate(n), point).columns
+            rows = [[complex(col[i]) for col in columns] for i in range(3)]
+            norms.clear()
+            sv = _singular_values(rows)
+            assert sum(s > APPROX_RANK_TOL * sv[0] for s in sv) == 2
             # three norms to start, then two per rotation: at most three
             # rotations a sweep, in four sweeps
             assert len(norms) <= 3 + 2 * 3 * 4

@@ -5,7 +5,8 @@
 ## that shares no code with the library: near-misses one unit of a
 ## 10-digit denominator away from the truth must be refused, the truth
 ## accepted, every solved fiber point must satisfy the fiber equations,
-## every rank must be sympy's, and every sum, difference, product and
+## every rank must be sympy's, the frame's minor on consecutive columns
+## must be the middle coordinate, and every sum, difference, product and
 ## quotient must be sympy's value
 ##
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix
 
 from sl2factor.errors import PreconditionError, VerificationError
 from sl2factor.fiber_solver import (complete_generic_even,
@@ -232,6 +234,27 @@ def test_hand_built_exact_frame_rank_is_sympys(rank, n, data):
                          True)
     expected = _oracle_rank(columns)
     assert frame_rank(frame) == expected <= min(rank, n)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_consecutive_minor_is_the_middle_coordinate(n):
+    # the submersion lemma's identity, from sympy's own matrices: column j
+    # is A_j E_j A_j^-1, read as (e21, e12, d12), with A_j the prefix
+    # product; the minor on columns (j-1, j, j+1) is z_j
+    z = sympy.symbols(f"z1:{n + 1}")
+    ring = sympy.ZZ.poly_ring(*z)
+    e21, e12 = sympy.Matrix([[0, 0], [1, 0]]), sympy.Matrix([[0, 1], [0, 0]])
+    prefix, columns = sympy.eye(2), []
+    for j, x in enumerate(z):
+        lower = j % 2 == 0
+        ad = prefix * (e21 if lower else e12) * prefix.adjugate()  # det 1
+        columns.append([ad[1, 0], ad[0, 1], ad[0, 0]])
+        prefix = prefix * (sympy.Matrix([[1, 0], [x, 1]]) if lower
+                           else sympy.Matrix([[1, x], [0, 1]]))
+    for j in range(1, n - 1):
+        minor = DomainMatrix.from_Matrix(sympy.Matrix(
+            [columns[j - 1], columns[j], columns[j + 1]])).convert_to(ring)
+        assert minor.det() == ring.from_sympy(z[j])
 
 
 # ranks 0 to 3, each entry over its own denominator, ints and Fractions

@@ -99,6 +99,13 @@ COMMANDS = [
     ["jacobian", "--n", "5", "--point", "1/2,0,-3,2+i,1"],
     ["jacobian", "--n", "6", "--point", "1/3+2/5 i,7,0,0,-1,9/4"],
     ["jacobian", "--n", "4", "--point", "0.5,1,1,1", "--approx"],
+    # approximate ranks: a generic point off S_6 (rank 3), a point on S_6
+    # (rank 2), and an N = 4 point whose sigma_3 is small enough to leave
+    # the rank to the singular values
+    ["jacobian", "--n", "6", "--point", "0.3,1.1,-0.7+0.4i,0.2,2i,0.9",
+     "--approx"],
+    ["jacobian", "--n", "6", "--point", "2,0,0,0,0,3", "--approx"],
+    ["jacobian", "--n", "4", "--point", "5,1e-5,0,7", "--approx"],
     ["lemma-check", "--n", "4", "--samples", "200", "--seed", "1"],
     ["lemma-check", "--n", "7", "--samples", "100", "--seed", "2"],
     # the exact frame and its rank on 10-digit points off S_6 (rank 3) and
