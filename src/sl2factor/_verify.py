@@ -91,14 +91,14 @@ def _crit_fiber(rng, full: bool):
         while not target.a:
             target = random_sl2(rng)
         fc = complete_generic_even(
-            target, interior_sample(n, target.a, "Q1", rng=rng))
+            target, interior_sample(n, target.a, "Q1", seed=rng))
         if not (fc.verified and fc.eq4_residual.is_zero):
             return False, {"branch": "generic_even", "reason": "residual"}
         counts["generic_even"] += 1
     for i in range(n_non):
         n = rng.choice((4, 6))
         target = _sl2_a_zero(rng)
-        prefix = interior_sample(n, target.b, "Q2", rng=rng).values[:-1]
+        prefix = interior_sample(n, target.b, "Q2", seed=rng).values[:-1]
         fc = complete_nongeneric_even(target, random_exact(rng), prefix)
         if not fc.verified:
             return False, {"branch": "nongeneric_even"}
@@ -113,7 +113,7 @@ def _crit_fiber(rng, full: bool):
         target = random_sl2(rng)
         while not target.b:
             target = random_sl2(rng)
-        fc = complete_odd(target, interior_sample(n, target.b, "Q2", rng=rng),
+        fc = complete_odd(target, interior_sample(n, target.b, "Q2", seed=rng),
                           "generic")
         if not fc.verified:
             return False, {"branch": "generic_odd"}
@@ -121,7 +121,7 @@ def _crit_fiber(rng, full: bool):
     for _ in range(n_non):
         n = rng.choice((5, 7))
         target = _sl2_b_zero(rng)
-        fc = complete_odd(target, interior_sample(n, target.a, "Q1", rng=rng),
+        fc = complete_odd(target, interior_sample(n, target.a, "Q1", seed=rng),
                           "nongeneric", z1=random_exact(rng))
         if not fc.verified:
             return False, {"branch": "nongeneric_odd"}

@@ -11,14 +11,13 @@ The term map is private; .terms is a read-only view of it.  Serialization
 orders terms graded-lexicographically, highest first, which keeps JSON
 output byte-stable.
 
-A product of two dense factors (at least _PACK_MIN terms each) is
-deferred: it holds its pending (sign, left, right) products, sums and
-differences of pending polynomials join those lists, and the first read
-of the terms runs one product table (_product_table) over all of them:
-exponents packed into one int per term, coefficients summed as
-Gaussian-integer numerators, terms in the first-seen order of the pair
-loop.  The determinant check poly_det_is_one is a * d - b * c == 1, so
-it runs that one table too.
+Every product of two multi-term factors is deferred: it holds its
+pending (sign, left, right) products, sums and differences of pending
+polynomials join those lists, and the first read of the terms runs one
+product table (_product_table) over all of them: exponents packed into
+one int per term, coefficients summed as Gaussian-integer numerators,
+terms in the first-seen order of the pair loop.  The determinant check
+poly_det_is_one is a * d - b * c == 1, so it runs that one table too.
 
 The scalars live in their own module, which a call that builds no
 polynomial loads alone; it recognises a MultiPoly (scalars.is_poly)
@@ -184,29 +183,12 @@ class MultiPoly(_Frozen):
         if o is None:
             return NotImplemented
         # terms keep the first-seen order of the pair loop, so float
-        # evaluation sums in a fixed order; a dense product is deferred
+        # evaluation sums in a fixed order; other products are deferred
         if len(o._terms) == 1:
             return _shifted(self, o)
         if len(self._terms) == 1:
             return _shifted(o, self)
-        if len(self._terms) >= _PACK_MIN and len(o._terms) >= _PACK_MIN:
-            return _pending(self.nvars, [(1, self, o)])
-        # a small factor: tuple exponents and raw (p, q, d) sums, one
-        # _reduced per output term
-        right = [(e2, c2._pqd) for e2, c2 in o._terms.items()]
-        acc = {}
-        get = acc.get
-        for e1, c1 in self._terms.items():
-            p1, q1, d1 = c1._pqd
-            for e2, (p2, q2, d2) in right:
-                e = tuple(map(_add, e1, e2))
-                p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
-                s = get(e)
-                if s is not None:
-                    sp, sq, sd = s
-                    p, q, d = sp * d + p * sd, sq * d + q * sd, sd * d
-                acc[e] = (p, q, d)
-        return _poly(self.nvars, {e: _reduced(*t) for e, t in acc.items()})
+        return _pending(self.nvars, [(1, self, o)])
 
     __rmul__ = __mul__
 
@@ -365,13 +347,6 @@ def _shifted(x: MultiPoly, t: MultiPoly) -> MultiPoly:
 # the polynomial product kernel
 
 
-# MultiPoly.__mul__ defers a product, and so packs its exponents, only
-# when both factors have at least this many terms; below that most pairs
-# make a term of their own, and packing each term and unpacking each
-# result costs more than it saves
-_PACK_MIN = 4
-
-
 def _max_exponent(p: MultiPoly) -> int:
     return max(map(max, p._terms), default=0) if p.nvars else 0
 
@@ -440,9 +415,9 @@ def _product_table(products) -> tuple:
 
 
 def _sum_of_products(products) -> dict:
-    """The terms of a pending polynomial, as __mul__ built a dense product:
-    one ExactComplex per distinct numerator, zeros dropped, keys in the
-    first-seen order of the pair loop over all the products."""
+    """The terms of a pending polynomial: one ExactComplex per distinct
+    numerator, zeros dropped, keys in the first-seen order of the pair
+    loop over all the products."""
     table, den, unpack = _product_table(products)
     made = {}
     for v in set(table.values()):
@@ -456,7 +431,7 @@ def poly_det_is_one(a: MultiPoly, b: MultiPoly, c: MultiPoly,
                     d: MultiPoly) -> bool:
     """Whether a d - b c is literally the constant polynomial 1.
 
-    When the factors are dense, a d - b c is one pending sum, so the
+    Unless a factor has one term, a d - b c is one pending sum, so the
     comparison runs one product table for both products.  The test is
     exact: every non-constant term must cancel and the constant term must
     be 1.

@@ -117,8 +117,8 @@ class FiberCompletion(_Record):
         return self.point[1:-1]
 
 
-def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
-                    rng=None) -> InteriorPoint:
+def interior_sample(n: int, level, stratum: str = "Q1",
+                    seed=None) -> InteriorPoint:
     """Random interior point solving the requested Q-level constraint.
 
     The last one or two interior variables are solved linearly through the
@@ -136,7 +136,7 @@ def interior_sample(n: int, level, stratum: str = "Q1", seed=None,
     if stratum not in ("Q1", "Q2"):
         raise PreconditionError("stratum must be 'Q1' or 'Q2'")
     level = unify_scalars([level])[0]
-    rng = rng_from_seed(seed) if rng is None else rng
+    rng = rng_from_seed(seed)
     even = n % 2 == 0
     generic = (stratum == "Q1") if even else (stratum == "Q2")
     if not generic and not level:

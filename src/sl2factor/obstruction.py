@@ -25,8 +25,7 @@ from operator import truediv
 
 from .errors import InadequateSamplingError, PreconditionError, \
     VerificationError, _Record
-from .scalars import _BEYOND_DOUBLE, require_finite, to_complex, \
-    unify_scalars
+from .scalars import require_finite, to_complex, unify_scalars
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2
@@ -121,20 +120,14 @@ def section_degree_on_fiber(h3: Callable[[complex, complex], complex], D,
                             radius: float = 1.0,
                             samples: int = DEFAULT_SAMPLES) -> int:
     """Winding of theta -> h3(D/w, w) along w = radius e^{i theta}."""
-    try:
-        Dc = complex(D)
-    except OverflowError:
-        raise PreconditionError(_BEYOND_DOUBLE) from None
+    (Dc,) = to_complex([D])
     if Dc == 0:
         raise PreconditionError("fiber parameter D must be nonzero")
     return circle_winding(lambda w: h3(Dc / w, w), radius, samples)
 
 
 def _fiber_degree_z_param(h3, D, radius: float, samples: int) -> int:
-    try:
-        Dc = complex(D)
-    except OverflowError:
-        raise PreconditionError(_BEYOND_DOUBLE) from None
+    (Dc,) = to_complex([D])
     return circle_winding(lambda z: h3(z, Dc / z), radius, samples)
 
 
@@ -150,10 +143,7 @@ def cohn_continuous_section(z, w) -> tuple:
     does.  A section with a component (or 1 - zw) outside double range
     is refused, not returned as inf or nan.
     """
-    try:
-        zc, wc = complex(z), complex(w)
-    except OverflowError:
-        raise PreconditionError(_BEYOND_DOUBLE) from None
+    zc, wc = to_complex([z, w])
     zw = zc * wc
     if zw == 1:
         raise PreconditionError("section needs zw != 1")
@@ -178,10 +168,8 @@ def continuous_section_h3(z, w) -> complex:
     wherever w does; w^2 underflows below |w| = 1e-162 and overflows
     above 1e154.  A w whose modulus overflows is refused.
     """
-    try:
-        wc = complex(w)
-    except OverflowError:
-        raise PreconditionError(_BEYOND_DOUBLE) from None
+    # a sample loop calls this once per sample, with w already complex
+    wc = w if type(w) is complex else to_complex([w])[0]
     if wc == 0:
         return 0j
     try:
@@ -259,10 +247,7 @@ def axis_continuation_degrees(d_values: Sequence, radius: float = 1.0,
     fn = continuous_section_h3 if h3 is None else h3
     pairs = set()
     for D in d_values:
-        try:
-            Dc = complex(D)
-        except OverflowError:
-            raise PreconditionError(_BEYOND_DOUBLE) from None
+        (Dc,) = to_complex([D])
         if Dc == 0:
             raise PreconditionError("fiber parameters must be nonzero")
         pairs.add((section_degree_on_fiber(fn, D, radius, samples),

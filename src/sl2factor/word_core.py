@@ -142,10 +142,10 @@ class Word(_Record):
 def _check_det(vals, *sizes) -> None:
     """Raise unless det = 1: PreconditionError for exact or polynomial
     entries (bad input), VerificationError for approximate ones.  Without
-    sizes (the SL2 boundary) det - 1 must be within SL2_DET_ULPS units of
-    rounding of max(1, |ad| + |bc|); with sizes (a product's drift) it is
-    measured by negligible against |ad| + |bc| and, below DRIFT_CAP,
-    against sizes."""
+    sizes (the SL2 boundary) a non-finite entry or ad - bc is bad input
+    too, and det - 1 must be within SL2_DET_ULPS units of rounding of
+    max(1, |ad| + |bc|); with sizes (a product's drift) it is measured by
+    negligible against |ad| + |bc| and, below DRIFT_CAP, against sizes."""
     a, b, c, d = vals
     if type(a) is ExactComplex:
         unimodular = (_Raw(a._pqd) * d._pqd - _Raw(b._pqd) * c._pqd
@@ -157,6 +157,11 @@ def _check_det(vals, *sizes) -> None:
         # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
         ad, bc = a * d, b * c
         miss = ad - bc - 1
+        # v - v is nan for an inf or nan v, complex or mpmath (unconverted:
+        # mpmath past the double range is finite); bad entries spoil miss
+        if not sizes and miss - miss != 0:
+            raise PreconditionError("approximate SL2 entries or their "
+                                    "determinant are not finite")
         scale = abs(ad) + abs(bc)
         if not sizes:
             unimodular = abs(miss) < SL2_DET_ULPS * 2.0 ** -53 * max(1, scale)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2factor import exact_algebra
 from sl2factor.errors import PreconditionError
-from sl2factor.exact_algebra import (_PACK_MIN, ExactComplex, MultiPoly,
+from sl2factor.exact_algebra import (ExactComplex, MultiPoly,
                                      poly_det_is_one, poly_embed,
                                      poly_to_json)
 from sl2factor.word_core import SL2, PhiTemplate, expand_phi, middle_Q
@@ -252,7 +252,7 @@ def test_scalar_operands_match_reference(case, k, c):
 
 ## The product kernel: packed exponents, Gaussian-integer numerators and
 ## the first-seen term order, against _naive_mul.  Exponents reach past
-## one byte, so both packing widths run; small factors skip packing.
+## one byte, so both packing widths run.
 
 _narrow_exps = st.integers(0, 9)
 _wide_exps = st.one_of(_narrow_exps, st.integers(120, 136))
@@ -379,12 +379,12 @@ def test_poly_det_is_one_refuses_other_operands():
         poly_det_is_one(x, x, x, 1)
 
 
-## Deferred products: a product of two factors with at least _PACK_MIN
-## terms is pending until its terms are first read, and sums of pending
+## Deferred products: a product of two factors with at least two terms
+## each is pending until its terms are first read, and sums of pending
 ## products run one product table.  Against sums built term by term
 ## through the validating constructor, in the first-seen order of the
-## pairs; that is the order of the eager product and, when no product
-## cancels a term of its own, of the eager merge.
+## pairs; when no product cancels a term of its own, that is also the
+## order of merging the products one by one.
 
 
 def _pairs(sign: int, l: MultiPoly, r: MultiPoly) -> list:
@@ -410,16 +410,16 @@ _nonzero_coeffs = coeffs.filter(lambda c: c != (0, 0))
 
 
 @st.composite
-def dense_quads(draw):
+def multi_term_quads(draw):
     nvars = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 4)] * nvars)
     return nvars, [_to_poly(nvars, draw(st.dictionaries(
-        exps, _nonzero_coeffs, min_size=_PACK_MIN, max_size=7)))
+        exps, _nonzero_coeffs, min_size=2, max_size=7)))
         for _ in range(4)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(dense_quads())
+@given(multi_term_quads())
 def test_deferred_products_match_term_by_term_sums(case):
     nvars, (a, b, c, d) = case
     assert _is_pending(a * d) and _is_pending(a * d - b * c)
@@ -436,8 +436,8 @@ def test_deferred_products_match_term_by_term_sums(case):
         assert result == built
         _same_terms(result, [(e, built.terms[e]) for e in order])
     assert (a * d - d * a).terms == {} and not a * d - d * a
-    # the eager product merged with the eager product: the order before
-    # products were deferred, wherever no product cancels a term of its own
+    # one product merged with the other, term by term: the same order,
+    # wherever no product cancels a term of its own
     ad, bc = a * d, b * c
     if all(len(p.terms) == len(dict.fromkeys(e for e, _ in _pairs(1, l, r)))
            for p, l, r in ((ad, a, d), (bc, b, c))):
@@ -527,3 +527,21 @@ def test_sum_of_dense_products_runs_one_table(monkeypatch):
     assert calls == [k]
     assert total == built and total and poly_to_json(total)
     assert calls == [k]
+
+
+def test_two_by_three_term_product_runs_one_table_on_first_read(monkeypatch):
+    # no second kernel for small factors: the product is deferred like any
+    # other, and its first read runs the product table once
+    f = Fraction
+    p = {(1, 0): (f(1), f(0)), (0, 2): (f(1, 2), f(3))}
+    q = {(1, 0): (f(-1), f(0)), (0, 1): (f(2, 3), f(0)), (0, 0): (f(0), f(1))}
+    calls = []
+    real = exact_algebra._product_table
+    monkeypatch.setattr(exact_algebra, "_product_table",
+                        lambda products: calls.append(products) or
+                        real(products))
+    result = _to_poly(2, p) * _to_poly(2, q)
+    assert calls == [] and _is_pending(result)
+    _check(result, 2, _naive_mul(p, q))
+    assert list(result.terms) == list(_naive_mul(p, q))
+    assert len(calls) == 1 and len(calls[0]) == 1

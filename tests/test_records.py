@@ -18,7 +18,6 @@ from sl2factor import (SL2, Certificate, ElementaryFactor, ExactComplex,
                        VectorFieldSpec, Word, cohn_holo_5, factor_constant,
                        interior_sample, v_field_spec)
 from sl2factor.errors import _Frozen
-from sl2factor.exact_algebra import _PACK_MIN
 
 EC = ExactComplex
 X, Y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
@@ -98,9 +97,7 @@ def test_record_repr_has_the_dataclass_form(cls, fields):
 
 
 def _pending_product() -> MultiPoly:
-    left, right = (X + Y + 1) ** 2, (X - Y + 2) ** 2
-    assert len(left.terms) >= _PACK_MIN and len(right.terms) >= _PACK_MIN
-    product = left * right
+    product = (X + 1) * (X - Y + 2)
     assert MultiPoly._products.__get__(product)  # deferred, no terms yet
     return product
 

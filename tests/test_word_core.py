@@ -38,6 +38,23 @@ def test_det_gate():
         SL2(1.0, 0.5, 0.0, 1.001)
 
 
+def test_det_gate_refuses_non_finite_approximate_entries():
+    from sl2factor.factorizer import cohn_eval
+    # inf, nan, or entries whose products overflow: bad input (exit 2)
+    for make in (lambda: SL2(float("inf"), 0, 0, 1),
+                 lambda: SL2(float("nan"), 0, 0, 1),
+                 lambda: cohn_eval(1e200, 1e200)):
+        with pytest.raises(PreconditionError, match="not finite"):
+            make()
+    # a finite det-4 matrix is still a failed check, not bad input
+    with pytest.raises(VerificationError, match="numeric instability"):
+        SL2(2.0, 0.0, 0.0, 2.0)
+    # an mpmath value past the double range is finite
+    import mpmath
+    big = mpmath.mpf("1e400")
+    assert SL2(big, 0, 0, 1 / big).a == big
+
+
 def test_matmul_and_inverse():
     m = SL2(2, 3, 1, 2)
     assert m @ m.inverse() == SL2.identity()

@@ -91,6 +91,10 @@ COHN_CORNERS = [
 
 COMMANDS = [
     ["expand", "--n", "4"],
+    # products with a factor of two or three terms (for N = 5, Q1 Q4 is
+    # two terms by two)
+    ["expand", "--n", "5"],
+    ["expand", "--n", "6"],
     ["expand", "--n", "7"],
     # the largest middle polynomials the benchmark requests
     ["expand", "--n", "12"],
@@ -160,6 +164,9 @@ COMMANDS = [
     ["cohn", "--approx", "--z", "1e200", "--w", "1e-200"],
     ["cohn", "--approx", "--z", "1e155", "--w", "1e-154"],
     ["cohn", "--approx", "--z", "1e200i", "--w", "1e200"],
+    # a four-factor word whose entries overflow to inf: refused with exit 2
+    ["cohn", "--approx", "--factors", "4", "--z", "1e200", "--w", "1e200",
+     "--h3", "1"],
     # H2 = inf - inf = NaN near |Re zw| = 700: refused the same way
     ["cohn", "--approx", "--z=-70.272", "--w=10"],
     # verified at dps 820, but h1 is past the double range: a report that
