@@ -221,6 +221,11 @@ def _cmd_pad(args):
 
 def _cmd_cohn(args):
     from .factorizer import cohn_family_4, cohn_family_relations, cohn_holo_5
+    # an option of the other family would be dropped without a word
+    if args.factors == 5 and args.h3 is not None:
+        raise PreconditionError("--h3 applies to the 4-factor family only")
+    if args.factors == 4 and args.dps is not None:
+        raise PreconditionError("--dps applies to the 5-factor word only")
     z = _parse_scalar(args.z, args.approx)
     w = _parse_scalar(args.w, args.approx)
     if args.factors == 5:

@@ -21,15 +21,13 @@ Q2 = 0 with z_1 free and z_N = a (c - Q3 - a z_1).
 
 Every completion is verified by multiplying the word back out
 (word_core.replay); exact inputs verify by literal equality.  Each formula
-is written once, for every scalar kind; _working is the one place that
-tells the kinds apart.  An exact value enters the formulas as an
-unreduced _Raw triple (the middle product as word_core._exact_product
-gives it, over one common denominator), so no gcd runs until each
-coordinate or residual returned is reduced once.  Level and zero tests
-use the one rule of word_core.negligible: literal for exact values; for
-approximate ones a middle-product entry is on its level when it is
-within APPROX_TOL max(1, |level|), and a pivot counts as zero below
-APPROX_TOL max(1, largest |entry| of the target).
+is written once and runs on the unified values as they are (exact,
+complex or mpmath), the middle product coming from word_core.word_product;
+nothing here tells the kinds apart.  Level and zero tests use the one rule
+of word_core.negligible: literal for exact values; for approximate ones a
+middle-product entry is on its level when it is within APPROX_TOL
+max(1, |level|), and a pivot counts as zero below APPROX_TOL
+max(1, largest |entry| of the target).
 """
 
 from __future__ import annotations
@@ -38,36 +36,12 @@ from collections.abc import Sequence
 
 from .errors import (PreconditionError, SamplingBudgetError,
                      VerificationError, _Record)
-from .scalars import ExactComplex, _Raw, _reduced, unify_scalars
+from .scalars import unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import (SL2, _exact_product, _word, negligible, replay,
-                        word_product)
+from .word_core import SL2, _word, negligible, replay, word_product
 
 MAX_SAMPLE_TRIES = 64
 _WRONG_LEVEL = "interior solve produced wrong level"
-
-
-def _working(x) -> tuple:
-    """The solvers' one kind test: for values of x's kind, how a value
-    enters the formulas, how a result leaves them, and the product of a
-    word (see word_product) in the form the formulas run on.  Exact values
-    run as unreduced _Raw triples and leave through one _reduced each;
-    approximate ones run and leave as they are."""
-    if type(x) is ExactComplex:
-        return _exact_in, _exact_out, _exact_product
-    return _as_is, _as_is, word_product
-
-
-def _exact_in(x: ExactComplex) -> _Raw:
-    return _Raw(x._pqd)
-
-
-def _exact_out(x: _Raw) -> ExactComplex:
-    return _reduced(*x)
-
-
-def _as_is(x):
-    return x
 
 
 def pivot_is_zero(target: SL2, n: int) -> bool:
@@ -143,28 +117,26 @@ def interior_sample(n: int, level, stratum: str = "Q1",
         raise PreconditionError(
             "non-generic stratum needs a nonzero level (unimodularity)")
     n_draws = n - 3 if generic else n - 4
-    enter, leave, product = _working(level)
-    lev = enter(level)
     for _ in range(MAX_SAMPLE_TRIES):
         draws = [random_exact(rng) for _ in range(n_draws)]
         # exact draws, in the level's kind
         *draws, _ = unify_scalars([*draws, level])
-        r1, r2, _, _ = product("UL" * n_draws, draws)
+        r1, r2, _, _ = word_product("UL" * n_draws, draws)
         # the solved entry of R = M_2 ..., and the rest of its level equation
         lin, rest = (r2, r1) if even == generic else (r1, r2)
         if not lin:
             continue
-        s = leave((lev - rest) / lin)
+        s = (level - rest) / lin
         # R's row after the solved factors: on = rest + lin s, off = lin + on t
-        on = rest + lin * enter(s)
+        on = rest + lin * s
         values = (*draws, s)
         if not generic:
-            t = leave(-lin / lev)
+            t = -lin / level
             values += (t,)
-            off = lin + on * enter(t)
+            off = lin + on * t
         # a zero level is measured at the scale of the nonzero one
-        if not (negligible(on - lev, lev)
-                and (generic or negligible(off, lev))):
+        if not (negligible(on - level, level)
+                and (generic or negligible(off, level))):
             raise VerificationError(_WRONG_LEVEL)
         return InteriorPoint(n, stratum, level, values)
     raise SamplingBudgetError(
@@ -180,16 +152,13 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     a, b, c, d, *values = unify_scalars([*target.entries, *interior.values])
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
-    enter, leave, product = _working(a)
-    a, b, c, d = map(enter, (a, b, c, d))
-    q1, q2, q3, q4 = product("UL" * len(values), values)
+    q1, q2, q3, q4 = word_product("UL" * len(values), values)
     if not negligible(q1 - a, a):
         raise PreconditionError("interior is off the level set Q1 = a")
-    z1 = leave((c - q3) / a)
-    zn = leave((b - q2) / a)
-    x1, xn = enter(z1), enter(zn)
+    z1 = (c - q3) / a
+    zn = (b - q2) / a
     # the d-equation comes for free; its cleared residual must vanish
-    eq4 = leave(a * (q4 + q2 * x1 + q3 * xn + q1 * x1 * xn - d))
+    eq4 = a * (q4 + q2 * z1 + q3 * zn + q1 * z1 * zn - d)
     point = (z1, *values, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "generic", point, target, True, eq4_residual=eq4)
@@ -211,16 +180,14 @@ def complete_nongeneric_even(target: SL2, z1=None, prefix: Sequence = ()
         raise PreconditionError("non-generic branch needs a = 0")
     if not b:
         raise PreconditionError("a = 0 forces b != 0")
-    enter, leave, product = _working(a)
-    b, c, d = map(enter, (b, c, d))
     # appending L(z_{N-1}) leaves R's second column alone: Q4 = R4
-    r1, r2, _, q4 = product("UL" * len(prefix), prefix)
+    r1, r2, _, q4 = word_product("UL" * len(prefix), prefix)
     if not negligible(r2 - b, b):
         raise PreconditionError("prefix is off the level set R2 = b")
     if centred:
-        z1 = leave((d - q4) / b)
-    interior = (*prefix, leave(-r1 / b))
-    zn = leave((d - q4 - b * enter(z1)) / c)
+        z1 = (d - q4) / b
+    interior = (*prefix, -r1 / b)
+    zn = (d - q4 - b * z1) / c
     point = (z1, *interior, zn)
     _replay_phi(point, target)
     return FiberCompletion(n, "nongeneric", point, target, True, z1_free=z1)
@@ -239,15 +206,13 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     a, b, c, d, z1, *values = unify_scalars([*target.entries,
                                              0 if centred else z1,
                                              *interior.values])
-    enter, leave, product = _working(a)
-    a, b, c, d = map(enter, (a, b, c, d))
-    q1, q2, q3, q4 = product("UL" * len(values), values)
+    q1, q2, q3, q4 = word_product("UL" * len(values), values)
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
         if not negligible(q2 - b, b):
             raise PreconditionError("interior is off the level set Q2 = b")
-        point = (leave((d - q4) / b), *values, leave((a - q1) / b))
+        point = ((d - q4) / b, *values, (a - q1) / b)
         _replay_phi(point, target)
         return FiberCompletion(n, "generic", point, target, True)
     if branch == "nongeneric":
@@ -257,8 +222,8 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
         if centred:
-            z1 = leave((c - q3) / a)
-        point = (z1, *values, leave(a * (c - q3 - a * enter(z1))))
+            z1 = (c - q3) / a
+        point = (z1, *values, a * (c - q3 - a * z1))
         _replay_phi(point, target)
         return FiberCompletion(n, "nongeneric", point, target, True,
                                z1_free=z1)

@@ -313,54 +313,6 @@ def _reduced(p: int, q: int, d: int) -> ExactComplex:
     return x
 
 
-class _Raw(tuple, _Frozen):
-    """(p + q i)/d for d > 0, kept as the triple (p, q, d) with no gcd taken:
-    _Raw((p, q, d)).  Exact fiber solves run their formulas on it and reduce
-    (_reduced) only the values they return; the exact replay and SL2 check
-    compare on it and reduce nothing.  The right operand may be any triple,
-    an ExactComplex's _pqd included.  == cross-multiplies, so it holds
-    between any two triples of one value; bool is nonzero.  Numerators grow
-    with every operation, so it serves short formulas, not loops."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __add__(x, y):
-        (p1, q1, d1), (p2, q2, d2) = x, y
-        return _Raw((p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2))
-
-    def __sub__(x, y):
-        (p1, q1, d1), (p2, q2, d2) = x, y
-        return _Raw((p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2))
-
-    def __mul__(x, y):
-        (p1, q1, d1), (p2, q2, d2) = x, y
-        return _Raw((p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2))
-
-    def __truediv__(x, y):
-        # as ExactComplex.__truediv__ computes it before its gcd
-        (p1, q1, d1), (p2, q2, d2) = x, y
-        n2 = p2 * p2 + q2 * q2
-        if not n2:
-            raise ZeroDivisionError("division by exact zero")
-        return _Raw(((p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2,
-                     d1 * n2))
-
-    def __neg__(x):
-        p, q, d = x
-        return _Raw((-p, -q, d))
-
-    def __eq__(x, y):
-        (p1, q1, d1), (p2, q2, d2) = x, y
-        return p1 * d2 == p2 * d1 and q1 * d2 == q2 * d1
-
-    def __ne__(x, y):
-        return not x == y
-
-    def __bool__(x):
-        return x[0] != 0 or x[1] != 0
-
-
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
@@ -468,10 +420,9 @@ EXACT, APPROX, MP, POLY = 1, 2, 3, 4
 # the kind of each type, looked up by type(v).  A type not in it
 # (subclasses, polynomials, mpmath numbers, Fractions) is classified once
 # by _kind_of, which records the kind here: a memo of this module's own
-# rules, so its contents never depend on which modules are loaded.  A
-# _Raw is exact too, so negligible tests it literally.
-_BASE_KINDS = ((ExactComplex, EXACT), (_Raw, EXACT), (int, EXACT),
-               (float, APPROX), (complex, APPROX))
+# rules, so its contents never depend on which modules are loaded.
+_BASE_KINDS = ((ExactComplex, EXACT), (int, EXACT), (float, APPROX),
+               (complex, APPROX))
 KINDS = dict(_BASE_KINDS)
 
 

@@ -26,17 +26,17 @@ Every internal product applies the same elementary updates, each
 unimodular, so exact and polynomial products have det 1 by construction.
 word_partials runs them on complex, mpmath and polynomial entries;
 exact words run them on Gaussian-integer numerators over one common
-denominator (_exact_partials), and _exact_product hands the entries on as
-unreduced scalars._Raw triples, reduced once each where they are kept.
+denominator (_exact_partials), and word_product reduces each entry once.
 Validation stays at the boundary: a user-built ElementaryFactor checks
 its entry's kind (words the library computes itself are built unchecked
 by _word, as matrices by _sl2), a user-built SL2 checks its determinant
-(exact entries as ad - bc == 1 on _Raw triples, polynomials by
-exact_algebra.poly_det_is_one, approximate entries within SL2_DET_ULPS
-units of rounding), eval_word checks only approximate products, where
-rounding drifts, and replay multiplies a returned word back out against
-its target, an exact one on _Raw triples too.  The exact checks
-cross-multiply and reduce nothing.
+(exact entries as ad - bc == 1 cross-multiplied on their integer
+triples, polynomials as a * d - b * c == 1, approximate entries within
+SL2_DET_ULPS units of rounding), eval_word checks only approximate
+products, where rounding drifts, and replay multiplies a returned word
+back out against its target, an exact word against an exact target on
+_exact_partials' numerators.  The exact checks cross-multiply and reduce
+nothing.
 
 One tolerance rule, negligible, makes every zero test but the five-factor
 Cohn flag and the SL2 boundary: exact and polynomial values must be
@@ -56,7 +56,6 @@ from .scalars import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    _Raw,
     _reduced,
     is_literal,
     is_poly,
@@ -148,11 +147,17 @@ def _check_det(vals, *sizes) -> None:
     negligible against |ad| + |bc| and, below DRIFT_CAP, against sizes."""
     a, b, c, d = vals
     if type(a) is ExactComplex:
-        unimodular = (_Raw(a._pqd) * d._pqd - _Raw(b._pqd) * c._pqd
-                      == (1, 0, 1))
+        # ad - bc = 1 times the denominators of ad and bc: real parts,
+        # then imaginary parts
+        (p1, q1, d1), (p2, q2, d2), (p3, q3, d3), (p4, q4, d4) = (
+            a._pqd, b._pqd, c._pqd, d._pqd)
+        den_ad, den_bc = d1 * d4, d2 * d3
+        unimodular = (
+            (p1 * p4 - q1 * q4) * den_bc - (p2 * p3 - q2 * q3) * den_ad
+            == den_ad * den_bc
+            and (p1 * q4 + q1 * p4) * den_bc == (p2 * q3 + q2 * p3) * den_ad)
     elif is_poly(a):
-        from .exact_algebra import poly_det_is_one
-        unimodular = poly_det_is_one(a, b, c, d)
+        unimodular = a * d - b * c == 1
     else:
         # rounding in ad - bc scales with |ad| + |bc|, so the bound does too
         ad, bc = a * d, b * c
@@ -326,18 +331,6 @@ def _exact_partials(sides: Sequence[str], vals: Sequence) -> Iterator[tuple]:
         yield ar, ai, br, bi, cr, ci, dr, di, den
 
 
-def _exact_product(sides: Sequence[str], vals: Sequence) -> tuple:
-    """The entries of an exact word's product as _Raw triples over the
-    common denominator of _exact_partials, with nothing reduced; the
-    identity's for an empty word."""
-    last = _EXACT_IDENTITY
-    for last in _exact_partials(sides, vals):
-        pass
-    ar, ai, br, bi, cr, ci, dr, di, den = last
-    return (_Raw((ar, ai, den)), _Raw((br, bi, den)), _Raw((cr, ci, den)),
-            _Raw((dr, di, den)))
-
-
 def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     """Entries (a, b, c, d) of the whole product; see word_partials.  An
     exact word is multiplied on numerators (_exact_partials) and each
@@ -346,7 +339,6 @@ def word_product(sides: Sequence[str], vals: Sequence) -> tuple:
     if not vals:
         return 1, 0, 0, 1
     if type(vals[0]) is ExactComplex:
-        # the last partial itself: no _Raw is built only to be reduced
         for last in _exact_partials(sides, vals):
             pass
         ar, ai, br, bi, cr, ci, dr, di, den = last
@@ -379,8 +371,9 @@ def replay(word: Word, target: SL2):
     """Multiply a returned word back out and check it against its target.
 
     Exact and polynomial products must equal the target literally (residual
-    0); an exact word against an exact target is compared as _Raw triples
-    (_exact_product), cross-multiplied, with no entry reduced.
+    0); an exact word against an exact target compares the numerators of
+    its last _exact_partials with the target's triples, cross-multiplied,
+    with no entry reduced.
     Otherwise the residual, the largest entrywise distance, must be
     negligible relative to the largest |entry| of the target.  Returns the
     residual; a miss raises VerificationError.
@@ -393,8 +386,16 @@ def replay(word: Word, target: SL2):
     sides = [f.side for f in word.factors]
     vals = unify_scalars([f.entry for f in word])
     if vals and type(vals[0]) is type(target.a) is ExactComplex:
-        a, b, c, d = target.entries
-        if _exact_product(sides, vals) == (a._pqd, b._pqd, c._pqd, d._pqd):
+        for last in _exact_partials(sides, vals):
+            pass
+        ar, ai, br, bi, cr, ci, dr, di, den = last
+        (pa, qa, ea), (pb, qb, eb), (pc, qc, ec), (pd, qd, ed) = (
+            target.a._pqd, target.b._pqd, target.c._pqd, target.d._pqd)
+        # (x_re + x_im i)/den = (p + q i)/e: x_re e = p den, x_im e = q den
+        if (ar * ea == pa * den and ai * ea == qa * den
+                and br * eb == pb * den and bi * eb == qb * den
+                and cr * ec == pc * den and ci * ec == qc * den
+                and dr * ed == pd * den and di * ed == qd * den):
             return 0
         raise VerificationError("replayed word does not reproduce its target")
     prod = _sl2(*word_product(sides, vals)) if vals else SL2.identity()

@@ -171,6 +171,24 @@ def test_cohn_family_needs_h3(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--factors", "4", "--h3", "3", "--dps", "40"],
+     "--dps applies to the 5-factor word only"),
+    (["--h3", "3"], "--h3 applies to the 4-factor family only"),
+    (["--factors", "5", "--h3", "3"],
+     "--h3 applies to the 4-factor family only"),
+])
+def test_cohn_refuses_an_option_of_the_other_family(capsys, argv, message):
+    code, rep = _one_line(capsys, ["cohn", "--z", "1", "--w", "2", *argv])
+    assert code == 2
+    assert rep["error"] == {"code": "precondition", "message": message}
+    # without it the call runs
+    del argv[-2:]
+    code, rep = _one_line(capsys, ["cohn", "--z", "1/2", "--w", "1/4",
+                                   *argv])
+    assert code == 0
+
+
 def test_cohn_holo5(capsys):
     code, rep = run(capsys, "cohn", "--z", "1/2", "--w", "1/4")
     assert code == 0

@@ -227,67 +227,18 @@ def test_exact_odd_nongeneric_refuses_q2_one_unit_off_zero(unit):
 def test_exact_interior_sample_checks_its_solved_level(monkeypatch, n,
                                                        stratum, moved):
     # one solved coordinate (t, or s then t on a non-generic stratum)
-    # moved by one unit must fail the level check, the zero level included,
-    # whether its reduction or the solve itself moves it
-    from sl2factor import fiber_solver
-    from sl2factor.scalars import _Raw
-    reduced, divide, solved = fiber_solver._reduced, _Raw.__truediv__, []
-
-    def moving(p, q, d):
-        solved.append(None)
-        return reduced(p + (len(solved) == moved + 1), q, d)
+    # moved by one unit must fail the level check, the zero level included
+    divide, solved = ExactComplex.__truediv__, []
 
     def solving(x, y):
-        p, q, d = divide(x, y)
         solved.append(None)
-        return _Raw((p + d * (len(solved) == moved + 1), q, d))
+        return divide(x, y) + (len(solved) == moved + 1)
 
-    for owner, name, patch in ((fiber_solver, "_reduced", moving),
-                               (_Raw, "__truediv__", solving)):
-        solved.clear()
-        with monkeypatch.context() as patched:
-            patched.setattr(owner, name, patch)
-            with pytest.raises(VerificationError,
-                               match="interior solve produced wrong level"):
-                interior_sample(n, BIG_A, stratum, seed=5)
-        assert len(solved) > moved
-
-
-# the returned values of each branch: t (and s) in the interior, then z_1
-# and z_N with the eq4 residual (generic even), z_{N-1} and z_N
-# (non-generic even), z_1 and z_N (generic odd) or z_N (non-generic odd)
-@pytest.mark.parametrize("n,make,level,returned,total", [
-    (8, _generic_even, BIG_A, 1 + 3, 9),
-    (8, _nongeneric_even, BIG_B, 2 + 2, 8),
-    (7, _generic_odd, BIG_B, 1 + 2, 7),
-    (7, _nongeneric_odd, BIG_A, 2 + 1, 6),
-    (4, _generic_even, BIG_A, 1 + 3, None),
-    (4, _nongeneric_even, BIG_B, 2 + 2, None),
-    (5, _generic_odd, BIG_B, 1 + 2, None),
-    (5, _nongeneric_odd, BIG_A, 2 + 1, None),
-])
-def test_exact_solves_reduce_only_draws_and_returned_values(
-        monkeypatch, n, make, level, returned, total):
-    from sl2factor import _random, fiber_solver, scalars, word_core
-    target = make(level)
-    calls, draws = [], []
-
-    def counting(p, q, d, reduced=scalars._reduced):
-        calls.append((p, q, d))
-        return reduced(p, q, d)
-
-    def drawing(rng, draw=fiber_solver.random_exact):
-        draws.append(None)
-        return draw(rng)
-
-    for module in (_random, fiber_solver, scalars, word_core):
-        monkeypatch.setattr(module, "_reduced", counting)
-    monkeypatch.setattr(fiber_solver, "random_exact", drawing)
-    comp = _solve(target, n, seed=5, z1=Z1)
-    assert comp.verified and len(comp.point) == n
-    assert len(calls) == len(draws) + returned
-    if total is not None:  # no draw was rejected at this seed
-        assert len(calls) == total
+    monkeypatch.setattr(ExactComplex, "__truediv__", solving)
+    with pytest.raises(VerificationError,
+                       match="interior solve produced wrong level"):
+        interior_sample(n, BIG_A, stratum, seed=5)
+    assert len(solved) > moved
 
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -22,11 +22,14 @@ _SPEC.loader.exec_module(report_diff)
 COMMANDS = report_diff.COMMANDS
 
 # a few commands that are also run in a subprocess: a report, a seeded
-# run, an input file, a refusal, help text and an argparse error
+# run, an input file, an exact non-generic solve on 10-digit entries, a
+# refusal, help text and an argparse error
 SUBPROCESS_CHECKED = [
     ["expand", "--n", "7"],
     ["lemma-check", "--n", "4", "--samples", "200", "--seed", "1"],
     ["winding", "--input", "{loop}"],
+    ["fiber-solve", "--n", "8", "--input", "{a_zero_big}", "--seed", "9",
+     "--z1", "2718281828/3141592653-1 i"],
     ["cohn", "--z", "1/0", "--w", "1"],
     ["cohn", "--help"],
     ["factor-const"],

@@ -1,13 +1,14 @@
 ##
 ## The exact determinant check, the exact replay, the exact fiber solves,
-## the exact frame rank and the scalar arithmetic (ExactComplex and the
-## unreduced _Raw) decide against sympy's Gaussian rationals, an oracle
-## that shares no code with the library: near-misses one unit of a
-## 10-digit denominator away from the truth must be refused, the truth
-## accepted, every solved fiber point must satisfy the fiber equations,
-## every rank must be sympy's, the frame's minor on consecutive columns
-## must be the middle coordinate, and every sum, difference, product and
-## quotient must be sympy's value
+## the exact frame rank, the ExactComplex arithmetic and the polynomial
+## kernel decide against sympy's Gaussian rationals, an oracle that shares
+## no code with the library: near-misses one unit of a 10-digit
+## denominator away from the truth must be refused, the truth accepted,
+## every solved fiber point must satisfy the fiber equations, every rank
+## must be sympy's, the frame's minor on consecutive columns must be the
+## middle coordinate, every sum, difference, product and quotient must be
+## sympy's value, and every MultiPoly sum, difference, product, derivative
+## and middle polynomial must be sympy.Poly's, in canonical coefficients
 ##
 
 from fractions import Fraction
@@ -19,13 +20,14 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix
 
 from sl2factor.errors import PreconditionError, VerificationError
+from sl2factor.exact_algebra import MultiPoly
 from sl2factor.fiber_solver import (complete_generic_even,
                                     complete_nongeneric_even, complete_odd,
                                     interior_sample)
-from sl2factor.scalars import ExactComplex, _Raw, _reduced
+from sl2factor.scalars import ExactComplex
 from sl2factor.submersion_spray import TangentFrame, frame_rank, sl2_jacobian
 from sl2factor.word_core import (LOWER, SL2, UPPER, PhiTemplate, Word, _sl2,
-                                 replay)
+                                 middle_Q, replay)
 
 QQ, QQ_I = sympy.QQ, sympy.QQ_I
 I = QQ_I(0, 1)
@@ -283,9 +285,8 @@ def test_hand_built_frames_of_each_rank(rank):
     assert frame_rank(frame) == _oracle_rank(oracle) == rank
 
 
-# the four field operations on the two exact forms: ExactComplex, whose
-# result must be the canonical triple of sympy's value, and the unreduced
-# _Raw, scaled by a random factor so that no triple it sees is canonical
+# the four field operations on ExactComplex, whose result must be the
+# canonical triple of sympy's value
 
 OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
@@ -299,47 +300,63 @@ def test_exact_complex_arithmetic_is_sympys(op, x, y):
     assert got._pqd == _canonical(OPS[op](x, y))
 
 
-def _raw(x, scale):
-    p, q, d = _canonical(x)
-    return _Raw((p * scale, q * scale, d * scale))
+# MultiPoly against sympy.Poly over QQ_I: 1-3 variables, exponents up to 3,
+# at least two terms a factor so that every product is deferred, and the
+# coefficients of each result compared as canonical triples
 
 
-scales = st.integers(1, BIG)
+def _terms(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), nonzero,
+                           min_size=2, max_size=5)
 
 
-@given(st.sampled_from(sorted(OPS)), gaussians, gaussians, scales, scales)
-@settings(max_examples=300, deadline=None)
-def test_raw_arithmetic_is_sympys(op, x, y, k, m):
-    rx, ry = _raw(x, k), _raw(y, m)
-    assert type(-rx) is _Raw and _reduced(*-rx)._pqd == _canonical(-x)
-    if op == "/" and not y:
-        with pytest.raises(ZeroDivisionError):
-            rx / ry
-        return
-    got = OPS[op](rx, ry)
-    assert type(got) is _Raw and got[2] > 0
-    assert _reduced(*got)._pqd == _canonical(OPS[op](x, y))
-    # a plain triple, as an ExactComplex's _pqd, serves as right operand
-    assert OPS[op](rx, _exact(y)._pqd) == got
+def _pair(terms, nvars):
+    """The MultiPoly and the sympy.Poly of an {exponent: QQ_I} dict."""
+    gens = sympy.symbols(f"x0:{nvars}")
+    return (MultiPoly(nvars, {e: _exact(c) for e, c in terms.items()}),
+            sympy.Poly.from_dict(terms, *gens, domain=QQ_I))
 
 
-@given(gaussians, gaussians, scales, scales, st.sampled_from([0, 1, -1]),
-       st.sampled_from(["re", "im", "den"]))
-@settings(max_examples=300, deadline=None)
-def test_raw_equality_and_truth_are_sympys(x, y, k, m, step, part):
-    rx = _raw(x, k)
-    # the same value under another scale, and a value one unit away
-    p, q, d = _canonical(x)
-    if part == "re":
-        p += step
-    elif part == "im":
-        q += step
-    else:
-        d = d + step or 2
-    moved = QQ_I(QQ(p, d), QQ(q, d))
-    assert (rx == _raw(moved, m)) is (moved == x)
-    assert (rx != _raw(moved, m)) is (moved != x)
-    assert (rx == _raw(y, m)) is (x == y)
-    assert rx == _exact(x)._pqd and _exact(x)._pqd == rx
-    assert bool(rx) is bool(x)
-    assert bool(_raw(QQ_I.zero, k)) is False
+def _assert_same(got: MultiPoly, want) -> None:
+    assert {e: c._pqd for e, c in got.terms.items()} == \
+        {e: _canonical(c) for e, c in want.as_dict(native=True).items()}
+
+
+POLY_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+            "*": lambda x, y: x * y}
+
+
+@given(st.sampled_from(sorted(POLY_OPS)), st.integers(1, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_poly_ring_operations_are_sympys(op, nvars, data):
+    (x, sx), (y, sy) = (_pair(data.draw(_terms(nvars)), nvars)
+                        for _ in range(2))
+    _assert_same(POLY_OPS[op](x, y), POLY_OPS[op](sx, sy))
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=75, deadline=None)
+def test_poly_determinant_sum_is_sympys(nvars, data):
+    (a, sa), (b, sb), (c, sc), (d, sd) = (
+        _pair(data.draw(_terms(nvars)), nvars) for _ in range(4))
+    _assert_same(a * d - b * c, sa * sd - sb * sc)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=75, deadline=None)
+def test_poly_derivative_is_sympys(nvars, data):
+    x, sx = _pair(data.draw(_terms(nvars)), nvars)
+    var = data.draw(st.integers(0, nvars - 1))
+    _assert_same(x.diff(var), sx.diff(sx.gens[var]))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_middle_polynomials_are_sympys(n):
+    # M_2(z_2) ... M_{N-1}(z_{N-1}), upper factor first
+    gens = sympy.symbols(f"z2:{n}")
+    m = sympy.eye(2)
+    for j, z in enumerate(gens):
+        m = m * (sympy.Matrix([[1, z], [0, 1]]) if j % 2 == 0
+                 else sympy.Matrix([[1, 0], [z, 1]]))
+    for got, entry in zip(middle_Q(n), m):
+        _assert_same(got, sympy.Poly(entry, *gens, domain=QQ_I))

@@ -200,7 +200,7 @@ def test_eval_word_checks_only_approximate_products(monkeypatch):
         raise AssertionError("determinant checked")
 
     monkeypatch.setattr(word_core, "_check_det", refuse)
-    # word_core imports poly_det_is_one where it checks a polynomial
+    # nor the polynomial check that expand and criterion 1 call
     monkeypatch.setattr(exact_algebra, "poly_det_is_one", refuse)
     exact = Word.of((LOWER, Fraction(1, 3)), (UPPER, ExactComplex(2, 1)),
                     (LOWER, 5))

@@ -148,6 +148,11 @@ COMMANDS = [
     ["cohn", "--z", "1", "--w", "2", "--factors", "4", "--h3", "3"],
     ["cohn", "--z", "1/2", "--w", "1/4"],
     ["cohn", "--z", "1/2", "--w", "1/4", "--dps", "40"],
+    # an option of the other family, --dps with four factors or --h3 with
+    # five: refused with exit 2
+    ["cohn", "--z", "1", "--w", "2", "--factors", "4", "--h3", "3",
+     "--dps", "40"],
+    ["cohn", "--z", "1/2", "--w", "1/4", "--h3", "3"],
     ["winding", "--radius", "4"],
     ["winding", "--input", "{loop}"],
     ["certificate"],
