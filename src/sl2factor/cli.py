@@ -9,15 +9,14 @@ scalars travel as strings like "3/4" or "1/2+5/3 i".  Float syntax on the
 command line needs --approx (jacobian, fiber-solve's --z1, cohn).  --input
 files (jacobian, fiber-solve, factor-const, pad, winding) carry their own
 kind: strings and ints are exact, floats and [re, im] pairs approximate.
-A well-formed command line is parsed directly against the one option table,
-SUBCOMMANDS; argparse, built from the same table, is imported only for
--h/--help and for a line the direct parse declines, so it alone writes help
-text and parse-error messages.
-"""
+Every command line is read against one option table, SUBCOMMANDS, which
+also gives the --help text and the message of each refusal; an option's
+value is the next word whatever its first character ("--w -1/2")."""
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from time import perf_counter
 from types import SimpleNamespace
@@ -38,7 +37,6 @@ def _parse_scalar(text: str, approx: bool = False):
     if not approx:
         raise PreconditionError(
             f"scalar {text!r} is not exact; pass --approx to allow floats")
-    import re
     try:
         # only the imaginary unit of "1+2i" becomes "j", not the i of "inf"
         value = complex(re.sub(r"(?<![A-Za-z])i(?![A-Za-z])", "j",
@@ -353,11 +351,11 @@ def _cmd_verify_suite(args):
 
 # Every subcommand once: its help, its handler, its options and the options
 # of which exactly one must be given.  Each option maps its flag to the
-# keywords of argparse's add_argument.  parse_direct reads a well-formed
-# command line against this table; build_parser hands it to argparse, which
-# writes the help text and the message for every other line.  --input and
-# --approx only where the handler reads them: JSON input carries its own
-# scalar kind, --approx governs command-line scalars.
+# keywords argparse's add_argument would take (type, choices, default,
+# required, help, action="store_true"); parse_direct reads a command line
+# and _print_help writes --help against this table.  --input and --approx
+# only where the handler reads them: JSON input carries its own scalar
+# kind, --approx governs command-line scalars.
 SUBCOMMANDS = {
     "expand": ("middle polynomials Q1..Q4", _cmd_expand, {
         "--n": dict(type=int, required=True,
@@ -427,93 +425,117 @@ SUBCOMMANDS = {
 }
 
 
-def parse_direct(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would build from argv, parsed without it, or
-    None.  Only this shape is parsed: a subcommand, then options that match
-    one of its flags exactly, each "--name value", "--name=value" or a bare
-    store-true flag, where a separate value does not start with "-", every
-    value converts and meets its choices, the required options are given,
-    and a repeated option keeps its last value.  Any other line (help, an
-    abbreviation, "--", an extra word, a bad value) is argparse's to parse,
-    so that it alone writes help text and error messages."""
-    if not argv or argv[0] not in SUBCOMMANDS:
-        return None
-    _, fn, options, one_of = SUBCOMMANDS[argv[0]]
+# -h and --help, wherever an option is read
+HELP = ("-h", "--help")
+ECHO_CHARS = 40
+
+
+def _refuse(message: str):
+    """Refuse the command line with message, where an argument longer than
+    ECHO_CHARS shows as its first ECHO_CHARS characters and its length."""
+    def cut(m: re.Match) -> str:
+        quote, arg = m.groups()
+        if len(arg) <= ECHO_CHARS:
+            return m[0]
+        return f"{quote}{arg[:ECHO_CHARS]}{quote}... ({len(arg)} characters)"
+    raise PreconditionError(re.sub(r"(['\"]?)(\S+?)\1(?!\S)", cut, message))
+
+
+def _flag(token: str, flags) -> str | None:
+    """The one of flags that token names: itself, or the only flag that
+    token abbreviates (every flag but -h starts with "--")."""
+    if token in flags:
+        return token
+    hits = [f for f in flags if len(token) > 2 and f.startswith(token)]
+    if len(hits) > 1:
+        _refuse(f"ambiguous option: {token} could match {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _value(name: str, kw: dict, text: str):
+    """text converted to the type of option name, which kw declares, and
+    checked against its choices."""
+    kind = kw.get("type", str)
+    try:
+        value = kind(text)
+    except ValueError:
+        _refuse(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+    if "choices" in kw and value not in kw["choices"]:
+        _refuse(f"argument {name}: invalid choice: {value!r} (choose from "
+                f"{', '.join(map(repr, kw['choices']))})")
+    return value
+
+
+def parse_direct(argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command line: its subcommand, handler and one
+    attribute per option of that subcommand, the value given or the
+    default.  An option is "--name value" or "--name=value", the value
+    taken whatever its first character, or a bare store-true flag; a name
+    may be cut to a prefix no other name shares, and a repeated option
+    keeps its last value.  -h or --help, before the subcommand or among its
+    options, prints its help and exits 0; any other line is refused with
+    one PreconditionError."""
+    if not argv:
+        _refuse("the following arguments are required: command")
+    if _flag(argv[0], HELP):
+        _print_help(None)
+    command = _value("command", {"choices": SUBCOMMANDS}, argv[0])
+    _, fn, options, one_of = SUBCOMMANDS[command]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        flag, eq, value = token.partition("=")
+        name, eq, value = token.partition("=")
+        flag = _flag(name, (*HELP, *options))
+        if flag in HELP:
+            _print_help(command)
         kw = options.get(flag)
-        if kw is None:
-            return None
-        if kw.get("action") == "store_true":
-            if eq:
-                return None
-            value = True
-        else:
-            if not eq:  # a missing value reads as "-", and is refused
-                value = next(tokens, "-")
-                if value.startswith("-"):
-                    return None
-            try:
-                value = kw.get("type", str)(value)
-            except (TypeError, ValueError):
-                return None
-            if "choices" in kw and value not in kw["choices"]:
-                return None
-        given[flag] = value
-    if any(kw.get("required") and flag not in given
-           for flag, kw in options.items()):
-        return None
-    if one_of and sum(flag in given for flag in one_of) != 1:
-        return None
-    args = SimpleNamespace(command=argv[0], fn=fn)
+        if kw is None or eq and "action" in kw:
+            _refuse(f"unrecognized arguments: {token}")
+        if not eq and "action" not in kw:
+            value = next(tokens, None)
+            if value is None:
+                _refuse(f"argument {flag}: expected one argument")
+        given[flag] = True if "action" in kw else _value(flag, kw, value)
+    missing = [f for f, kw in options.items()
+               if kw.get("required") and f not in given]
+    if missing:
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    chosen = [f for f in given if f in one_of]
+    if one_of and len(chosen) != 1:
+        _refuse(f"argument {chosen[1]}: not allowed with argument "
+                f"{chosen[0]}" if chosen else
+                f"one of the arguments {' '.join(one_of)} is required")
+    args = SimpleNamespace(command=command, fn=fn)
     for flag, kw in options.items():
-        default = False if kw.get("action") == "store_true" else None
-        setattr(args, flag[2:].replace("-", "_"),
-                given.get(flag, kw.get("default", default)))
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, kw.get(
+            "default", False if "action" in kw else None)))
     return args
 
 
-# argparse echoes a bad argument whole; one longer than this is echoed as
-# its first ECHO_CHARS characters and its length
-ECHO_CHARS = 40
-_ECHOED_ARG = r"(['\"]?)(\S+?)\1(?!\S)"
-
-
-def _cut_long_arg(m: re.Match) -> str:
-    quote, arg = m.groups()
-    if len(arg) <= ECHO_CHARS:
-        return m[0]
-    return f"{quote}{arg[:ECHO_CHARS]}{quote}... ({len(arg)} characters)"
-
-
-def build_parser(command: str) -> argparse.ArgumentParser:
-    """The argparse parser of SUBCOMMANDS, with every subcommand and its help
-    registered, but only the subcommand named command given its arguments:
-    a call runs one.  Its errors raise PreconditionError, so a malformed
-    command line takes the one JSON error path."""
-    import argparse
-    import re
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise PreconditionError(re.sub(_ECHOED_ARG, _cut_long_arg,
-                                           message))
-
-    parser = _Parser(prog="sl2factor", description="Exact unipotent "
-                     "factorization toolkit for SL2")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fn, options, one_of) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
-        if name != command:
-            continue
-        if one_of:
-            group = p.add_mutually_exclusive_group(required=True)
+def _print_help(command: str | None):
+    """Print the --help text of the program (command None) or of one
+    subcommand, and exit 0."""
+    if command is None:
+        about = "Exact unipotent factorization toolkit for SL2\n\ncommands:"
+        rows = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
+    else:
+        about, _, options, one_of = SUBCOMMANDS[command]
+        about += "\n\noptions:"
+        rows = {"-h, --help": "show this help"}
         for flag, kw in options.items():
-            (group if flag in one_of else p).add_argument(flag, **kw)
-    return parser
+            metavar = ("{%s}" % ",".join(map(str, kw["choices"]))
+                       if "choices" in kw else flag[2:].upper())
+            text = kw.get("help", "")
+            if kw.get("required"):
+                text += " (required)"
+            elif flag in one_of:
+                text += f" (one of {' '.join(one_of)} is required)"
+            rows[flag if "action" in kw else f"{flag} {metavar}"] = text
+    width = max(map(len, rows)) + 2
+    print(f"usage: sl2factor {command or 'COMMAND'} [options]\n\n{about}")
+    for spelled, text in rows.items():
+        print(f"  {spelled:<{width}}{text.strip()}".rstrip())
+    raise SystemExit(0)
 
 
 def _emit(payload: dict, command: str | None, t0: float) -> bool:
@@ -534,17 +556,9 @@ def main(argv=None) -> int:
     t0 = perf_counter()
     if argv is None:
         argv = sys.argv[1:]
-    args = parse_direct(argv)
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        if args is None:
-            # argparse sets command on a known subcommand, so parse errors
-            # name it.  The top-level parser takes no option values, so the
-            # subcommand that can run is the first argument not starting
-            # with "-"; argparse refuses any earlier one it reads as a
-            # command ("-5", "-x y") as unknown
-            args = SimpleNamespace(command=None)
-            named = next((a for a in argv if not a.startswith("-")), "")
-            build_parser(named).parse_args(argv, args)
+        args = parse_direct(argv)
         payload, code = args.fn(args)
     except PreconditionError as exc:
         payload, code = {"error": {"code": "precondition",
@@ -554,11 +568,10 @@ def main(argv=None) -> int:
                                    "message": str(exc)}}, 3
     except (OSError, json.JSONDecodeError) as exc:
         payload, code = {"error": {"code": "io", "message": str(exc)}}, 4
-    if not _emit(payload, args.command, t0):
+    if not _emit(payload, command, t0):
         code = 3
         _emit({"error": {"code": "verification", "message":
-                         "report holds a non-finite value"}},
-              args.command, t0)
+                         "report holds a non-finite value"}}, command, t0)
     return code
 
 

@@ -23,10 +23,10 @@ Every completion is verified by multiplying the word back out
 (word_core.replay); exact inputs verify by literal equality.  Each formula
 is written once and runs on the unified values as they are (exact,
 complex or mpmath), the middle product coming from word_core.word_product;
-nothing here tells the kinds apart.  Level and zero tests use the one rule
-of word_core.negligible: literal for exact values; for approximate ones a
-middle-product entry is on its level when it is within APPROX_TOL
-max(1, |level|), and a pivot counts as zero below APPROX_TOL
+nothing here tells the kinds apart.  Level tests use word_core.on_level
+and zero tests word_core.negligible: literal for exact values; for
+approximate ones a middle-product entry is on its level when it is within
+APPROX_TOL max(1, |level|), and a pivot counts as zero below APPROX_TOL
 max(1, largest |entry| of the target).
 """
 
@@ -38,7 +38,8 @@ from .errors import (PreconditionError, SamplingBudgetError,
                      VerificationError, _Record)
 from .scalars import unify_scalars
 from ._random import random_exact, rng_from_seed
-from .word_core import SL2, _word, negligible, replay, word_product
+from .word_core import (SL2, _word, negligible, on_level, replay,
+                        word_product)
 
 MAX_SAMPLE_TRIES = 64
 _WRONG_LEVEL = "interior solve produced wrong level"
@@ -135,7 +136,7 @@ def interior_sample(n: int, level, stratum: str = "Q1",
             values += (t,)
             off = lin + on * t
         # a zero level is measured at the scale of the nonzero one
-        if not (negligible(on - level, level)
+        if not (on_level(on, level)
                 and (generic or negligible(off, level))):
             raise VerificationError(_WRONG_LEVEL)
         return InteriorPoint(n, stratum, level, values)
@@ -153,7 +154,7 @@ def complete_generic_even(target: SL2, interior: InteriorPoint
     if pivot_is_zero(target, n):
         raise PreconditionError("generic branch needs a != 0")
     q1, q2, q3, q4 = word_product("UL" * len(values), values)
-    if not negligible(q1 - a, a):
+    if not on_level(q1, a):
         raise PreconditionError("interior is off the level set Q1 = a")
     z1 = (c - q3) / a
     zn = (b - q2) / a
@@ -182,7 +183,7 @@ def complete_nongeneric_even(target: SL2, z1=None, prefix: Sequence = ()
         raise PreconditionError("a = 0 forces b != 0")
     # appending L(z_{N-1}) leaves R's second column alone: Q4 = R4
     r1, r2, _, q4 = word_product("UL" * len(prefix), prefix)
-    if not negligible(r2 - b, b):
+    if not on_level(r2, b):
         raise PreconditionError("prefix is off the level set R2 = b")
     if centred:
         z1 = (d - q4) / b
@@ -210,7 +211,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     if branch == "generic":
         if pivot_is_zero(target, n):
             raise PreconditionError("generic branch needs b != 0")
-        if not negligible(q2 - b, b):
+        if not on_level(q2, b):
             raise PreconditionError("interior is off the level set Q2 = b")
         point = ((d - q4) / b, *values, (a - q1) / b)
         _replay_phi(point, target)
@@ -218,7 +219,7 @@ def complete_odd(target: SL2, interior: InteriorPoint, branch: str,
     if branch == "nongeneric":
         if not pivot_is_zero(target, n):
             raise PreconditionError("non-generic branch needs b = 0")
-        if not (negligible(q1 - a, a) and negligible(q2, a)):
+        if not (on_level(q1, a) and negligible(q2, a)):
             raise PreconditionError(
                 "interior must satisfy Q1 = a and Q2 = 0")
         if centred:

@@ -42,8 +42,9 @@ One tolerance rule, negligible, makes every zero test but the five-factor
 Cohn flag and the SL2 boundary: exact and polynomial values must be
 literally zero, approximate ones below APPROX_TOL max(1, size of the
 values compared), that size being |ad| + |bc| for a product's
-determinant, |level| for a fiber level, and the largest |entry| of the
-target for a replay or a fiber pivot.
+determinant, |level| for a fiber level (on_level, which compares exact
+values with == instead), and the largest |entry| of the target for a
+replay or a fiber pivot.
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ def negligible(x, *sizes) -> bool:
     if is_literal(x):
         return not x
     return abs(x) < APPROX_TOL * max([1, *map(abs, sizes)])
+
+
+def on_level(x, level) -> bool:
+    """Whether x lies on level: x == level for exact and polynomial values,
+    which forms no difference; negligible(x - level, level) for
+    approximate ones."""
+    if is_literal(x):
+        return x == level
+    return negligible(x - level, level)
 
 
 class ElementaryFactor(_Record):

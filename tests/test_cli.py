@@ -3,7 +3,6 @@
 ## byte-stable output
 ##
 
-import argparse
 import json
 from time import perf_counter
 
@@ -11,8 +10,7 @@ import pytest
 
 from sl2factor.cli import (MAX_EXPAND_N, MAX_FIBER_N, MAX_LEMMA_N,
                            MAX_LEMMA_SAMPLES, MAX_LEMMA_WORK,
-                           MAX_LOOP_SAMPLES, SUBCOMMANDS, build_parser,
-                           main)
+                           MAX_LOOP_SAMPLES, SUBCOMMANDS, main)
 from sl2factor.exact_algebra import poly_to_json
 from sl2factor.obstruction import SAMPLE_CAP
 from sl2factor.word_core import middle_Q
@@ -780,8 +778,7 @@ def test_malformed_command_line_is_one_json_line(capsys, argv, command):
 
 
 def test_long_bad_argument_is_echoed_bounded(capsys):
-    # argparse echoes an invalid int whole; the report keeps its first 40
-    # characters and its length
+    # a bad value is echoed as its first 40 characters and its length
     code = main(["expand", "--n", "1" * 5000])
     out = capsys.readouterr().out
     assert code == 2
@@ -854,21 +851,117 @@ OPTIONS = {
 
 
 def test_each_subcommand_declares_only_the_options_it_reads():
-    declared = {}
-    for command in OPTIONS:
-        # every subcommand is registered; only the named one has options
-        sub = next(a for a in build_parser(command)._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(OPTIONS)
-        for name, p in sub.choices.items():
-            options = {o for a in p._actions for o in a.option_strings
-                       if o not in ("-h", "--help")}
-            if name == command:
-                declared[name] = options
-            else:
-                assert not options
+    declared = {name: set(entry[2]) for name, entry in SUBCOMMANDS.items()}
+    assert list(declared) == list(OPTIONS)
     assert declared == OPTIONS
     assert sum(map(len, declared.values())) == 32
-    # the direct parse reads the same table
-    assert {name: set(entry[2]) for name, entry in SUBCOMMANDS.items()} == \
-        OPTIONS
+
+
+def _timeless(out: str) -> dict:
+    report = json.loads(out)
+    del report["timing_ms"]
+    return report
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohn", "--z", "1", "--w", "-1/2"],
+    ["cohn", "--z", "1", "--w", "-2+2i"],
+    ["cohn", "--z", "1", "--w", "-2i"],
+    ["cohn", "--z", "-1/2", "--w", "-1/4", "--factors", "4", "--h3", "-3"],
+    ["cohn", "--approx", "--z", "-1e-3", "--w", "-.5"],
+])
+def test_option_value_may_start_with_a_dash(capsys, argv):
+    # the same report as the "--option=value" spelling, timing aside
+    code = main(argv)
+    spaced = capsys.readouterr().out
+    joined, words = [argv[0]], iter(argv[1:])
+    for word in words:
+        joined.append(word if word == "--approx" else f"{word}={next(words)}")
+    assert main(joined) == code == 0
+    assert _timeless(spaced) == _timeless(capsys.readouterr().out)
+
+
+def test_fiber_solve_takes_a_negative_free_z1(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"a": "0", "b": "3", "c": "-1/3", "d": "2+i"}')
+    code, rep = _one_line(capsys, ["fiber-solve", "--n", "4", "--input",
+                                   str(path), "--z1", "-1/2"])
+    assert code == 0 and rep["verified"]
+    assert rep["z1_free"] == rep["point"][0] == "-1/2"
+
+
+def test_unique_prefix_abbreviates_an_option(capsys):
+    code, rep = _one_line(capsys, ["winding", "--samp", "32", "--rad=2"])
+    assert code == 0
+    assert (rep["samples_used"], rep["radius"]) == (32, 2.0)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["-x"], "argument command: invalid choice: '-x' (choose from "
+     "'expand', 'jacobian', 'lemma-check', 'fiber-solve', 'factor-const', "
+     "'pad', 'cohn', 'winding', 'certificate', 'bound', 'verify-suite')"),
+    (["lemma-check", "--n", "4", "--s", "5"],
+     "ambiguous option: --s could match --samples, --seed"),
+    (["cohn", "--h", "3"], "ambiguous option: --h could match --help, --h3"),
+    (["expand", "--n", "4", "--z", "1"], "unrecognized arguments: --z"),
+    (["expand", "--n", "4", "--"], "unrecognized arguments: --"),
+    (["expand", "--n"], "argument --n: expected one argument"),
+    (["expand", "--n", "4.5"], "argument --n: invalid int value: '4.5'"),
+    (["winding", "--radius", "r"],
+     "argument --radius: invalid float value: 'r'"),
+    (["cohn", "--z", "1", "--w", "1", "--factors=3"],
+     "argument --factors: invalid choice: 3 (choose from 4, 5)"),
+    (["cohn", "--z", "1", "--w", "1", "--approx=yes"],
+     "unrecognized arguments: --approx=yes"),
+    (["cohn", "--z", "1"], "the following arguments are required: --w"),
+    (["fiber-solve"],
+     "the following arguments are required: --n, --input"),
+    (["jacobian", "--n", "4"],
+     "one of the arguments --point --input is required"),
+    (["jacobian", "--n", "4", "--input", "p.json", "--point", "1"],
+     "argument --point: not allowed with argument --input"),
+])
+def test_each_refusal_has_its_message(capsys, argv, message):
+    code, rep = _one_line(capsys, argv)
+    assert code == 2
+    assert rep["error"] == {"code": "precondition", "message": message}
+
+
+@pytest.mark.parametrize("argv", [["--he"], ["--help", "cohn"],
+                                  ["cohn", "--z", "1", "--he"],
+                                  ["cohn", "--z", "1", "-h", "--bogus"]])
+def test_help_wherever_an_option_is_read(capsys, argv):
+    # help ends the parse where it is read: what follows is not looked at
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    name = argv[0] if argv[0] in SUBCOMMANDS else "COMMAND"
+    assert capsys.readouterr().out.startswith(
+        f"usage: sl2factor {name} [options]\n")
+
+
+def test_refusal_before_help_is_reported(capsys):
+    code, rep = _one_line(capsys, ["cohn", "--bogus", "-h"])
+    assert code == 2
+    assert rep["error"]["message"] == "unrecognized arguments: --bogus"
+
+
+def test_help_lists_every_subcommand_and_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = capsys.readouterr().out
+    for name, (help_text, *_) in SUBCOMMANDS.items():
+        assert f"  {name} " in text and help_text in text
+    for name, (_, _, options, one_of) in SUBCOMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for flag, kw in options.items():
+            line = next(x for x in lines if x.startswith(f"  {flag} ")
+                        or x == f"  {flag}")
+            assert kw.get("help", "") in line
+            if kw.get("required"):
+                assert "(required)" in line
+            if flag in one_of:
+                assert f"(one of {' '.join(one_of)} is required)" in line

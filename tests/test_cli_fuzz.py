@@ -2,20 +2,23 @@
 ## The CLI boundary under generated input: whatever the command line and
 ## whatever the --input file, main returns 0, 2, 3 or 4 and prints exactly
 ## one JSON object line, never a traceback or a usage text; and wherever
-## the direct parse accepts a command line, argparse builds the same
-## namespace from it
+## argparse, built from the same option table, accepts a command line, the
+## parser builds argparse's namespace from it
 ##
 
+import argparse
 import contextlib
 import io
 import json
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from sl2factor.cli import SUBCOMMANDS, build_parser, main, parse_direct
+from sl2factor.cli import SUBCOMMANDS, main, parse_direct
+from sl2factor.errors import PreconditionError
 
 COMMANDS = ["expand", "jacobian", "lemma-check", "fiber-solve",
             "factor-const", "pad", "cohn", "winding", "certificate", "bound"]
@@ -130,7 +133,7 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's own exit: usage text, no JSON
+        except SystemExit as exc:  # the help exit: usage text, no JSON
             pytest.fail(f"{argv} raised SystemExit({exc.code})")
     assert not err.getvalue(), (argv, err.getvalue())
     lines = out.getvalue().splitlines()
@@ -200,6 +203,36 @@ def test_generated_input_file_gives_one_json_line(input_path, command, n,
 FORMS = ["--f v", "--f=v", "--f"]
 
 
+class _Refused(Exception):
+    """argparse's refusal of a command line, with its message."""
+
+
+class _Oracle(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+@cache
+def argparse_oracle() -> argparse.ArgumentParser:
+    """argparse's reading of SUBCOMMANDS, the reference the parser is
+    checked against: every option maps its flag to add_argument's
+    keywords, and the options of one_of form a required exclusive group."""
+    parser = _Oracle(prog="sl2factor")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, options, one_of) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        group = p.add_mutually_exclusive_group(required=True) if one_of \
+            else None
+        for flag, kw in options.items():
+            (group if flag in one_of else p).add_argument(flag, **kw)
+    return parser
+
+
+def _argparse(argv) -> SimpleNamespace:
+    return argparse_oracle().parse_args(argv, SimpleNamespace(command=None))
+
+
 def _comparable(args) -> dict:
     # a NaN --radius is not equal to itself
     return {k: "nan" if isinstance(v, float) and v != v else v
@@ -230,13 +263,24 @@ def test_direct_parse_is_argparse_or_declines(command, use_base, data):
             argv.append(f"{flag}={value}")
         else:
             argv += [flag, value]
-    direct = parse_direct(argv)
-    if direct is not None:
-        # argparse is the reference: it accepts the line, and builds the
-        # same namespace
-        expected = build_parser(command).parse_args(
-            argv, SimpleNamespace(command=None))
-        assert _comparable(direct) == _comparable(expected), argv
+    try:
+        expected = _argparse(argv)
+    except _Refused as exc:
+        # argparse declines the line.  The parser refuses it too, unless it
+        # takes as a value what argparse reads as an option: a "-1/2", a
+        # "-inf" or a flag after an option that wants a value, where
+        # argparse's first refusal says no value came or names a flag as
+        # ambiguous
+        try:
+            parse_direct(argv)
+        except PreconditionError:
+            return
+        message = str(exc)
+        assert (message.endswith("expected one argument")
+                or message.startswith("ambiguous option")), (argv, message)
+        return
+    # argparse is the reference wherever it accepts the line
+    assert _comparable(parse_direct(argv)) == _comparable(expected), argv
 
 
 def test_direct_parse_accepts_each_well_formed_call():
@@ -246,6 +290,4 @@ def test_direct_parse_accepts_each_well_formed_call():
                      [command, *(f"{a}={b}" for a, b in zip(base[::2],
                                                             base[1::2]))]):
             argv = [a.format(input="in.json") for a in argv]
-            expected = build_parser(command).parse_args(
-                argv, SimpleNamespace(command=None))
-            assert parse_direct(argv) == expected, argv
+            assert parse_direct(argv) == _argparse(argv), argv

@@ -23,7 +23,7 @@ COMMANDS = report_diff.COMMANDS
 
 # a few commands that are also run in a subprocess: a report, a seeded
 # run, an input file, an exact non-generic solve on 10-digit entries, a
-# refusal, help text and an argparse error
+# refusal, help text and a parse error
 SUBPROCESS_CHECKED = [
     ["expand", "--n", "7"],
     ["lemma-check", "--n", "4", "--samples", "200", "--seed", "1"],

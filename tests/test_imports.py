@@ -6,6 +6,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,10 +100,11 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
 # dataclass.  fractions and the decimal it imports cost about 2 ms; no
 # subcommand but verify-suite loads them, since exact text is parsed to
 # integers.  argparse and the gettext it imports cost 2-4 ms, and building
-# the parser as much again; a well-formed command line of any subcommand
-# is parsed without them.  Under -S no site .pth file runs, and one may
-# import typing before the package does; verify-suite, which needs mpmath
-# from site-packages, runs without -S and is checked for the parser only.
+# a parser as much again; cli parses every command line, help and errors
+# included, against its own option table and imports neither.  Under -S
+# no site .pth file runs, and one may import typing before the package
+# does; verify-suite, which needs mpmath from site-packages, runs without
+# -S and is checked for the parser only.
 PARSER_MODULES = {"argparse", "gettext"}
 STDLIB_LOADED = (
     "import json, sys\n"
@@ -127,11 +129,23 @@ def test_cold_call_loads_no_dataclasses_inspect_or_typing(tmp_path, argv,
 
 
 @pytest.mark.parametrize("argv,code", [(["--help"], 0),
-                                       (["cohn", "--z", "1"], 2)],
-                         ids=["help", "malformed"])
-def test_help_and_malformed_line_load_argparse(tmp_path, argv, code):
+                                       (["cohn", "--help"], 0),
+                                       (["cohn", "--z", "1"], 2),
+                                       (["no-such-command"], 2)],
+                         ids=["help", "command-help", "malformed",
+                              "unknown-command"])
+def test_help_and_refused_lines_load_no_parser(tmp_path, argv, code):
     loaded = set(_run_main(tmp_path, argv, STDLIB_LOADED, "-S", code=code))
-    assert PARSER_MODULES <= loaded
+    assert not loaded & PARSER_MODULES
+
+
+def test_no_source_file_imports_argparse():
+    package = Path(SRC) / "sl2factor"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 12
+    for path in sources:
+        assert not re.search(r"^\s*(import|from)\s+argparse\b",
+                             path.read_text(), re.M), path.name
 
 
 def test_every_export_resolves_to_its_home_object_and_is_kept():

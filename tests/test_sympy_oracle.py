@@ -8,7 +8,8 @@
 ## must be sympy's, the frame's minor on consecutive columns must be the
 ## middle coordinate, every sum, difference, product and quotient must be
 ## sympy's value, and every MultiPoly sum, difference, product, derivative
-## and middle polynomial must be sympy.Poly's, in canonical coefficients
+## and middle polynomial, and every entry of Phi_N, must be sympy.Poly's,
+## in canonical coefficients
 ##
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from sl2factor.fiber_solver import (complete_generic_even,
 from sl2factor.scalars import ExactComplex
 from sl2factor.submersion_spray import TangentFrame, frame_rank, sl2_jacobian
 from sl2factor.word_core import (LOWER, SL2, UPPER, PhiTemplate, Word, _sl2,
-                                 middle_Q, replay)
+                                 expand_phi, middle_Q, replay)
 
 QQ, QQ_I = sympy.QQ, sympy.QQ_I
 I = QQ_I(0, 1)
@@ -350,13 +351,27 @@ def test_poly_derivative_is_sympys(nvars, data):
     _assert_same(x.diff(var), sx.diff(sx.gens[var]))
 
 
+def _alternating(gens, lower_first: bool):
+    """sympy's product of the elementary factors of gens, alternating."""
+    m = sympy.eye(2)
+    for j, z in enumerate(gens):
+        m = m * (sympy.Matrix([[1, 0], [z, 1]]) if (j % 2 == 0) == lower_first
+                 else sympy.Matrix([[1, z], [0, 1]]))
+    return m
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_middle_polynomials_are_sympys(n):
     # M_2(z_2) ... M_{N-1}(z_{N-1}), upper factor first
     gens = sympy.symbols(f"z2:{n}")
-    m = sympy.eye(2)
-    for j, z in enumerate(gens):
-        m = m * (sympy.Matrix([[1, z], [0, 1]]) if j % 2 == 0
-                 else sympy.Matrix([[1, 0], [z, 1]]))
-    for got, entry in zip(middle_Q(n), m):
+    for got, entry in zip(middle_Q(n), _alternating(gens, False)):
+        _assert_same(got, sympy.Poly(entry, *gens, domain=QQ_I))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phi_entries_are_sympys(n):
+    # Phi_N = L(z_1) U(z_2) L(z_3) ..., lower factor first
+    gens = sympy.symbols(f"z1:{n + 1}")
+    for got, entry in zip(expand_phi(PhiTemplate(n)).entries,
+                          _alternating(gens, True)):
         _assert_same(got, sympy.Poly(entry, *gens, domain=QQ_I))

@@ -12,8 +12,8 @@ from sl2factor.exact_algebra import ExactComplex, MultiPoly
 from sl2factor.word_core import (
     LOWER, UPPER, ElementaryFactor, PhiTemplate, SL2, Word, eval_word,
     expand_phi, factor_to_json, in_singular_set, middle_Q, middle_Q_brute,
-    negligible, replay, sl2_from_json, sl2_to_json, word_from_json,
-    word_inverse, word_to_json)
+    negligible, on_level, replay, sl2_from_json, sl2_to_json,
+    word_from_json, word_inverse, word_to_json)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 8))
 exacts = st.builds(ExactComplex, fractions, fractions)
@@ -283,6 +283,37 @@ def test_negligible_is_literal_or_relative():
     assert negligible(5e-4 + 1e-4j, 1e7) and not negligible(5e-3, 1e7)
     assert negligible(5e-4, 2.0, -1e7j) and not negligible(5e-4, 2.0, 1e6)
     assert not negligible(5e-10, 1e-3)
+
+
+def test_exact_level_test_reduces_nothing(monkeypatch):
+    # 10-digit Gaussian rationals: == compares the canonical triples, where
+    # the difference would take a gcd
+    from sl2factor import scalars
+    level = ExactComplex(Fraction(12345678901, 7), Fraction(-2718281828,
+                                                            3141592653))
+    same = ExactComplex(Fraction(24691357802, 14), level.im)
+    near = level + ExactComplex(Fraction(1, 10 ** 10))
+    calls = []
+
+    def counting(p, q, d, reduced=scalars._reduced):
+        calls.append((p, q, d))
+        return reduced(p, q, d)
+
+    monkeypatch.setattr(scalars, "_reduced", counting)
+    assert on_level(same, level) and not on_level(near, level)
+    assert calls == []
+    # the counter does count: a difference reduces once
+    assert negligible(same - level, level)
+    assert len(calls) == 1
+
+
+def test_on_level_is_literal_or_relative():
+    x = MultiPoly.variable(2, 0)
+    assert on_level(x + 1, 1 + x) and not on_level(x, x + 1)
+    assert on_level(ExactComplex(3), 3) and not on_level(ExactComplex(3), 4)
+    # approximate values keep negligible's rule: within 1e-10 max(1, |level|)
+    assert on_level(1 + 5e-11, 1.0) and not on_level(1 + 5e-10, 1.0)
+    assert on_level(1e7 + 5e-4j, 1e7) and not on_level(1e7 + 5e-3, 1e7)
 
 
 def test_factor_json_shape():

@@ -209,18 +209,16 @@ COMMANDS = [
     ["bound", "--n", "4", "--k", "2=1,3=2,4=2,4=3"],
     # a --k index outside 2..n
     ["bound", "--n", "3", "--k", "2=1,3=1,9=-5"],
-    # usage text, and the errors argparse raises before a handler runs:
-    # cli adds the arguments of the named subcommand only
+    # usage text, and the refusals of the command line before a handler
+    # runs
     ["--help"],
     ["expand", "--help"],
     ["cohn", "--help"],
     ["no-such-command", "--n", "4"],
     ["factor-const"],
-    # command lines at the edge of what cli parses without argparse: the
-    # accepted ones must report as argparse's parse would, and the others
-    # (a missing option, a bad value, an option given as "=" or abbreviated,
-    # a value starting with "-", a clash, an extra word, a leading flag)
-    # keep argparse's message or help text
+    # command lines at the edge of the grammar: a missing option, a bad
+    # value, an option given as "=" or abbreviated, a value starting with
+    # "-", a clash, an extra word, a leading flag
     ["expand"],
     ["expand", "--n", "x"],
     ["expand", "--n", "-1"],
@@ -235,6 +233,18 @@ COMMANDS = [
     ["verify-suite", "--scale", "medium"],
     ["certificate", "--radius="],
     ["--help", "cohn"],
+    # an option value that starts with "-", given as a separate word:
+    # Gaussian rationals with a negative real or imaginary part, and the
+    # free z_1 of a non-generic fiber
+    ["cohn", "--z", "1", "--w", "-1/2"],
+    ["cohn", "--z", "1", "--w", "-2+2i"],
+    ["cohn", "--z", "1", "--w", "-2i"],
+    ["fiber-solve", "--n", "4", "--input", "{a_zero}", "--z1", "-1/2"],
+    ["fiber-solve", "--n", "5", "--input", "{b_zero}", "--z1", "-1/2"],
+    # a prefix of two options (--samples, --seed) is ambiguous
+    ["lemma-check", "--n", "4", "--s", "5"],
+    # a bad value is echoed as its first 40 characters and its length
+    ["expand", "--n", "1" * 5000],
 ]
 
 _TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
